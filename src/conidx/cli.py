@@ -21,6 +21,7 @@ from .profiles import hurwitz_zeta, lagrange_jump_profile, lerch_j1, shepard_jum
 from .reports import (
     ConfigError,
     SequenceCache,
+    _atomic_write,
     build_run_report,
     emit_csv,
     emit_report,
@@ -187,9 +188,11 @@ def cmd_verify(args) -> int:
              "runtime_s": round(r.runtime_s, 3)}
             for r in results
         ]
-        with open(args.out, "w") as fh:
-            json.dump({"version": __version__, "checks": doc}, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps({"version": __version__, "checks": doc}, indent=2) + "\n"
+        try:
+            _atomic_write(args.out, [text])
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
         print(f"report written to {args.out}")
     return EXIT_PASS if not failed else EXIT_FAIL
 

@@ -52,21 +52,51 @@ def cheb_grid(n: int) -> ChebGrid:
     return ChebGrid(n=n, angles=angles, nodes=np.cos(angles))
 
 
+def _alternating(n: int) -> np.ndarray:
+    """The barycentric signs (-1)^k for k = 1..n."""
+    alt = np.ones(n)
+    alt[::2] = -1.0
+    return alt
+
+
+def _node_hit(nodes: np.ndarray, x: float, dist: np.ndarray) -> int | None:
+    """Index of the node nearest x if it lies within NODE_COLLISION * n of x.
+
+    dist receives |x - nodes|.
+    """
+    np.subtract(x, nodes, out=dist)
+    np.abs(dist, out=dist)
+    j = int(np.argmin(dist))
+    return j if dist[j] <= NODE_COLLISION * len(nodes) else None
+
+
+def _weights(w: np.ndarray, diff: np.ndarray, nodes: np.ndarray, alt: np.ndarray,
+             x: float, theta: float) -> None:
+    """ell[1..n](x) into w for x = cos(theta) off the nodes; diff receives x - nodes.
+
+    The numerator is (-1)^k c with c = (1/(n-1)) sin((n-1) theta) sin theta,
+    halved at both endpoints: halving is exact, so every entry rounds as
+    sign / ((n-1) fac) * s does.
+    """
+    n = len(nodes)
+    c = (1.0 / (n - 1)) * (math.sin((n - 1) * theta) * math.sin(theta))
+    np.multiply(alt, c, out=w)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    np.subtract(x, nodes, out=diff)
+    np.divide(w, diff, out=w)
+
+
 def _weights_all(grid: ChebGrid, x: float) -> np.ndarray:
     """All fundamental polynomial values ell[1..n](x) at once."""
     n = grid.n
-    dist = np.abs(x - grid.nodes)
-    j = int(np.argmin(dist))
-    if dist[j] <= NODE_COLLISION * n:
-        out = np.zeros(n)
-        out[j] = 1.0
-        return out
-    theta = math.acos(min(1.0, max(-1.0, x)))
-    k = np.arange(1, n + 1)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    fac = 1.0 + (k == 1) + (k == n)
-    s = math.sin((n - 1) * theta) * math.sin(theta)
-    return sign / ((n - 1) * fac) * s / (x - grid.nodes)
+    w, work = np.zeros(n), np.empty(n)
+    j = _node_hit(grid.nodes, x, work)
+    if j is not None:
+        w[j] = 1.0
+    else:
+        _weights(w, work, grid.nodes, _alternating(n), x, math.acos(min(1.0, max(-1.0, x))))
+    return w
 
 
 def fundamental_weight(grid: ChebGrid, k: int, x: float) -> float:
@@ -202,36 +232,58 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
     return boundary + series + corr
 
 
-def _jump_value(step: StepFn1D, x0: float, theta0: float, sigma: float, n: int) -> float:
-    """One direct evaluation L_n(step)(x0), with the node hit decided by sigma."""
-    if sigma == 0.0:
-        return float(step(x0))
-    grid = cheb_grid(n)
-    k = np.arange(1, n + 1)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    fac = 1.0 + (k == 1) + (k == n)
-    s = math.sin((n - 1) * theta0) * math.sin(theta0)
-    weights = sign / ((n - 1) * fac) * s / (x0 - grid.nodes)
-    return float(weights @ step(grid.nodes))
+def _window(step: StepFn1D, x: float, theta: float, ns: range,
+            spec: PointSpec | None = None) -> np.ndarray:
+    """Values L_n(step)(x) for the n in ns (all >= 2), with x = cos(theta).
+
+    With spec, x is the jump point cos(pi * spec.value) and n is a node hit
+    exactly when the grid offset is zero; without, a node within
+    NODE_COLLISION * n of x is a hit.  A hit returns the step value there.
+    Otherwise the value is the dot product of the weights with the step
+    values at the nodes, computed in three buffers allocated once.  Every
+    value is bit-identical to the per-n evaluation (`lagrange_eval_1d`);
+    tests/test_kernels.py holds the reference loops.
+    """
+    size = ns.stop - 1
+    kf = np.arange(size, dtype=float)
+    alt = _alternating(size)
+    nodes_buf, w_buf, work_buf = np.empty(size), np.empty(size), np.empty(size)
+    out = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        nodes, w, work = nodes_buf[:n], w_buf[:n], work_buf[:n]
+        if spec is not None and grid_offset(spec, n) == 0.0:
+            out[i] = step(x)
+            continue
+        np.multiply(kf[:n], math.pi / (n - 1), out=work)
+        np.cos(work, out=nodes)
+        if spec is None:
+            j = _node_hit(nodes, x, work)
+            if j is not None:
+                out[i] = step(nodes[j])
+                continue
+        _weights(w, work, nodes, alt[:n], x, theta)
+        step.sample_sorted(nodes, work)
+        out[i] = w @ work
+    return out
 
 
 def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
     """L_n h(x0) by direct summation of the fundamental polynomials."""
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    return _jump_value(StepFn1D.jump(x0, d), x0, theta0, grid_offset(spec, n), n)
+    return float(_window(StepFn1D.jump(x0, d), x0, theta0, range(n, n + 1), spec)[0])
 
 
 def step_sequence_at(step: StepFn1D, x: float, n_max: int) -> np.ndarray:
     """Values L_n(step)(x) for n = 1..n_max at a general point x.
 
     Node collisions are resolved by the proximity short-circuit; the n = 1
-    entry is the one-node constant interpolant step(+1).
+    entry is the one-node constant interpolant step(+1).  Bit-identical to
+    `lagrange_eval_1d` at every n (tests/test_kernels.py).
     """
     out = np.empty(n_max)
     out[0] = step(1.0)
-    for n in range(2, n_max + 1):
-        out[n - 1] = lagrange_eval_1d(step, n, x)
+    out[1:] = _window(step, x, math.acos(min(1.0, max(-1.0, x))), range(2, n_max + 1))
     return out
 
 
@@ -241,7 +293,9 @@ def jump_sequence(spec: PointSpec, d: float, n_max: int,
 
     The n = 1 entry uses the one-node convention: interpolation on the
     single node +1 is the constant step(+1).  step defaults to the basic
-    jump function with value d at x0.
+    jump function with value d at x0.  Node hits are the n with zero grid
+    offset.  Every value is bit-identical to the earlier per-n loop kept in
+    tests/test_kernels.py.
     """
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
@@ -249,6 +303,5 @@ def jump_sequence(spec: PointSpec, d: float, n_max: int,
         step = StepFn1D.jump(x0, d)
     out = np.empty(n_max)
     out[0] = step(1.0)
-    for n in range(2, n_max + 1):
-        out[n - 1] = _jump_value(step, x0, theta0, grid_offset(spec, n), n)
+    out[1:] = _window(step, x0, theta0, range(2, n_max + 1), spec)
     return out

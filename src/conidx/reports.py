@@ -11,8 +11,10 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -206,7 +208,10 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("targets must be a nonempty list of [lo, hi] pairs")
             targets = None
     eval_point = raw.get("eval_point")
-    if eval_point is not None:
+    if eval_point is not None and experiment.endswith("1d"):
+        errors.append(f"field 'eval_point' does not apply to {experiment}")
+        eval_point = None
+    elif eval_point is not None:
         if (isinstance(eval_point, list) and len(eval_point) == 2
                 and all(isinstance(v, (int, float)) for v in eval_point)):
             eval_point = (float(eval_point[0]), float(eval_point[1]))
@@ -249,17 +254,14 @@ def parse_config(text: str) -> ExperimentConfig:
 # emission
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _atomic_write(path: str | Path, data: str) -> None:
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to path through a temp file and a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -267,26 +269,36 @@ def _atomic_write(path: str | Path, data: str) -> None:
         raise
 
 
-def emit_csv(win: SeqWindow, path: str | Path) -> None:
-    """Write the window values: `n,value` rows, or `n,m,value` row-major."""
-    lines: list[str] = []
+def _csv_chunks(win: SeqWindow) -> Iterator[str]:
+    """The CSV text of a window, one chunk per row of a 2-d window.
+
+    A 2-d row is one %-format call on a template of "%d,m,%.17g" lines;
+    '%.17g' % x and f"{x:.17g}" print the same bytes.  Product rows are the
+    products u[n-1] * v, rounded as the materialized matrix would be.
+    """
     if win.dim == 1:
-        lines.append("n,value")
-        for i, v in enumerate(win.values, start=1):
-            lines.append(f"{i},{_fmt(v)}")
-    else:
-        lines.append("n,m,value")
-        if win.factors is not None:
-            u, v = win.factors
-            for n in range(1, win.n_max + 1):
-                row = u[n - 1] * v
-                for m in range(1, win.n_max + 1):
-                    lines.append(f"{n},{m},{_fmt(row[m - 1])}")
-        else:
-            for n in range(1, win.n_max + 1):
-                for m in range(1, win.n_max + 1):
-                    lines.append(f"{n},{m},{_fmt(win.values[n - 1, m - 1])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        yield "n,value\n"
+        yield "".join(f"{n},{v:.17g}\n" for n, v in enumerate(win.values.tolist(), start=1))
+        return
+    yield "n,m,value\n"
+    size = win.n_max
+    template = "".join(f"%d,{m},%.17g\n" for m in range(1, size + 1))
+    args: list = [0] * (2 * size)
+    for n in range(1, size + 1):
+        row = (win.factors[0][n - 1] * win.factors[1] if win.factors is not None
+               else win.values[n - 1])
+        args[::2] = [n] * size
+        args[1::2] = row.tolist()
+        yield template % tuple(args)
+
+
+def emit_csv(win: SeqWindow, path: str | Path) -> None:
+    """Write the window values: `n,value` rows, or `n,m,value` row-major.
+
+    The rows are streamed to the file.  The bytes equal those of the
+    earlier one-line-at-a-time writer kept in tests/test_kernels.py.
+    """
+    _atomic_write(path, _csv_chunks(win))
 
 
 def _target_to_json(report: IndexReport) -> dict:
@@ -352,7 +364,7 @@ def build_run_report(config: ExperimentConfig, result: ExperimentResult,
 
 
 def emit_report(report: RunReport, path: str | Path) -> None:
-    _atomic_write(path, report.to_json())
+    _atomic_write(path, [report.to_json()])
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +399,27 @@ class SequenceCache:
         return self.dir / f"{self.key(spec)}.npz"
 
     def load(self, spec: ExperimentSpec) -> SeqWindow | None:
+        """The cached window for spec, or None on a miss.
+
+        An entry that cannot be read, or whose window does not have the
+        spec's dimension and size, counts as a miss; the caller then
+        recomputes the window and overwrites the entry.
+        """
         path = self.path_for(spec)
         if not path.exists():
             return None
-        with np.load(path) as data:
-            if "u" in data:
-                return SeqWindow.from_product(data["u"], data["v"])
-            values = data["values"]
-        return (SeqWindow.from_values_1d(values) if values.ndim == 1
-                else SeqWindow.from_matrix(values))
+        try:
+            with np.load(path) as data:
+                if "u" in data:
+                    win = SeqWindow.from_product(data["u"], data["v"])
+                else:
+                    values = data["values"]
+                    win = (SeqWindow.from_values_1d(values) if values.ndim == 1
+                           else SeqWindow.from_matrix(values))
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            return None
+        dim = 2 if spec.operator.endswith("2d") else 1
+        return win if (win.dim, win.n_max) == (dim, spec.window) else None
 
     def store(self, spec: ExperimentSpec, win: SeqWindow) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)

@@ -48,27 +48,40 @@ def node_index(spec: PointSpec, n: int) -> int | None:
     return None
 
 
+def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float) -> int | None:
+    """Normalized weights at x into w, or the index of a node within
+    NODE_PROXIMITY of x (w is then left holding distances).
+
+    Distances are scaled by the nearest one before exponentiation so large
+    s cannot overflow.
+    """
+    np.subtract(x, nodes, out=w)
+    np.abs(w, out=w)
+    j = int(np.argmin(w))
+    if w[j] <= NODE_PROXIMITY:
+        return j
+    np.divide(w[j], w, out=w)
+    w **= s
+    w /= w.sum()
+    return None
+
+
 def shepard_weights_1d(params: ShepardParams, x: float,
                        hit: int | None = None) -> np.ndarray:
     """Normalized weight vector over the n+1 nodes at evaluation point x.
 
     A node collision (given exactly via `hit`, or detected by proximity)
-    yields the unit vector there.  Weights are scaled by the nearest
-    distance before exponentiation so large s cannot overflow.
+    yields the unit vector there.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")
-    nodes = params.nodes
-    dist = np.abs(x - nodes)
-    j = int(np.argmin(dist))
-    if hit is None and dist[j] <= NODE_PROXIMITY:
-        hit = j
+    w = np.empty(params.n + 1)
+    if hit is None:
+        hit = _weights(w, params.nodes, x, params.s)
     if hit is not None:
-        out = np.zeros(params.n + 1)
-        out[hit] = 1.0
-        return out
-    w = (dist[j] / dist) ** params.s
-    return w / w.sum()
+        w[:] = 0.0
+        w[hit] = 1.0
+    return w
 
 
 def shepard_eval_1d(f, params: ShepardParams, x: float,
@@ -104,12 +117,45 @@ def shepard_eval_2d(h: StepFn2D, params_x: ShepardParams, params_y: ShepardParam
     return out
 
 
-def step_sequence_at(step: StepFn1D, s: float, x: float, n_max: int) -> np.ndarray:
-    """Values S_n(step)(x) for n = 1..n_max at a general point x."""
+def _window(step: StepFn1D, s: float, x: float, n_max: int,
+            spec: PointSpec | None = None) -> np.ndarray:
+    """Values S_n(step)(x) for n = 1..n_max.
+
+    With spec, n is a node hit exactly when x = spec value is a node; a node
+    within NODE_PROXIMITY of x is a hit in either case.  A hit returns the
+    step value there.  Otherwise the value is the dot product of the weights
+    with the step values at the nodes, computed in three buffers allocated
+    once.  Every value is bit-identical to the per-n evaluation
+    (`shepard_eval_1d`); tests/test_kernels.py holds the reference loops.
+    """
+    if s < 1.0:
+        raise ValueError("exponent s must be >= 1")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("evaluation point must lie in [0, 1]")
+    kf = np.arange(n_max + 1, dtype=float)
+    nodes_buf, w_buf, vals_buf = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        out[n - 1] = shepard_eval_1d(step, ShepardParams(s=s, n=n), x)
+        if spec is not None and node_index(spec, n) is not None:
+            out[n - 1] = step(x)
+            continue
+        nodes, w, vals = nodes_buf[:n + 1], w_buf[:n + 1], vals_buf[:n + 1]
+        np.divide(kf[:n + 1], n, out=nodes)
+        j = _weights(w, nodes, x, s)
+        if j is not None:
+            out[n - 1] = step(nodes[j])
+            continue
+        step.sample_sorted(nodes, vals)
+        out[n - 1] = w @ vals
     return out
+
+
+def step_sequence_at(step: StepFn1D, s: float, x: float, n_max: int) -> np.ndarray:
+    """Values S_n(step)(x) for n = 1..n_max at a general point x.
+
+    Bit-identical to `shepard_eval_1d` at every n (tests/test_kernels.py).
+    """
+    return _window(step, s, x, n_max)
 
 
 def step_sequence(spec: PointSpec, s: float, n_max: int,
@@ -117,18 +163,10 @@ def step_sequence(spec: PointSpec, s: float, n_max: int,
     """Values S_n(step)(x0) for n = 1..n_max at the jump point x0 = spec value.
 
     step defaults to the closed left indicator (1 on [0, x0]); node hits
-    are resolved exactly for rational specs.
+    are resolved exactly for rational specs.  Every value is bit-identical
+    to the earlier per-n loop kept in tests/test_kernels.py.
     """
     x0 = spec.value
     if step is None:
         step = StepFn1D.indicator_upto(x0)
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        params = ShepardParams(s=s, n=n)
-        hit = node_index(spec, n)
-        if hit is not None:
-            out[n - 1] = step(x0)
-            continue
-        w = shepard_weights_1d(params, x0)
-        out[n - 1] = float(w @ step(params.nodes))
-    return out
+    return _window(step, s, x0, n_max, spec)

@@ -55,6 +55,21 @@ class StepFn1D:
         out = np.where(x < self.x0, self.left, np.where(x > self.x0, self.right, self.at))
         return float(out) if out.ndim == 0 else out
 
+    def sample_sorted(self, nodes: np.ndarray, out: np.ndarray) -> None:
+        """Write self(nodes) into out for monotone nodes, as three slice fills.
+
+        The two ends of the run of nodes equal to x0 are found by binary
+        search, so the values equal self(nodes) entry for entry.
+        """
+        n = len(nodes)
+        ascending = nodes[::-1] if n > 1 and nodes[0] > nodes[-1] else nodes
+        lo = int(np.searchsorted(ascending, self.x0, "left"))
+        hi = int(np.searchsorted(ascending, self.x0, "right"))
+        if ascending is nodes:
+            out[:lo], out[lo:hi], out[hi:] = self.left, self.at, self.right
+        else:
+            out[:n - hi], out[n - hi:n - lo], out[n - lo:] = self.right, self.at, self.left
+
 
 @dataclass(frozen=True)
 class StepFn2D:

@@ -114,6 +114,34 @@ def test_index_uses_cache(tmp_path, capsys):
     assert code == 0 and "removed 1" in out
 
 
+def test_index_recomputes_a_corrupt_cache_entry(tmp_path, capsys):
+    cfg = {"schema_version": 1, "experiment": "lagrange1d",
+           "theta": {"rational": [1, 3]}, "window": 300,
+           "cache_dir": str(tmp_path / "cache")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, first, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.npz")
+    entry.write_text("garbage")
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0 and out == first
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0 and "window loaded from cache" in out
+
+
+def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "verify", "lagrange2", "--out", str(blocker / "x.json"))
+    assert code == 2
+    assert "cannot write" in err and "Traceback" not in err
+    path = tmp_path / "new" / "x.json"
+    code, out, _ = run_cli(capsys, "verify", "lagrange2", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["checks"][0]["passed"] is True
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "lagrange2")
     assert code == 0

@@ -168,3 +168,33 @@ def test_cache_product_windows(tmp_path):
     assert len(cache.entries()) == 1
     assert cache.clear() == 1
     assert cache.entries() == []
+
+
+def test_parse_rejects_eval_point_in_univariate_configs():
+    for doc in (MINIMAL, {"schema_version": 1, "experiment": "shepard1d",
+                          "x0": {"rational": [1, 3]}, "window": 100}):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({**doc, "eval_point": [0.5, 0.5]}))
+        assert any("eval_point" in err and "does not apply" in err for err in exc.value.errors)
+
+
+@pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04truncated"])
+def test_cache_unreadable_entry_is_a_miss(tmp_path, content):
+    spec = parse_config(make_config()).to_experiment_spec()
+    cache = SequenceCache(tmp_path)
+    cache.dir.mkdir(exist_ok=True)
+    cache.path_for(spec).write_bytes(content)
+    assert cache.load(spec) is None
+
+
+def test_cache_entry_of_the_wrong_shape_is_a_miss(tmp_path):
+    spec = parse_config(make_config()).to_experiment_spec()
+    cache = SequenceCache(tmp_path)
+    cache.store(spec, SeqWindow.from_values_1d(np.zeros(spec.window - 1)))
+    assert cache.load(spec) is None
+    cache.store(spec, SeqWindow.from_product(np.zeros(spec.window), np.zeros(spec.window)))
+    assert cache.load(spec) is None
+    np.savez(cache.path_for(spec), other=np.zeros(3))
+    assert cache.load(spec) is None
+    cache.store(spec, SeqWindow.from_values_1d(np.zeros(spec.window)))
+    assert cache.load(spec) is not None
