@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 
 from . import __version__
 from .harness import run_index_experiment
@@ -61,6 +62,15 @@ def _grid_point(text: str, what: str) -> PointSpec:
         return PointSpec.parse(text)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"{what}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """Report a failed write to path as a usage error (exit 2), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_zeta(args) -> int:
@@ -151,7 +161,8 @@ def cmd_index(args) -> int:
     result = run_index_experiment(spec, window=window)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     if cache and not cached:
-        cache.store(spec, result.window)
+        with _writing(cache.dir):
+            cache.store(spec, result.window)
     report = build_run_report(config, result, runtime_ms)
     for entry in report.targets:
         tgt = entry["target"]
@@ -164,10 +175,12 @@ def cmd_index(args) -> int:
     if cached:
         print("window loaded from cache")
     if config.out_report:
-        emit_report(report, config.out_report)
+        with _writing(config.out_report):
+            emit_report(report, config.out_report)
         print(f"report written to {config.out_report}")
     if config.out_csv:
-        emit_csv(result.window, config.out_csv)
+        with _writing(config.out_csv):
+            emit_csv(result.window, config.out_csv)
         print(f"window written to {config.out_csv}")
     return EXIT_PASS if report.all_pass else EXIT_FAIL
 
@@ -189,10 +202,8 @@ def cmd_verify(args) -> int:
             for r in results
         ]
         text = json.dumps({"version": __version__, "checks": doc}, indent=2) + "\n"
-        try:
+        with _writing(args.out):
             _atomic_write(args.out, [text])
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from exc
         print(f"report written to {args.out}")
     return EXIT_PASS if not failed else EXIT_FAIL
 

@@ -265,9 +265,7 @@ class SeqWindow:
             mask = _interval_mask(self.values, intervals)
             return mask.cumsum()[cps - 1]
         if self.factors is not None:
-            return np.array(
-                [_product_count(self.factors[0], self.factors[1], intervals, int(c)) for c in cps]
-            )
+            return _product_counts(self.factors[0], self.factors[1], intervals, cps)
         mask = _interval_mask(self.values, intervals)
         pref = mask.cumsum(axis=0).cumsum(axis=1)
         return pref[cps - 1, cps - 1]
@@ -290,34 +288,74 @@ def _interval_mask(values: np.ndarray, intervals) -> np.ndarray:
     return mask
 
 
-def _product_count(u: np.ndarray, v: np.ndarray, intervals, cp: int) -> int:
-    """Pairs (n,m) <= cp with u[n]*v[m] in the open interval union.
+def _product_counts(u: np.ndarray, v: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:
+    """Pairs (n,m) <= cp with u[n]*v[m] in the open interval union, per checkpoint.
 
-    Solved factor-wise: sort v once, then each u[n] turns the product
-    condition into an interval query on v answered by binary search.
+    Never materializes the matrix, and counts the same pairs as its rounded
+    products would, ties at the interval ends included.  A checkpoint's
+    square grows from the previous one's by its rows n against the columns
+    m up to it, and by its columns m against the earlier rows.  So every
+    index is one query against the other factor (`_strip_counts`), and the
+    counts per checkpoint are prefix sums over the indices.
     """
-    uu = u[:cp]
-    vs = np.sort(v[:cp])
-    total = 0
+    levels, slot = np.unique(cps, return_inverse=True)
+    size = int(levels[-1])
+    # an open (lo, hi) holds the products p <= pred(hi) minus those p <= lo
+    ends, signs = [], []
     for lo, hi in intervals:
-        pos = uu > 0.0
-        neg = uu < 0.0
-        if np.any(pos):
-            a = lo / uu[pos]
-            b = hi / uu[pos]
-            total += int(
-                (np.searchsorted(vs, b, "left") - np.searchsorted(vs, a, "right")).sum()
-            )
-        if np.any(neg):
-            a = hi / uu[neg]
-            b = lo / uu[neg]
-            total += int(
-                (np.searchsorted(vs, b, "left") - np.searchsorted(vs, a, "right")).sum()
-            )
-        n_zero = int(np.count_nonzero(uu == 0.0))
-        if n_zero and lo < 0.0 < hi:
-            total += n_zero * cp
-    return total
+        if lo < hi:
+            ends += [float(np.nextafter(hi, -np.inf)), float(lo)]
+            signs += [1, -1]
+    ends = np.array(ends, dtype=float)[:, None]
+    signs = np.array(signs, dtype=np.int64)
+    level = np.searchsorted(levels, np.arange(1, size + 1))
+    per_index = (_strip_counts(u[:size], level, v[:size], level, ends, signs)
+                 + _strip_counts(v[:size], level - 1, u[:size], level, ends, signs))
+    return np.cumsum(per_index)[levels - 1][slot]
+
+
+def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
+                  other_level: np.ndarray, ends: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """For each query w[i]: sum over r of signs[r] * #{j : other_level[j] <=
+    allowed[i], fl(w[i] * other[j]) <= ends[r]}.
+
+    fl(|w| x) is nondecreasing in x, so over the sorted `other` the entries
+    at or below a threshold form a prefix (a suffix for w < 0, where
+    fl(w x) <= t is fl(|w| x) > pred(-t)).  The rounded quotient t / |w|
+    only guesses the prefix's length: a product can tie t, or an x within an
+    ulp or two of the quotient can land on the other side.  The guess is
+    moved run by run of equal values until the entries on either side of it
+    agree with their products.  A table of prefix counts per level then
+    turns the length into the number of allowed entries.
+    """
+    order = np.argsort(other)
+    xs = other[order]
+    n = xs.size
+    # table[l + 1, r]: how many of the r smallest entries have level <= l
+    top = np.arange(-1, int(other_level.max()) + 1)
+    table = np.zeros((top.size, n + 1), dtype=np.int32)
+    np.cumsum(other_level[order] <= top[:, None], axis=1, out=table[:, 1:])
+    neg = w < 0.0
+    a = np.abs(w)
+    t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))
+    before, at = padded[:-1], padded[1:]
+    # a zero query gets the guess +-inf or nan (0/0), which the checks
+    # settle at once: its products are 0, and nan at the infinite ends
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = np.searchsorted(xs, t / a, "right")
+        while True:
+            back = before.take(k) * a > t
+            ahead = at.take(k) * a <= t
+            if not (back.any() or ahead.any()):
+                break
+            k[back] = np.searchsorted(xs, before.take(k[back]), "left")
+            k[ahead] = np.searchsorted(xs, at.take(k[ahead]), "right")
+    flat = table.ravel()
+    base = (allowed + 1) * (n + 1)
+    below = flat.take(base + k)
+    below = np.where(neg, flat.take(base + n) - below, below)
+    return signs @ below
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,26 @@ class SeriesTolerance:
 
 DEFAULT_TOL = SeriesTolerance()
 BISECT_TOL = 1e-10
+# Entries of the (points x terms) table that the series kernels build at a
+# time: 120 KB of doubles, so the table stays in cache however many points a
+# call evaluates, and below the 128 KB from which malloc maps fresh pages for
+# every temporary.
+_TABLE_BLOCK = 15 * 1024
+
+
+def _row_sums(a_arr: np.ndarray, n_terms: int,
+              terms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """terms(a[:, None]).sum(axis=-1) for every element a of a_arr, shaped like a_arr.
+
+    Each row is summed on its own, so a value does not depend on the block
+    it falls in.
+    """
+    flat = a_arr.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(1, _TABLE_BLOCK // n_terms)
+    for start in range(0, flat.size, rows):
+        out[start:start + rows] = terms(flat[start:start + rows, None]).sum(axis=-1)
+    return out.reshape(a_arr.shape)
 
 
 def lerch_j1(a, tol: SeriesTolerance = DEFAULT_TOL):
@@ -53,9 +73,13 @@ def lerch_j1(a, tol: SeriesTolerance = DEFAULT_TOL):
     M = int(math.ceil(0.5 * (0.27 / tol.abs_tol) ** 0.2)) + 8
     if M > tol.max_terms:
         raise ValueError(f"needs {M} paired terms, above max_terms={tol.max_terms}")
-    k = np.arange(M, dtype=float)
-    base = 2.0 * k + a_arr[..., None]
-    partial = (1.0 / (base * (base + 1.0))).sum(axis=-1)
+    two_k = 2.0 * np.arange(M, dtype=float)
+
+    def terms(col):
+        base = two_k + col
+        return 1.0 / (base * (base + 1.0))
+
+    partial = _row_sums(a_arr, M, terms)
     x = 2.0 * M + a_arr
     integral = 0.5 * np.log1p(1.0 / x)
     t_m = 1.0 / (x * (x + 1.0))
@@ -94,7 +118,7 @@ def hurwitz_zeta(s: float, a, tol: SeriesTolerance = DEFAULT_TOL):
     if M > tol.max_terms:
         raise ValueError(f"needs {M} terms, above max_terms={tol.max_terms}")
     n = np.arange(M, dtype=float)
-    partial = ((n + a_arr[..., None]) ** -s).sum(axis=-1)
+    partial = _row_sums(a_arr, M, lambda col: (n + col) ** -s)
     x = M + a_arr
     tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s + s / 12.0 * x ** (-s - 1.0)
     out = partial + tail
@@ -194,7 +218,11 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     """Solve profile(x) = y on [0, 1) by bisection, vectorized over y.
 
     Values outside the profile range clamp to the matching endpoint, so
-    interval preimages come out right without special-casing.
+    interval preimages come out right without special-casing.  Each level
+    evaluates the profile once per distinct bracket midpoint: nearby roots
+    share their first levels, and every out-of-range y follows one clamped
+    path.  The profiles compute element by element, so a value does not
+    depend on which other points share the call.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     lo = np.zeros_like(y_arr)
@@ -203,14 +231,17 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     sign = 1.0 if profile.decreasing else -1.0
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        go_right = sign * (np.asarray(profile.fn(mid)) - y_arr) > 0.0
+        distinct, slot = np.unique(mid, return_inverse=True)
+        vals = np.asarray(profile.fn(distinct))[slot]
+        go_right = sign * (vals - y_arr) > 0.0
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def _normalize_intervals(intervals) -> list[tuple[float, float]]:
+def _normalize_intervals(intervals) -> np.ndarray:
+    """Disjoint intervals as a (k, 2) array of (a, b) rows, sorted."""
     ivs = [(float(a), float(b)) for a, b in intervals]
     for a, b in ivs:
         if b < a:
@@ -219,17 +250,23 @@ def _normalize_intervals(intervals) -> list[tuple[float, float]]:
     for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
         if a2 < b1:
             raise ValueError("intervals must be disjoint")
-    return ivs
+    return np.array(ivs, dtype=float).reshape(-1, 2)
+
+
+def _interval_roots(profile: Profile1D, bounds: np.ndarray, tol: float) -> np.ndarray:
+    """Preimage ends of intervals, shape (k, 2, ...) like bounds.
+
+    Both ends of every interval go through one bisection, so they share
+    midpoints; [:, 0] is the lower end in x, [:, 1] the upper.
+    """
+    roots = invert_monotone(profile, bounds.ravel(), tol).reshape(bounds.shape)
+    return roots[:, ::-1] if profile.decreasing else roots
 
 
 def preimage_measure_1d(profile: Profile1D, intervals, tol: float = BISECT_TOL) -> float:
     """Total length of profile^-1(A) in [0,1) for A a disjoint interval union."""
     total = 0.0
-    for a, b in _normalize_intervals(intervals):
-        if profile.decreasing:
-            x_lo, x_hi = invert_monotone(profile, b, tol), invert_monotone(profile, a, tol)
-        else:
-            x_lo, x_hi = invert_monotone(profile, a, tol), invert_monotone(profile, b, tol)
+    for x_lo, x_hi in _interval_roots(profile, _normalize_intervals(intervals), tol).tolist():
         total += max(0.0, x_hi - x_lo)
     return total
 
@@ -253,20 +290,12 @@ def preimage_measure_2d(profile: Profile2D, intervals, tol: float = BISECT_TOL,
     (both factors are monotone and positive), found by bisection on fy;
     section lengths are integrated with the midpoint rule.
     """
-    ivs = _normalize_intervals(intervals)
+    bounds = _normalize_intervals(intervals)
     xs = (np.arange(slices) + 0.5) / slices
     cx = np.asarray(profile.fx(xs), dtype=float)
     if np.any(cx <= 0.0):
         raise ValueError("x-factor must be positive on (0,1) for slicing")
     total = 0.0
-    for a, b in ivs:
-        lo_y = np.asarray(a, dtype=float) / cx
-        hi_y = np.asarray(b, dtype=float) / cx
-        if profile.fy.decreasing:
-            y_lo = invert_monotone(profile.fy, hi_y, tol)
-            y_hi = invert_monotone(profile.fy, lo_y, tol)
-        else:
-            y_lo = invert_monotone(profile.fy, lo_y, tol)
-            y_hi = invert_monotone(profile.fy, hi_y, tol)
+    for y_lo, y_hi in _interval_roots(profile.fy, bounds[:, :, None] / cx, tol):
         total += float(np.maximum(0.0, y_hi - y_lo).sum()) / slices
     return total

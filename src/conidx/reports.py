@@ -371,11 +371,18 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 # sequence cache
 
 
+# Bump when a change to a window kernel (lagrange._window, shepard._window
+# and what they call) changes the bits of a window, so that the sequence
+# cache cannot serve windows the old kernel computed.
+KERNEL_REVISION = 1
+
+
 class SequenceCache:
     """Content-addressed store for computed operator windows.
 
     The key hashes the operator, its point specs and parameters, the window
-    size, and the tool version, so stale entries never match.
+    size, the tool version and the kernel revision, so stale entries never
+    match.
     """
 
     def __init__(self, directory: str | Path):
@@ -391,6 +398,7 @@ class SequenceCache:
             "window": spec.window,
             "eval_point": list(spec.eval_point) if spec.eval_point else None,
             "version": __version__,
+            "kernel_revision": KERNEL_REVISION,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24]

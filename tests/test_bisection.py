@@ -1,0 +1,280 @@
+"""Bit-identity of the shared-midpoint bisection and the blocked series kernels.
+
+The reference functions below are the code these replaced: series kernels
+that build the whole (points x terms) table at once, a bisection that
+evaluates the profile at every bracket midpoint, and preimage measures that
+bisect each interval end on its own.  The fast paths must give the same IEEE
+doubles, so arrays are compared with `.tobytes()` and measures with `==`.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conidx import profiles
+from conidx.harness import predict_lagrange_2d
+from conidx.points import PointSpec
+from conidx.profiles import (
+    BISECT_TOL,
+    DEFAULT_TOL,
+    Profile1D,
+    Profile2D,
+    SeriesTolerance,
+    affine_jump_profile,
+    hurwitz_zeta,
+    invert_monotone,
+    lerch_j1,
+    preimage_measure_1d,
+    preimage_measure_2d,
+)
+
+# the interval targets of the benchmark's irrational corners
+TARGETS_CORNER = [(0.05, 0.15), (0.3, 0.45), (0.6, 0.8)]
+BISECT_STEPS = int(math.ceil(math.log2(1.0 / BISECT_TOL))) + 2
+
+# ---------------------------------------------------------------------------
+# reference code
+
+
+def ref_lerch_j1(a, tol=DEFAULT_TOL):
+    a_arr = np.asarray(a, dtype=float)
+    M = int(math.ceil(0.5 * (0.27 / tol.abs_tol) ** 0.2)) + 8
+    k = np.arange(M, dtype=float)
+    base = 2.0 * k + a_arr[..., None]
+    partial = (1.0 / (base * (base + 1.0))).sum(axis=-1)
+    x = 2.0 * M + a_arr
+    integral = 0.5 * np.log1p(1.0 / x)
+    t_m = 1.0 / (x * (x + 1.0))
+    tp_m = -2.0 * (x**-2 - (x + 1.0) ** -2)
+    out = partial + integral + 0.5 * t_m - tp_m / 12.0
+    return float(out) if out.ndim == 0 else out
+
+
+def ref_hurwitz_zeta(s, a, tol=DEFAULT_TOL):
+    s = float(s)
+    a_arr = np.asarray(a, dtype=float)
+    coeff = s * (s + 1.0) * (s + 2.0) / 720.0
+    M = int(math.ceil((coeff / tol.abs_tol) ** (1.0 / (s + 3.0)))) + 8
+    n = np.arange(M, dtype=float)
+    partial = ((n + a_arr[..., None]) ** -s).sum(axis=-1)
+    x = M + a_arr
+    tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s + s / 12.0 * x ** (-s - 1.0)
+    out = partial + tail
+    return float(out) if out.ndim == 0 else out
+
+
+def ref_invert_monotone(profile, y, tol=BISECT_TOL):
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    lo = np.zeros_like(y_arr)
+    hi = np.full_like(y_arr, 1.0 - 1e-15)
+    steps = int(math.ceil(math.log2(1.0 / tol))) + 2
+    sign = 1.0 if profile.decreasing else -1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        go_right = sign * (np.asarray(profile.fn(mid)) - y_arr) > 0.0
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if np.ndim(y) == 0 else out
+
+
+def ref_preimage_measure_1d(profile, intervals, tol=BISECT_TOL):
+    total = 0.0
+    for a, b in sorted((float(a), float(b)) for a, b in intervals):
+        if profile.decreasing:
+            x_lo, x_hi = ref_invert_monotone(profile, b, tol), ref_invert_monotone(profile, a, tol)
+        else:
+            x_lo, x_hi = ref_invert_monotone(profile, a, tol), ref_invert_monotone(profile, b, tol)
+        total += max(0.0, x_hi - x_lo)
+    return total
+
+
+def ref_preimage_measure_2d(profile, intervals, tol=BISECT_TOL, slices=4096):
+    xs = (np.arange(slices) + 0.5) / slices
+    cx = np.asarray(profile.fx(xs), dtype=float)
+    total = 0.0
+    for a, b in sorted((float(a), float(b)) for a, b in intervals):
+        lo_y = np.asarray(a, dtype=float) / cx
+        hi_y = np.asarray(b, dtype=float) / cx
+        if profile.fy.decreasing:
+            y_lo = ref_invert_monotone(profile.fy, hi_y, tol)
+            y_hi = ref_invert_monotone(profile.fy, lo_y, tol)
+        else:
+            y_lo = ref_invert_monotone(profile.fy, lo_y, tol)
+            y_hi = ref_invert_monotone(profile.fy, hi_y, tol)
+        total += float(np.maximum(0.0, y_hi - y_lo).sum()) / slices
+    return total
+
+
+@pytest.fixture
+def ref_kernels(monkeypatch):
+    """Inside the test, `ref_kernels()` swaps the reference series kernels in
+    under the profiles, and `ref_kernels.undo()` swaps the new ones back."""
+
+    class Swap:
+        def __call__(self):
+            monkeypatch.setattr(profiles, "lerch_j1", ref_lerch_j1)
+            monkeypatch.setattr(profiles, "hurwitz_zeta", ref_hurwitz_zeta)
+
+        def undo(self):
+            monkeypatch.undo()
+
+    return Swap()
+
+
+PROFILES = {
+    "lagrange": Profile1D.lagrange(),
+    "shepard1.5": Profile1D.shepard(1.5),
+    "shepard2": Profile1D.shepard(2.0),
+    "shepard3": Profile1D.shepard(3.0),
+    "affine-up": affine_jump_profile(1.0, -1.0),
+    "affine-down": affine_jump_profile(2.0, 4.0),
+    "identity": Profile1D.identity(),
+}
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# series kernels
+
+
+KERNEL_POINTS = {
+    "scalar": 0.37,
+    "one": np.array([1.0]),
+    "few": np.array([1e-6, 0.5, 1.0, 0.25, 0.999999]),
+    "across-blocks": np.random.default_rng(3).uniform(1e-9, 1.0, 5000),
+    "2-d": np.random.default_rng(4).uniform(1e-9, 1.0, (3, 700)),
+    "empty": np.zeros(0),
+}
+
+
+@pytest.mark.parametrize("points", KERNEL_POINTS.values(), ids=KERNEL_POINTS.keys())
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, SeriesTolerance(abs_tol=1e-8)], ids=["1e-12", "1e-8"])
+def test_series_kernels_bit_identical(points, tol):
+    assert same_bits(lerch_j1(points, tol), ref_lerch_j1(points, tol))
+    for s in (1.5, 2.0, 3.0):
+        # the shift keeps a > 0 and covers the a > 1 arguments a profile never uses
+        for a in (points, np.asarray(points) + 1.5):
+            assert same_bits(hurwitz_zeta(s, a, tol), ref_hurwitz_zeta(s, a, tol))
+    assert isinstance(lerch_j1(points, tol), float) == (np.ndim(points) == 0)
+
+
+# ---------------------------------------------------------------------------
+# bisection
+
+
+def sample_ys(profile):
+    lo, hi = profile.range_interval
+    span = hi - lo
+    inside = lo + span * np.linspace(0.0, 1.0, 257)
+    outside = np.array([lo - span, lo - 1e-12, hi + 1e-12, hi + 2.0 * span])
+    return np.concatenate([inside, outside, inside[::7], outside, [lo, hi, lo, hi]])
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_invert_monotone_bit_identical(name):
+    prof = PROFILES[name]
+    ys = sample_ys(prof)
+    assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
+    assert same_bits(invert_monotone(prof, ys[::-1]), ref_invert_monotone(prof, ys[::-1]))
+    assert same_bits(invert_monotone(prof, np.sort(ys)), ref_invert_monotone(prof, np.sort(ys)))
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_invert_monotone_scalar_bit_identical(name):
+    prof = PROFILES[name]
+    lo, hi = prof.range_interval
+    for y in (lo + 0.3 * (hi - lo), lo - 1.0, hi + 1.0, lo, hi):
+        got = invert_monotone(prof, y)
+        assert isinstance(got, float)
+        assert got == ref_invert_monotone(prof, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PROFILES)),
+       fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=48),
+       order=st.sampled_from(["as drawn", "ascending", "descending"]))
+def test_invert_monotone_bit_identical_sweep(name, fractions, order):
+    prof = PROFILES[name]
+    lo, hi = prof.range_interval
+    ys = lo + (hi - lo) * np.array(fractions)
+    if order != "as drawn":
+        ys = np.sort(ys) if order == "ascending" else np.sort(ys)[::-1]
+    assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
+
+
+# ---------------------------------------------------------------------------
+# preimage measures
+
+
+@pytest.mark.parametrize("s", [None, 2.0], ids=["lagrange", "shepard2"])
+def test_preimage_measure_2d_bit_identical(s, ref_kernels):
+    fac = Profile1D.lagrange() if s is None else Profile1D.shepard(s)
+    prof = Profile2D(fac, fac)
+    ref_kernels()
+    want = [ref_preimage_measure_2d(prof, [iv]) for iv in TARGETS_CORNER]
+    want_union = ref_preimage_measure_2d(prof, TARGETS_CORNER, slices=512)
+    ref_kernels.undo()
+    assert [preimage_measure_2d(prof, [iv]) for iv in TARGETS_CORNER] == want
+    assert preimage_measure_2d(prof, TARGETS_CORNER, slices=512) == want_union
+
+
+def test_preimage_measure_2d_mixed_factors_bit_identical():
+    prof = Profile2D(Profile1D.shepard(3.0), affine_jump_profile(1.0, -1.0))
+    prof_id = Profile2D(Profile1D.identity(), Profile1D.identity())
+    for p in (prof, prof_id):
+        for ivs in ([(0.0, 0.5)], [(-1.0, 0.2), (0.4, 3.0)], TARGETS_CORNER):
+            assert preimage_measure_2d(p, ivs, slices=256) == ref_preimage_measure_2d(
+                p, ivs, slices=256)
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_preimage_measure_1d_bit_identical(name, ref_kernels):
+    prof = PROFILES[name]
+    lo, hi = prof.range_interval
+    cases = [[iv] for iv in TARGETS_CORNER] + [
+        TARGETS_CORNER,
+        [(lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo))],
+        [(lo - 5.0, hi + 5.0)],
+    ]
+    ref_kernels()
+    want = [ref_preimage_measure_1d(prof, ivs) for ivs in cases]
+    ref_kernels.undo()
+    assert [preimage_measure_1d(prof, ivs) for ivs in cases] == want
+
+
+# ---------------------------------------------------------------------------
+# regression guard: how many midpoints the bisection evaluates
+
+
+def test_corner_bisection_evaluates_distinct_midpoints_only():
+    """The inv_sqrt2 x golden_frac Lagrange corner at the benchmark targets.
+
+    The old loop evaluated 36 levels x 4096 slices per interval end; sharing
+    midpoints evaluates 37-40% of that.
+    """
+    table = predict_lagrange_2d(PointSpec.irrational("inv_sqrt2"),
+                                PointSpec.irrational("golden_frac"))
+    fy = table.profile.fy
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x, dtype=float))
+        return fy.fn(x)
+
+    prof = Profile2D(table.profile.fx, Profile1D(
+        fn=counted, kind=fy.kind, value_at_0=fy.value_at_0, limit_at_1=fy.limit_at_1))
+    calls.clear()  # the monotonicity check at construction
+    for iv in TARGETS_CORNER:
+        assert preimage_measure_2d(prof, [iv]) == preimage_measure_2d(table.profile, [iv])
+    assert len(calls) == len(TARGETS_CORNER) * BISECT_STEPS
+    for level in calls:
+        assert np.unique(level).size == level.size
+    old_points = len(TARGETS_CORNER) * 2 * BISECT_STEPS * 4096
+    assert sum(level.size for level in calls) <= 0.45 * old_points

@@ -142,6 +142,20 @@ def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
     assert json.loads(path.read_text())["checks"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("flag,target", [("--out", "r.json"), ("--csv", "w.csv"),
+                                         ("--cache-dir", None)])
+def test_index_write_failure_is_usage_error(tmp_path, capsys, flag, target):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
+                                    "theta": {"rational": [1, 3]}, "window": 100}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = blocker / target if target else blocker
+    code, _, err = run_cli(capsys, "index", "--config", str(cfg_path), flag, str(path))
+    assert code == 2
+    assert f"cannot write {path}" in err and "Traceback" not in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "lagrange2")
     assert code == 0

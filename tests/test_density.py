@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conidx.density import (
     IndexSet,
@@ -198,6 +200,41 @@ def test_product_counts_handle_zero_factors():
     full = SeqWindow.from_matrix(u[:, None] * v[None, :])
     for iv in [(-0.1, 0.1), (0.4, 0.6), (-2.5, 2.5)]:
         assert np.array_equal(win.hit_counts([iv], [2, 4]), full.hit_counts([iv], [2, 4]))
+
+
+FACTOR = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_product_counts_match_materialized_matrix_property(data):
+    # interval ends drawn from the products themselves tie with some
+    # u[n]*v[m], where a division by u[n] may round to either side
+    n = data.draw(st.integers(1, 12), label="n")
+    u = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="u"))
+    v = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="v"))
+    products = (u[:, None] * v[None, :]).ravel().tolist()
+    end = st.one_of(st.sampled_from(products), st.floats(-20.0, 20.0))
+    ends = sorted(data.draw(st.lists(end, min_size=2, max_size=8), label="ends"))
+    intervals = list(zip(ends[::2], ends[1::2]))
+    win = SeqWindow.from_product(u, v)
+    full = SeqWindow.from_matrix(u[:, None] * v[None, :])
+    cps = np.arange(1, n + 1)
+    assert np.array_equal(win.hit_counts(intervals, cps), full.hit_counts(intervals, cps))
+
+
+def test_product_counts_at_a_product_tie():
+    # 5.266044227959522 is the double u*v; the quotient by u rounds above v,
+    # so a count by division alone takes the pair into the open interval
+    u = np.array([3.829850347606925])
+    v = np.array([1.375])
+    win = SeqWindow.from_product(u, v)
+    ends = (0.0, float(u[0] * v[0]))
+    assert win.hit_counts([ends], [1])[0] == 0
+    assert SeqWindow.from_matrix(u[:, None] * v[None, :]).hit_counts([ends], [1])[0] == 0
+    # an empty open interval at a product counts nothing, not minus one
+    single = SeqWindow.from_product(np.array([1.0]), np.array([0.5]))
+    assert single.hit_counts([(0.5, 0.5)], [1])[0] == 0
 
 
 def test_target_validation():

@@ -153,6 +153,20 @@ def test_cache_key_separates_parameters(tmp_path):
     assert cache.key(cfg_a.to_experiment_spec()) != cache.key(cfg_b.to_experiment_spec())
 
 
+def test_cache_entry_of_another_kernel_revision_is_a_miss(tmp_path, monkeypatch):
+    from conidx import reports
+
+    spec = parse_config(make_config()).to_experiment_spec()
+    cache = SequenceCache(tmp_path)
+    window = SeqWindow.from_values_1d(np.zeros(spec.window))
+    monkeypatch.setattr(reports, "KERNEL_REVISION", reports.KERNEL_REVISION + 1)
+    cache.store(spec, window)
+    assert cache.load(spec) is not None
+    monkeypatch.undo()
+    assert len(cache.entries()) == 1
+    assert cache.load(spec) is None
+
+
 def test_cache_product_windows(tmp_path):
     doc = {"schema_version": 1, "experiment": "shepard2d",
            "x0": {"rational": [1, 2]}, "y0": {"rational": [1, 2]},
