@@ -11,13 +11,10 @@ __version__ = "0.1.0"
 from .density import (
     DensityEstimate,
     IndexReport,
-    IndexSet,
     SeqWindow,
     Target,
     complement_identity_check,
-    count_prefix,
     default_checkpoints,
-    density_bounds,
     index_to_target,
     sum_rule_check,
 )
@@ -49,14 +46,12 @@ from .lagrange import (
     jump_value_direct,
     lagrange_eval_1d,
     lagrange_eval_2d,
-    lagrange_eval_cplus_h,
     offset_subsequence,
 )
 from .points import IRRATIONAL_VALUES, PointSpec
 from .profiles import (
     Profile1D,
     Profile2D,
-    SeriesTolerance,
     affine_jump_profile,
     hurwitz_zeta,
     lagrange_jump_profile,
@@ -69,22 +64,18 @@ from .shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d, shepard_we
 from .stepfn import StepFn1D, StepFn2D
 
 __all__ = [
-    "__version__",
-    "ChebGrid", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
-    "IRRATIONAL_VALUES", "IndexReport", "IndexSet", "PointSpec", "Prediction",
-    "PredictionTable", "Profile1D", "Profile2D", "SeqWindow", "SeriesTolerance",
-    "ShepardParams", "StepFn1D", "StepFn2D", "Target",
-    "affine_jump_profile", "cheb_grid", "check_product_rule",
+    "__version__", "ChebGrid", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
+    "IRRATIONAL_VALUES", "IndexReport", "PointSpec", "Prediction", "PredictionTable",
+    "Profile1D", "Profile2D", "SeqWindow", "ShepardParams", "StepFn1D", "StepFn2D",
+    "Target", "affine_jump_profile", "cheb_grid", "check_product_rule",
     "check_uniform_limit_rule", "cluster_witness", "complement_identity_check",
-    "count_prefix", "default_checkpoints", "density_bounds",
-    "eval_jump_decomposed", "fundamental_weight", "grid_offset",
+    "default_checkpoints", "eval_jump_decomposed", "fundamental_weight", "grid_offset",
     "hurwitz_zeta", "index_to_target", "jump_sequence", "jump_value_direct",
-    "lagrange_eval_1d",
-    "lagrange_eval_2d", "lagrange_eval_cplus_h", "lagrange_jump_profile",
-    "lerch_j1", "offset_subsequence", "predict_lagrange_1d",
-    "predict_lagrange_2d", "predict_shepard_1d", "predict_shepard_2d",
-    "preimage_measure_1d", "preimage_measure_2d", "product_measure",
-    "rotation_sequence", "run_index_experiment", "scan_decreasing",
-    "shepard_eval_1d", "shepard_eval_2d", "shepard_jump_profile",
-    "shepard_weights_1d", "sum_rule_check", "uniform_convergence_scan",
+    "lagrange_eval_1d", "lagrange_eval_2d", "lagrange_jump_profile", "lerch_j1",
+    "offset_subsequence", "predict_lagrange_1d", "predict_lagrange_2d",
+    "predict_shepard_1d", "predict_shepard_2d", "preimage_measure_1d",
+    "preimage_measure_2d", "product_measure", "rotation_sequence",
+    "run_index_experiment", "scan_decreasing", "shepard_eval_1d", "shepard_eval_2d",
+    "shepard_jump_profile", "shepard_weights_1d", "sum_rule_check",
+    "uniform_convergence_scan",
 ]

@@ -210,6 +210,8 @@ def cmd_verify(args) -> int:
 
 def cmd_cache(args) -> int:
     cache = SequenceCache(args.cache_dir)
+    if cache.dir.exists() and not cache.dir.is_dir():
+        raise UsageError(f"cache dir {cache.dir} is not a directory")
     if args.action == "list":
         entries = cache.entries()
         for path in entries:
@@ -221,28 +223,11 @@ def cmd_cache(args) -> int:
     return EXIT_PASS
 
 
-def _add_point_flags(parser, angles: bool, grid: bool) -> None:
-    if angles:
-        parser.add_argument("--theta-rational", metavar="p/q",
-                            help="jump angle as a rational multiple of pi")
-        parser.add_argument("--theta-irrational", metavar="NAME",
-                            help="jump angle as a named irrational multiple of pi")
-        parser.add_argument("--gamma-rational", metavar="p/q",
-                            help="second jump angle (bivariate)")
-        parser.add_argument("--gamma-irrational", metavar="NAME",
-                            help="second jump angle (bivariate)")
-    if grid:
-        parser.add_argument("--x0", metavar="p/q|NAME", help="jump abscissa")
-        parser.add_argument("--y0", metavar="p/q|NAME", help="jump ordinate (bivariate)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conidx",
         description="Index-of-convergence experiments for interpolation at jumps")
     parser.add_argument("--version", action="version", version=f"conidx {__version__}")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all computation is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeta = sub.add_parser("zeta", help="evaluate the special-function kernels")
@@ -262,7 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="single operator value at the jump")
     p_eval.add_argument("operator",
                         choices=["lagrange1d", "lagrange2d", "shepard1d", "shepard2d"])
-    _add_point_flags(p_eval, angles=True, grid=True)
+    p_eval.add_argument("--theta-rational", metavar="p/q",
+                        help="jump angle as a rational multiple of pi")
+    p_eval.add_argument("--theta-irrational", metavar="NAME",
+                        help="jump angle as a named irrational multiple of pi")
+    p_eval.add_argument("--gamma-rational", metavar="p/q",
+                        help="second jump angle (bivariate)")
+    p_eval.add_argument("--gamma-irrational", metavar="NAME",
+                        help="second jump angle (bivariate)")
+    p_eval.add_argument("--x0", metavar="p/q|NAME", help="jump abscissa")
+    p_eval.add_argument("--y0", metavar="p/q|NAME", help="jump ordinate (bivariate)")
     p_eval.add_argument("--n", type=int, required=True, help="node parameter")
     p_eval.add_argument("--m", type=int, help="second node parameter (bivariate)")
     p_eval.add_argument("--d", type=float, default=1.0, help="step value at the jump")

@@ -10,7 +10,7 @@ that grid (the early checkpoints only absorb transients).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,68 +25,7 @@ def default_checkpoints(n_max: int, count: int = 16) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# index sets and densities
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Subset of N or N^2 given by a pure membership predicate.
-
-    The predicate must accept numpy integer arrays (one per dimension,
-    broadcastable) and return a boolean array.
-    """
-
-    dim: int
-    membership: Callable[..., np.ndarray]
-    listing: tuple | None = None
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-
-    @classmethod
-    def from_predicate(cls, dim: int, fn: Callable[..., np.ndarray]) -> "IndexSet":
-        return cls(dim=dim, membership=fn)
-
-    @classmethod
-    def from_listing(cls, dim: int, points: Sequence) -> "IndexSet":
-        pts = sorted(points)
-        if dim == 1:
-            members = frozenset(int(p) for p in pts)
-
-            def fn(n):
-                return np.isin(n, np.fromiter(members, dtype=int))
-        else:
-            members = frozenset((int(a), int(b)) for a, b in pts)
-
-            def fn(n, m):
-                n, m = np.broadcast_arrays(n, m)
-                flat = np.array([(a, b) in members for a, b in zip(n.ravel(), m.ravel())])
-                return flat.reshape(n.shape)
-
-        return cls(dim=dim, membership=fn, listing=tuple(pts))
-
-    def complement(self) -> "IndexSet":
-        fn = self.membership
-        return IndexSet(dim=self.dim, membership=lambda *idx: ~np.asarray(fn(*idx), dtype=bool))
-
-    def count_prefix(self, n: int) -> int:
-        return count_prefix(self, n)
-
-
-def _mask_2d(index_set: IndexSet, n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1)
-    raw = np.asarray(index_set.membership(idx[:, None], idx[None, :]), dtype=bool)
-    return np.broadcast_to(raw, (n, n))
-
-
-def count_prefix(index_set: IndexSet, n: int) -> int:
-    """|K intersect {1..n}^dim|, exact."""
-    if n < 1:
-        raise ValueError("prefix size must be >= 1")
-    if index_set.dim == 1:
-        return int(np.count_nonzero(index_set.membership(np.arange(1, n + 1))))
-    return int(np.count_nonzero(_mask_2d(index_set, n)))
+# densities
 
 
 @dataclass(frozen=True)
@@ -111,34 +50,18 @@ class DensityEstimate:
         )
 
 
-def density_bounds(index_set: IndexSet, checkpoints) -> DensityEstimate:
-    """Lower/upper density estimate of an index set over a checkpoint grid."""
-    cps = np.asarray(checkpoints, dtype=int)
-    if cps.size < 2:
-        raise ValueError("need at least 2 checkpoints")
-    if np.any(np.diff(cps) <= 0):
-        raise ValueError("checkpoints must be strictly ascending")
-    n_max = int(cps[-1])
-    if index_set.dim == 1:
-        mask = np.asarray(index_set.membership(np.arange(1, n_max + 1)), dtype=bool)
-        counts = mask.cumsum()[cps - 1]
-    else:
-        pref = _mask_2d(index_set, n_max).cumsum(axis=0).cumsum(axis=1)
-        counts = pref[cps - 1, cps - 1]
-    return DensityEstimate.from_counts(cps, counts, index_set.dim)
-
-
-def complement_identity_check(index_set: IndexSet, checkpoints) -> bool:
+def complement_identity_check(indicator: SeqWindow, checkpoints) -> bool:
     """lower(K) + upper(K^c) = 1, checkpoint by checkpoint.
 
-    The counts of K and K^c are complementary integers at every checkpoint;
-    that identity is checked exactly.  The ratio identity then holds up to
-    one rounding of each division, so it is checked to 1e-12.
+    K is the index set on which the 0/1 indicator window is 1.  The counts
+    of K and K^c are complementary integers at every checkpoint; that
+    identity is checked exactly.  The ratio identity then holds up to one
+    rounding of each division, so it is checked to 1e-12.
     """
     cps = np.asarray(checkpoints, dtype=int)
-    est = density_bounds(index_set, cps)
-    est_c = density_bounds(index_set.complement(), cps)
-    dim = index_set.dim
+    dim = indicator.dim
+    est, est_c = (DensityEstimate.from_counts(cps, indicator.hit_counts([iv], cps), dim)
+                  for iv in ((0.5, 1.5), (-0.5, 0.5)))
     for cp, r, rc in zip(cps, est.ratios, est_c.ratios):
         total = round(r * cp**dim) + round(rc * cp**dim)
         if total != cp**dim:
@@ -250,14 +173,11 @@ class SeqWindow:
             raise ValueError("window values must be finite")
         return cls(dim=2, n_max=m.shape[0], values=m)
 
-    def materialize(self) -> np.ndarray:
-        if self.dim == 1 or self.values is not None:
-            return self.values
-        u, v = self.factors
-        return u[:, None] * v[None, :]
-
     def hit_counts(self, intervals, checkpoints) -> np.ndarray:
-        """Counts of indices with value in the open interval union, per checkpoint."""
+        """Counts of indices with value in the open interval union, per checkpoint.
+
+        An interval end may be infinite: (c, inf) counts the values above c.
+        """
         cps = np.asarray(checkpoints, dtype=int)
         if cps[-1] > self.n_max:
             raise ValueError(f"checkpoint {cps[-1]} exceeds window size {self.n_max}")
@@ -267,16 +187,6 @@ class SeqWindow:
         if self.factors is not None:
             return _product_counts(self.factors[0], self.factors[1], intervals, cps)
         mask = _interval_mask(self.values, intervals)
-        pref = mask.cumsum(axis=0).cumsum(axis=1)
-        return pref[cps - 1, cps - 1]
-
-    def cutoff_counts(self, cutoff: float, side: str, checkpoints) -> np.ndarray:
-        """Counts of indices with value > cutoff ('above') or < cutoff ('below')."""
-        cps = np.asarray(checkpoints, dtype=int)
-        vals = self.materialize()
-        mask = vals > cutoff if side == "above" else vals < cutoff
-        if self.dim == 1:
-            return mask.cumsum()[cps - 1]
         pref = mask.cumsum(axis=0).cumsum(axis=1)
         return pref[cps - 1, cps - 1]
 
@@ -337,12 +247,13 @@ def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
     np.cumsum(other_level[order] <= top[:, None], axis=1, out=table[:, 1:])
     neg = w < 0.0
     a = np.abs(w)
-    t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
     padded = np.concatenate(([-np.inf], xs, [np.inf]))
     before, at = padded[:-1], padded[1:]
     # a zero query gets the guess +-inf or nan (0/0), which the checks
-    # settle at once: its products are 0, and nan at the infinite ends
+    # settle at once: its products are 0, and nan at the infinite ends;
+    # pred(-t) of the largest finite end t overflows to -inf, as it should
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
         k = np.searchsorted(xs, t / a, "right")
         while True:
             back = before.take(k) * a > t
@@ -411,11 +322,11 @@ def index_to_target(
         return IndexReport(target=target, epsilon=epsilon, estimate=est)
     if not cutoffs:
         raise ValueError("infinite targets require a cutoff grid")
-    side = "above" if target.kind == "plus_inf" else "below"
+    above = target.kind == "plus_inf"
     best: DensityEstimate | None = None
     for m_cut in cutoffs:
-        counts = win.cutoff_counts(float(m_cut), side, cps)
-        est = DensityEstimate.from_counts(cps, counts, win.dim)
+        iv = (float(m_cut), np.inf) if above else (-np.inf, float(m_cut))
+        est = DensityEstimate.from_counts(cps, win.hit_counts([iv], cps), win.dim)
         if best is None or est.lower_est < best.lower_est:
             best = est
     return IndexReport(target=target, epsilon=None, estimate=best,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +63,6 @@ class PredictionTable:
     monotone profile whose preimage measure gives the index of any interval.
     """
 
-    source: str
     predictions: list[Prediction] = field(default_factory=list)
     profile: Profile1D | Profile2D | None = None
 
@@ -70,35 +71,105 @@ class PredictionTable:
         if total > 1.0 + 1e-9:
             raise ValueError(f"predicted indices sum to {total} > 1")
 
-    def point_values(self) -> list[float]:
-        return [p.target.value for p in self.predictions if p.target.kind == "value"]
+
+@dataclass(frozen=True)
+class _JumpProfile:
+    """A family's limit profile at the jump: its values at the arm offsets,
+    its Profile1D for irrational points, and its name in corner labels."""
+
+    value: Callable[[float], float]
+    make: Callable[[], Profile1D]
+    corner_name: str
 
 
-def _merged_point_predictions(values_with_indices, label_fn) -> list[Prediction]:
-    """Merge clusters whose values coincide, summing their indices."""
-    out: list[Prediction] = []
-    for value, idx, label in values_with_indices:
-        for i, existing in enumerate(out):
+_LAGRANGE_PROFILE = _JumpProfile(lagrange_jump_profile, Profile1D.lagrange, "profile")
+
+
+def _shepard_profile(s: float) -> _JumpProfile:
+    """The power profile; for s = 1 every arm off the node hits tends to 1/2."""
+    value = (lambda t: 0.5) if s == 1.0 else (lambda t: shepard_jump_profile(s, t))
+    return _JumpProfile(value, lambda: Profile1D.shepard(s), "profile_s")
+
+
+def _arms(spec: PointSpec, profile: _JumpProfile) -> list[float]:
+    """profile(m/q) for the arms m = 0..q-1 of a rational point p/q."""
+    return [float(profile.value(m / spec.q)) for m in range(spec.q)]
+
+
+def _table(entries) -> PredictionTable:
+    """Discrete clusters from (value, index, label) arms.
+
+    Arms with coinciding values merge into one entry with the summed index;
+    distinct values must lie far enough apart for their dilations to separate.
+    """
+    preds: list[Prediction] = []
+    for value, idx, label in entries:
+        for i, existing in enumerate(preds):
             if abs(existing.target.value - value) <= MERGE_TOL:
-                out[i] = Prediction(
-                    target=existing.target,
-                    index=existing.index + idx,
-                    label=f"{existing.label}={label}",
-                )
+                preds[i] = Prediction(existing.target, existing.index + idx,
+                                      label=f"{existing.label}={label}")
                 break
         else:
-            out.append(Prediction(target=Target.point(value), index=idx, label=label_fn(label)))
-    return out
-
-
-def _check_separation(predictions: list[Prediction]) -> None:
-    vals = sorted(p.target.value for p in predictions if p.target.kind == "value")
+            preds.append(Prediction(Target.point(value), idx, label=label))
+    vals = sorted(p.target.value for p in preds)
     for a, b in zip(vals, vals[1:]):
         if b - a < MIN_CLUSTER_GAP:
             raise ValueError(
                 f"cluster values {a:.6g} and {b:.6g} are closer than {MIN_CLUSTER_GAP}; "
                 "their dilations cannot be separated"
             )
+    return PredictionTable(predictions=preds)
+
+
+def _factor_table(spec: PointSpec, profile: _JumpProfile, node=None) -> PredictionTable:
+    """Clusters of one oscillating factor pinned at its jump.
+
+    At a rational point p/q the arm of offset m/q tends to profile(m/q), with
+    index 1/q.  The node-hit arm m = 0 tends to profile(0) = 1, the step's
+    value at the jump, unless `node` gives its (value, label) instead.  An
+    irrational point gives the measure profile.
+    """
+    spec.require_interior()
+    if not spec.is_rational:
+        return PredictionTable(profile=profile.make())
+    q = spec.q
+    arms = [(float(profile.value(m / q)), f"profile({m}/{q})")
+            for m in range(1 if node else 0, q)]
+    return _table([(v, 1.0 / q, label) for v, label in ([node] if node else []) + arms])
+
+
+def _corner_table(profile: _JumpProfile, spec_x: PointSpec,
+                  spec_y: PointSpec) -> PredictionTable:
+    """Corner clusters of a tensor operator: products of its factors' clusters.
+
+    Two rational factors give the products of their arms, with index
+    1/(q1 q2).  A rational factor against an irrational one, whose values
+    fill (0, 1], gives the lower bounds 1/q on [0, profile(j/q)].  Two
+    irrational factors give the product measure profile.
+    """
+    spec_x.require_interior()
+    spec_y.require_interior()
+    rational = [spec for spec in (spec_x, spec_y) if spec.is_rational]
+    name = profile.corner_name
+    if not rational:
+        return PredictionTable(profile=Profile2D(profile.make(), profile.make()))
+    if len(rational) == 1:
+        q = rational[0].q
+        return PredictionTable(predictions=[
+            Prediction(Target.interval_union([(0.0, v)]), 1.0 / q, lower_bound_only=True,
+                       label=f"[0, {name}({j}/{q})]")
+            for j, v in enumerate(_arms(rational[0], profile))])
+    q1, q2 = spec_x.q, spec_y.q
+    return _table([(vx * vy, 1.0 / (q1 * q2), f"{name}({m1}/{q1})*{name}({m2}/{q2})")
+                   for m1, vx in enumerate(_arms(spec_x, profile))
+                   for m2, vy in enumerate(_arms(spec_y, profile))])
+
+
+def _edge_spec(spec_x: PointSpec, spec_y: PointSpec, where: str) -> PointSpec | None:
+    """The point spec of the factor an edge table reduces to; None at the corner."""
+    if where not in ("corner", "edge_x", "edge_y"):
+        raise ValueError(f"unknown case {where!r}")
+    return {"edge_x": spec_x, "edge_y": spec_y}.get(where)
 
 
 def predict_lagrange_1d(spec: PointSpec, d: float) -> PredictionTable:
@@ -109,34 +180,7 @@ def predict_lagrange_1d(spec: PointSpec, d: float) -> PredictionTable:
     chosen on the profile doubles that cluster's index).  Irrational angle:
     the index of any interval A is the preimage measure under the profile.
     """
-    spec.require_interior()
-    if not spec.is_rational:
-        return PredictionTable(source="lagrange-1d irrational",
-                               profile=Profile1D.lagrange())
-    q = spec.q
-    entries = [(float(d), 1.0 / q, "d")]
-    for m in range(1, q):
-        entries.append((float(lagrange_jump_profile(m / q)), 1.0 / q, f"profile({m}/{q})"))
-    preds = _merged_point_predictions(entries, lambda s: s)
-    _check_separation(preds)
-    return PredictionTable(source="lagrange-1d rational", predictions=preds)
-
-
-def _univariate_factor_table(spec: PointSpec, profile_fn, profile: Profile1D,
-                             source: str) -> PredictionTable:
-    """Table for one oscillating tensor factor pinned at its jump.
-
-    The factor step carries value 1 at the jump point, so the node-hit arm
-    is the m = 0 cluster with value profile(0) = 1.
-    """
-    spec.require_interior()
-    if not spec.is_rational:
-        return PredictionTable(source=f"{source} irrational", profile=profile)
-    q = spec.q
-    entries = [(float(profile_fn(m / q)), 1.0 / q, f"profile({m}/{q})") for m in range(q)]
-    preds = _merged_point_predictions(entries, lambda s: s)
-    _check_separation(preds)
-    return PredictionTable(source=f"{source} rational", predictions=preds)
+    return _factor_table(spec, _LAGRANGE_PROFILE, node=(float(d), "d"))
 
 
 def predict_lagrange_2d(spec_x: PointSpec, spec_y: PointSpec,
@@ -145,45 +189,10 @@ def predict_lagrange_2d(spec_x: PointSpec, spec_y: PointSpec,
 
     where: "edge_x" (x = x0, y above y0), "edge_y", or "corner".
     """
-    if where == "edge_x":
-        return _univariate_factor_table(spec_x, lagrange_jump_profile,
-                                        Profile1D.lagrange(), "lagrange-2d edge_x")
-    if where == "edge_y":
-        return _univariate_factor_table(spec_y, lagrange_jump_profile,
-                                        Profile1D.lagrange(), "lagrange-2d edge_y")
-    if where != "corner":
-        raise ValueError(f"unknown case {where!r}")
-    spec_x.require_interior()
-    spec_y.require_interior()
-    if spec_x.is_rational and spec_y.is_rational:
-        q1, q2 = spec_x.q, spec_y.q
-        entries = []
-        for m1 in range(q1):
-            for m2 in range(q2):
-                v = float(lagrange_jump_profile(m1 / q1) * lagrange_jump_profile(m2 / q2))
-                entries.append((v, 1.0 / (q1 * q2), f"profile({m1}/{q1})*profile({m2}/{q2})"))
-        preds = _merged_point_predictions(entries, lambda s: s)
-        _check_separation(preds)
-        return PredictionTable(source="lagrange-2d corner rational*rational",
-                               predictions=preds)
-    if spec_x.is_rational or spec_y.is_rational:
-        rat = spec_x if spec_x.is_rational else spec_y
-        q = rat.q
-        preds = [
-            Prediction(
-                target=Target.interval_union([(0.0, float(lagrange_jump_profile(j / q)))]),
-                index=1.0 / q,
-                lower_bound_only=True,
-                label=f"[0, profile({j}/{q})]",
-            )
-            for j in range(q)
-        ]
-        return PredictionTable(source="lagrange-2d corner rational*irrational",
-                               predictions=preds)
-    return PredictionTable(
-        source="lagrange-2d corner irrational*irrational",
-        profile=Profile2D(Profile1D.lagrange(), Profile1D.lagrange()),
-    )
+    edge = _edge_spec(spec_x, spec_y, where)
+    if edge is not None:
+        return _factor_table(edge, _LAGRANGE_PROFILE)
+    return _corner_table(_LAGRANGE_PROFILE, spec_x, spec_y)
 
 
 def predict_shepard_1d(s: float, spec: PointSpec) -> PredictionTable:
@@ -192,87 +201,42 @@ def predict_shepard_1d(s: float, spec: PointSpec) -> PredictionTable:
     For s > 1 the table mirrors the Lagrange shape with the power profile;
     s = 1 is a distinct regime whose only non-node cluster is 1/2.
     """
-    spec.require_interior()
     if s > 1.0:
-        return _univariate_factor_table(
-            spec, lambda t: shepard_jump_profile(s, t), Profile1D.shepard(s),
-            f"shepard-1d s={s:g}")
+        return _factor_table(spec, _shepard_profile(s))
+    spec.require_interior()
     if not spec.is_rational:
-        return PredictionTable(source="shepard-1d s=1 irrational",
-                               predictions=[Prediction(Target.point(0.5), 1.0, label="1/2")])
+        return PredictionTable(predictions=[Prediction(Target.point(0.5), 1.0, label="1/2")])
     q = spec.q
-    preds = [
+    return PredictionTable(predictions=[
         Prediction(Target.point(1.0), 1.0 / q, label="node arm"),
         Prediction(Target.point(0.5), 1.0 - 1.0 / q, label="1/2"),
-    ]
-    return PredictionTable(source="shepard-1d s=1 rational", predictions=preds)
+    ])
 
 
 def predict_shepard_2d(s: float, spec_x: PointSpec, spec_y: PointSpec,
                        where: str = "corner") -> PredictionTable:
-    """Clusters of S_{n,m,s}(closed rectangle step) on the jump cross."""
+    """Clusters of S_{n,m,s}(closed rectangle step) on the jump cross.
+
+    The s = 1 corner rows are the stated table, not the products of the
+    factor tables (README, "A known red check").
+    """
     if s < 1.0:
         raise ValueError("exponent s must be >= 1")
-    if where == "edge_x":
-        return predict_shepard_1d(s, spec_x)
-    if where == "edge_y":
-        return predict_shepard_1d(s, spec_y)
-    if where != "corner":
-        raise ValueError(f"unknown case {where!r}")
+    edge = _edge_spec(spec_x, spec_y, where)
+    if edge is not None:
+        return predict_shepard_1d(s, edge)
+    if s > 1.0:
+        return _corner_table(_shepard_profile(s), spec_x, spec_y)
     spec_x.require_interior()
     spec_y.require_interior()
-    both_rational = spec_x.is_rational and spec_y.is_rational
-    if s > 1.0:
-        if both_rational:
-            q1, q2 = spec_x.q, spec_y.q
-            entries = []
-            for m1 in range(q1):
-                for m2 in range(q2):
-                    v = float(shepard_jump_profile(s, m1 / q1) * shepard_jump_profile(s, m2 / q2))
-                    entries.append(
-                        (v, 1.0 / (q1 * q2), f"profile_s({m1}/{q1})*profile_s({m2}/{q2})"))
-            preds = _merged_point_predictions(entries, lambda t: t)
-            _check_separation(preds)
-            return PredictionTable(source="shepard-2d corner rational*rational",
-                                   predictions=preds)
-        if spec_x.is_rational or spec_y.is_rational:
-            rat = spec_x if spec_x.is_rational else spec_y
-            q = rat.q
-            preds = [
-                Prediction(
-                    target=Target.interval_union(
-                        [(0.0, float(shepard_jump_profile(s, j / q)))]),
-                    index=1.0 / q,
-                    lower_bound_only=True,
-                    label=f"[0, profile_s({j}/{q})]",
-                )
-                for j in range(q)
-            ]
-            return PredictionTable(source="shepard-2d corner rational*irrational",
-                                   predictions=preds)
-        return PredictionTable(
-            source="shepard-2d corner irrational*irrational",
-            profile=Profile2D(Profile1D.shepard(s), Profile1D.shepard(s)),
-        )
-    # s = 1 discrete tables
-    if both_rational:
-        q1q2 = spec_x.q * spec_y.q
-        preds = [
-            Prediction(Target.point(0.5), 1.0 / q1q2, label="1/2"),
-            Prediction(Target.point(0.25), 1.0 - 1.0 / q1q2, label="1/4"),
-        ]
-        return PredictionTable(source="shepard-2d corner s=1 rational*rational",
-                               predictions=preds)
-    if spec_x.is_rational or spec_y.is_rational:
-        q = (spec_x if spec_x.is_rational else spec_y).q
-        preds = [
-            Prediction(Target.point(0.5), 1.0 / q, label="1/2"),
-            Prediction(Target.point(0.25), 1.0 - 1.0 / q, label="1/4"),
-        ]
-        return PredictionTable(source="shepard-2d corner s=1 rational*irrational",
-                               predictions=preds)
-    return PredictionTable(source="shepard-2d corner s=1 irrational*irrational",
-                           predictions=[Prediction(Target.point(0.25), 1.0, label="1/4")])
+    rational = [spec.q for spec in (spec_x, spec_y) if spec.is_rational]
+    if not rational:
+        return PredictionTable(predictions=[Prediction(Target.point(0.25), 1.0, label="1/4")])
+    q = math.prod(rational)
+    return PredictionTable(predictions=[
+        Prediction(Target.point(0.5), 1.0 / q, label="1/2"),
+        Prediction(Target.point(0.25), 1.0 - 1.0 / q, label="1/4"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +285,76 @@ class ExperimentResult:
         return all(r.verdict == "pass" for r in self.reports)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """How the harness drives one operator family.
+
+    The generators and evaluators take the Shepard exponent s, which
+    Lagrange ignores, and look their kernels up in the kernel modules at
+    call time.
+    """
+
+    jump: Callable[[float], float]           # point spec value -> jump coordinate
+    step: Callable[[float, float], StepFn1D]  # (x0, d) -> step with value d at x0
+    side: float              # +1: the jump cross runs up and right from the corner
+    at_jump: Callable        # (point spec, s, n_max, step) -> values at the jump
+    at_point: Callable       # (step, s, x, n_max) -> values at x
+    eval_1d: Callable        # (step, s, n, x) -> one value
+    eval_2d: Callable        # (h, s, n, x, y) -> one value, checked by the double sum
+    first_index: Callable[[int, int, int], int]  # (p, q, m) -> first n of arm m/q
+    profile: Callable[[float], _JumpProfile]
+
+
+_FAMILIES = {
+    "lagrange": _Family(
+        jump=lambda v: math.cos(math.pi * v),
+        step=StepFn1D.jump,
+        side=1.0,
+        at_jump=lambda point, s, n_max, step: lg.jump_sequence(point, step.at, n_max, step),
+        at_point=lambda step, s, x, n_max: lg.step_sequence_at(step, x, n_max),
+        eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
+        eval_2d=lambda h, s, n, x, y: lg.lagrange_eval_2d(h, n, n, x, y, cross_check=True),
+        first_index=lambda p, q, m: next(lg.offset_subsequence(p, q, m)),
+        profile=lambda s: _LAGRANGE_PROFILE,
+    ),
+    "shepard": _Family(
+        jump=lambda v: v,
+        step=lambda x0, d: StepFn1D.indicator_upto(x0),
+        side=-1.0,
+        at_jump=lambda point, s, n_max, step: sh.step_sequence(point, s, n_max, step),
+        at_point=lambda step, s, x, n_max: sh.step_sequence_at(step, s, x, n_max),
+        eval_1d=lambda step, s, n, x: sh.shepard_eval_1d(step, sh.ShepardParams(s, n), x),
+        eval_2d=lambda h, s, n, x, y: sh.shepard_eval_2d(
+            h, sh.ShepardParams(s, n), sh.ShepardParams(s, n), x, y, cross_check=True),
+        first_index=lambda p, q, m: (m * pow(p, -1, q)) % q or q,
+        profile=_shepard_profile,
+    ),
+}
+
+
+def _family(spec: ExperimentSpec) -> _Family:
+    return _FAMILIES[spec.operator[:-2]]
+
+
 def _jump_xy(spec: ExperimentSpec) -> tuple[float, float | None]:
-    if spec.operator.startswith("lagrange"):
-        x0 = math.cos(math.pi * spec.spec_x.value)
-        y0 = math.cos(math.pi * spec.spec_y.value) if spec.spec_y else None
-    else:
-        x0 = spec.spec_x.value
-        y0 = spec.spec_y.value if spec.spec_y else None
-    return x0, y0
+    jump = _family(spec).jump
+    return jump(spec.spec_x.value), jump(spec.spec_y.value) if spec.spec_y else None
 
 
-def _classify_point(spec: ExperimentSpec) -> tuple[str, tuple[float, float]]:
+def _classify_point(spec: ExperimentSpec) -> tuple[str, tuple[float, float | None]]:
     """Locate the evaluation point on the jump cross: corner or an edge."""
     x0, y0 = _jump_xy(spec)
-    if spec.eval_point is None:
+    if spec.eval_point is None or spec.spec_y is None:
         return "corner", (x0, y0)
     px, py = spec.eval_point
     on_x = abs(px - x0) <= 1e-12
     on_y = abs(py - y0) <= 1e-12
+    side = _family(spec).side
     if on_x and on_y:
         return "corner", (x0, y0)
-    lagr = spec.operator.startswith("lagrange")
-    if on_x and ((lagr and py > y0) or (not lagr and py < y0)):
+    if on_x and side * py > side * y0:
         return "edge_x", (x0, py)
-    if on_y and ((lagr and px > x0) or (not lagr and px < x0)):
+    if on_y and side * px > side * x0:
         return "edge_y", (px, y0)
     raise ValueError(f"evaluation point {spec.eval_point} does not lie on the jump cross")
 
@@ -361,32 +371,20 @@ def build_table(spec: ExperimentSpec, where: str = "corner") -> PredictionTable:
 
 def generate_window(spec: ExperimentSpec) -> SeqWindow:
     """Operator value sequence over the window; product form for bivariate."""
-    n_max = spec.window
-    where, (px, py) = _classify_point(spec) if spec.spec_y is not None else ("corner", (None, None))
-    if spec.operator == "lagrange1d":
-        return SeqWindow.from_values_1d(lg.jump_sequence(spec.spec_x, spec.d, n_max))
-    if spec.operator == "shepard1d":
-        return SeqWindow.from_values_1d(sh.step_sequence(spec.spec_x, spec.s, n_max))
+    fam, n_max = _family(spec), spec.window
     x0, y0 = _jump_xy(spec)
-    if spec.operator == "lagrange2d":
-        fx = StepFn1D.indicator_from(x0)
-        fy = StepFn1D.indicator_from(y0)
-        u = (lg.jump_sequence(spec.spec_x, 1.0, n_max, step=fx)
-             if where in ("corner", "edge_x")
-             else lg.step_sequence_at(fx, px, n_max))
-        v = (lg.jump_sequence(spec.spec_y, 1.0, n_max, step=fy)
-             if where in ("corner", "edge_y")
-             else lg.step_sequence_at(fy, py, n_max))
-        return SeqWindow.from_product(u, v)
-    fx = StepFn1D.indicator_upto(x0)
-    fy = StepFn1D.indicator_upto(y0)
-    u = (sh.step_sequence(spec.spec_x, spec.s, n_max, step=fx)
-         if where in ("corner", "edge_x")
-         else sh.step_sequence_at(fx, spec.s, px, n_max))
-    v = (sh.step_sequence(spec.spec_y, spec.s, n_max, step=fy)
-         if where in ("corner", "edge_y")
-         else sh.step_sequence_at(fy, spec.s, py, n_max))
-    return SeqWindow.from_product(u, v)
+    if spec.spec_y is None:
+        return SeqWindow.from_values_1d(
+            fam.at_jump(spec.spec_x, spec.s, n_max, fam.step(x0, spec.d)))
+    where, (px, py) = _classify_point(spec)
+
+    def factor(point: PointSpec, jump: float, at: float, on_jump: bool) -> np.ndarray:
+        step = fam.step(jump, 1.0)
+        return (fam.at_jump(point, spec.s, n_max, step) if on_jump
+                else fam.at_point(step, spec.s, at, n_max))
+
+    return SeqWindow.from_product(factor(spec.spec_x, x0, px, where != "edge_y"),
+                                  factor(spec.spec_y, y0, py, where != "edge_x"))
 
 
 def _auto_epsilon(table: PredictionTable) -> float:
@@ -407,19 +405,14 @@ def _auto_epsilon(table: PredictionTable) -> float:
 def _cross_check_window(spec: ExperimentSpec, win: SeqWindow,
                         eval_xy: tuple[float, float]) -> None:
     """Spot-check the product decomposition against the full double sum."""
+    fam = _family(spec)
+    x0, y0 = _jump_xy(spec)
+    h = StepFn2D(fam.step(x0, 1.0), fam.step(y0, 1.0))
     px, py = eval_xy
     u, v = win.factors
     for n in np.unique(np.geomspace(2, min(spec.window, 200), 5).astype(int)):
         n = int(n)
-        x0, y0 = _jump_xy(spec)
-        if spec.operator == "lagrange2d":
-            h = StepFn2D.upper_right(x0, y0)
-            direct = lg.lagrange_eval_2d(h, n, n, px, py, cross_check=True)
-        else:
-            h = StepFn2D.lower_left(x0, y0)
-            direct = sh.shepard_eval_2d(h, sh.ShepardParams(spec.s, n),
-                                        sh.ShepardParams(spec.s, n), px, py,
-                                        cross_check=True)
+        direct = fam.eval_2d(h, spec.s, n, px, py)
         prod = u[n - 1] * v[n - 1]
         if abs(direct - prod) > 1e-9:
             raise AssertionError(
@@ -436,8 +429,7 @@ def run_index_experiment(spec: ExperimentSpec,
     fraction hitting none of the dilated targets at the final checkpoint.
     A precomputed window (e.g. from the sequence cache) may be supplied.
     """
-    where, eval_xy = (_classify_point(spec) if spec.spec_y is not None
-                      else ("corner", _jump_xy(spec)))
+    where, eval_xy = _classify_point(spec)
     table = build_table(spec, where)
     if window is not None and window.n_max != spec.window:
         raise ValueError("supplied window size disagrees with the experiment spec")
@@ -518,30 +510,15 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
     point = spec.spec_x
     if not point.is_rational:
         raise ValueError("witnesses require a rational point spec")
-    q = point.q
-    if spec.operator == "lagrange1d":
-        gen = lg.offset_subsequence(point.p, q, m)
-        indices = []
-        k = next(gen)
-        while k <= spec.window:
-            indices.append(k)
-            k = next(gen)
-        if not indices:
-            raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
-        limit = float(spec.d) if m == 0 else float(lagrange_jump_profile(m / q))
-        values = lg.jump_sequence(point, spec.d, spec.window)
-    elif spec.operator == "shepard1d":
-        # offset residue: n*p = m (mod q)
-        r = (m * pow(point.p, -1, q)) % q
-        start = r if r >= 1 else q
-        indices = list(range(start, spec.window + 1, q))
-        if spec.s > 1.0:
-            limit = 1.0 if m == 0 else float(shepard_jump_profile(spec.s, m / q))
-        else:
-            limit = 1.0 if m == 0 else 0.5
-        values = sh.step_sequence(point, spec.s, spec.window)
-    else:
+    if spec.spec_y is not None:
         raise ValueError("witnesses are defined for univariate experiments")
+    fam, q = _family(spec), point.q
+    indices = range(fam.first_index(point.p, q, m), spec.window + 1, q)
+    if not indices:
+        raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
+    step = fam.step(fam.jump(point.value), spec.d)
+    limit = float(step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
+    values = fam.at_jump(point, spec.s, spec.window, step)
     tail_value = float(values[indices[-1] - 1])
     return WitnessReport(
         residue=m,
@@ -652,49 +629,29 @@ def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list,
     (x_lo, x_hi, y_lo, y_hi).  Returns one row per (region, n) with the sup
     error; regions closer than min_distance to the jump set are rejected.
     """
+    fam = _family(spec)
     x0, y0 = _jump_xy(spec)
-    rows = []
-    if spec.operator in ("lagrange1d", "shepard1d"):
-        step = (StepFn1D.jump(x0, spec.d) if spec.operator == "lagrange1d"
-                else StepFn1D.indicator_upto(x0))
-        for region in regions:
-            a, b = region
-            if a <= x0 <= b or min(abs(a - x0), abs(b - x0)) < min_distance:
-                raise ValueError(f"region {region} is within {min_distance} of the jump")
-            xs = np.linspace(a, b, 2 * grid)
-            for n in n_list:
-                if spec.operator == "lagrange1d":
-                    vals = np.array([lg.lagrange_eval_1d(step, n, float(x)) for x in xs])
-                else:
-                    params = sh.ShepardParams(spec.s, n)
-                    vals = np.array([sh.shepard_eval_1d(step, params, float(x)) for x in xs])
-                sup = float(np.abs(vals - step(xs)).max())
-                rows.append({"region": tuple(region), "n": int(n), "sup_error": sup})
-        return rows
-    # bivariate: jump cross segments
-    if spec.operator == "lagrange2d":
-        h = StepFn2D.upper_right(x0, y0)
-        segs = [(x0, y0, x0, 1.0), (x0, y0, 1.0, y0)]
+    if spec.spec_y is None:
+        # an interval is a flat rectangle, and the jump a point on its axis
+        steps, size, segs = [fam.step(x0, spec.d)], 2 * grid, [(x0, 0.0, x0, 0.0)]
     else:
-        h = StepFn2D.lower_left(x0, y0)
-        segs = [(x0, 0.0, x0, y0), (0.0, y0, x0, y0)]
+        # the jump cross runs from the corner to the far sides of the square
+        far = 1.0 if fam.side > 0 else 0.0
+        steps, size = [fam.step(x0, 1.0), fam.step(y0, 1.0)], grid
+        segs = [(x0, y0, x0, far), (x0, y0, far, y0)]
+    rows = []
     for region in regions:
-        if _rect_distance_to_cross(region, segs) < min_distance:
+        rect = tuple(region) if len(region) == 4 else (*region, 0.0, 0.0)
+        if _rect_distance_to_cross(rect, segs) < min_distance:
             raise ValueError(f"region {region} is within {min_distance} of the jump set")
-        xs = np.linspace(region[0], region[1], grid)
-        ys = np.linspace(region[2], region[3], grid)
+        axes = [np.linspace(lo, hi, size) for lo, hi in zip(region[::2], region[1::2])]
+        exact = reduce(np.multiply.outer, [f(ts) for f, ts in zip(steps, axes)])
         for n in n_list:
-            if spec.operator == "lagrange2d":
-                ux = np.array([lg.lagrange_eval_1d(h.fx, n, float(x)) for x in xs])
-                vy = np.array([lg.lagrange_eval_1d(h.fy, n, float(y)) for y in ys])
-            else:
-                params = sh.ShepardParams(spec.s, n)
-                ux = np.array([sh.shepard_eval_1d(h.fx, params, float(x)) for x in xs])
-                vy = np.array([sh.shepard_eval_1d(h.fy, params, float(y)) for y in ys])
-            approx = ux[:, None] * vy[None, :]
-            exact = h.fx(xs)[:, None] * h.fy(ys)[None, :]
-            sup = float(np.abs(approx - exact).max())
-            rows.append({"region": tuple(region), "n": int(n), "sup_error": sup})
+            approx = reduce(np.multiply.outer, [
+                np.array([fam.eval_1d(f, spec.s, n, float(t)) for t in ts])
+                for f, ts in zip(steps, axes)])
+            rows.append({"region": tuple(region), "n": int(n),
+                         "sup_error": float(np.abs(approx - exact).max())})
     return rows
 
 

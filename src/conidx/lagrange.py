@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class ChebGrid:
     n: int
     angles: np.ndarray
     nodes: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
 
 
 def cheb_grid(n: int) -> ChebGrid:
@@ -106,19 +102,27 @@ def fundamental_weight(grid: ChebGrid, k: int, x: float) -> float:
     return float(_weights_all(grid, x)[k - 1])
 
 
-def _node_samples(f, grid: ChebGrid) -> np.ndarray:
+def _node_samples(f, grid: ChebGrid, x: float) -> np.ndarray:
+    """f at the nodes, where a callable f is sampled at x itself at a node hit.
+
+    The hit node is x up to rounding, and a step whose jump is x must give
+    its value at the jump, not that of the side the rounded node falls on.
+    """
     if isinstance(f, np.ndarray):
         if f.shape != (grid.n,):
             raise ValueError("sample array length must equal the node count")
         return f
-    return np.asarray(f(grid.nodes), dtype=float)
+    samples = np.array(f(grid.nodes), dtype=float)
+    j = _node_hit(grid.nodes, x, np.empty(grid.n))
+    if j is not None:
+        samples[j] = f(x)
+    return samples
 
 
 def lagrange_eval_1d(f, n: int, x: float) -> float:
     """L_n f(x); f may be a StepFn1D, a callable, or a node-sample array."""
     grid = cheb_grid(n)
-    samples = _node_samples(f, grid)
-    return float(_weights_all(grid, x) @ samples)
+    return float(_weights_all(grid, x) @ _node_samples(f, grid, x))
 
 
 def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
@@ -128,35 +132,17 @@ def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
     With cross_check=True the full double sum over the node grid is also
     evaluated and must agree to 1e-9.
     """
-    vx = lagrange_eval_1d(h.fx, n, x)
-    vy = lagrange_eval_1d(h.fy, m, y)
-    out = vx * vy
+    gx, gy = cheb_grid(n), cheb_grid(m)
+    wx, wy = _weights_all(gx, x), _weights_all(gy, y)
+    sx, sy = _node_samples(h.fx, gx, x), _node_samples(h.fy, gy, y)
+    out = float(wx @ sx) * float(wy @ sy)
     if cross_check:
-        gx, gy = cheb_grid(n), cheb_grid(m)
-        wx, wy = _weights_all(gx, x), _weights_all(gy, y)
-        hmat = h.fx(gx.nodes)[:, None] * h.fy(gy.nodes)[None, :]
-        direct = float(wx @ hmat @ wy)
+        direct = float(wx @ (sx[:, None] * sy[None, :]) @ wy)
         if abs(direct - out) > 1e-9:
             raise AssertionError(
                 f"product decomposition {out!r} disagrees with double sum {direct!r}"
             )
     return out
-
-
-def lagrange_eval_cplus_h(F: Callable, jumps, n: int, x: float) -> float:
-    """L_n(F + sum_k c_k * jump_k)(x) for a continuous part plus jump terms.
-
-    jumps is a list of (x_k, d_k, c_k); by linearity the combined node
-    samples are interpolated in one pass.
-    """
-    xs = [xk for xk, _, _ in jumps]
-    if len(set(xs)) != len(xs):
-        raise ValueError("jump abscissas must be distinct")
-    grid = cheb_grid(n)
-    samples = np.asarray(F(grid.nodes), dtype=float)
-    for xk, dk, ck in jumps:
-        samples = samples + ck * StepFn1D.jump(xk, dk)(grid.nodes)
-    return float(_weights_all(grid, x) @ samples)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +224,7 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
 
     With spec, x is the jump point cos(pi * spec.value) and n is a node hit
     exactly when the grid offset is zero; without, a node within
-    NODE_COLLISION * n of x is a hit.  A hit returns the step value there.
+    NODE_COLLISION * n of x is a hit.  A hit returns the step value at x.
     Otherwise the value is the dot product of the weights with the step
     values at the nodes, computed in three buffers allocated once.  Every
     value is bit-identical to the per-n evaluation (`lagrange_eval_1d`);
@@ -259,7 +245,7 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
         if spec is None:
             j = _node_hit(nodes, x, work)
             if j is not None:
-                out[i] = step(nodes[j])
+                out[i] = step(x)
                 continue
         _weights(w, work, nodes, alt[:n], x, theta)
         step.sample_sorted(nodes, work)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 IRRATIONAL_VALUES: dict[str, float] = {
     "inv_sqrt2": 1.0 / math.sqrt(2.0),
@@ -72,12 +71,6 @@ class PointSpec:
         if self.is_rational:
             return ((k * self.p) % self.q) / self.q
         return (k * self.value) % 1.0
-
-    def multiple_mod1_exact(self, k: int) -> Fraction | None:
-        """Exact fractional part of k * value, or None for irrational specs."""
-        if self.is_rational:
-            return Fraction((k * self.p) % self.q, self.q)
-        return None
 
     def require_interior(self) -> None:
         """Reject endpoint values; jump locations must lie strictly inside."""

@@ -21,21 +21,7 @@ from typing import Callable
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Absolute-error budget for the series evaluators."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if self.abs_tol < 1e-14:
-            raise ValueError("abs_tol below 1e-14 is not honored by float64 summation")
-        if self.max_terms < 64:
-            raise ValueError("max_terms must be at least 64")
-
-
-DEFAULT_TOL = SeriesTolerance()
+SERIES_TOL = 1e-12        # absolute-error budget of the series evaluators
 BISECT_TOL = 1e-10
 # Entries of the (points x terms) table that the series kernels build at a
 # time: 120 KB of doubles, so the table stays in cache however many points a
@@ -59,7 +45,7 @@ def _row_sums(a_arr: np.ndarray, n_terms: int,
     return out.reshape(a_arr.shape)
 
 
-def lerch_j1(a, tol: SeriesTolerance = DEFAULT_TOL):
+def lerch_j1(a):
     """Alternating series sum_{n>=0} (-1)^n/(n+a) for 0 < a <= 1.
 
     Consecutive terms are folded into the positive series
@@ -70,9 +56,7 @@ def lerch_j1(a, tol: SeriesTolerance = DEFAULT_TOL):
     a_arr = np.asarray(a, dtype=float)
     if np.any(a_arr <= 0.0) or np.any(a_arr > 1.0):
         raise ValueError("lerch_j1 requires 0 < a <= 1")
-    M = int(math.ceil(0.5 * (0.27 / tol.abs_tol) ** 0.2)) + 8
-    if M > tol.max_terms:
-        raise ValueError(f"needs {M} paired terms, above max_terms={tol.max_terms}")
+    M = int(math.ceil(0.5 * (0.27 / SERIES_TOL) ** 0.2)) + 8
     two_k = 2.0 * np.arange(M, dtype=float)
 
     def terms(col):
@@ -88,24 +72,24 @@ def lerch_j1(a, tol: SeriesTolerance = DEFAULT_TOL):
     return float(out) if out.ndim == 0 else out
 
 
-def lagrange_jump_profile(x, tol: SeriesTolerance = DEFAULT_TOL):
+def lagrange_jump_profile(x):
     """sin(pi x)/pi * lerch_j1(x) on (0,1), extended by 1 at x = 0."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(x_arr >= 1.0):
         raise ValueError("profile argument must lie in [0, 1)")
     # evaluate the series at a safe stand-in where x == 0, then overwrite
     safe = np.where(x_arr == 0.0, 0.5, x_arr)
-    vals = np.sin(np.pi * safe) / np.pi * lerch_j1(safe, tol)
+    vals = np.sin(np.pi * safe) / np.pi * lerch_j1(safe)
     out = np.where(x_arr == 0.0, 1.0, vals)
     return float(out) if out.ndim == 0 else out
 
 
-def hurwitz_zeta(s: float, a, tol: SeriesTolerance = DEFAULT_TOL):
+def hurwitz_zeta(s: float, a):
     """sum_{n>=0} (n+a)^-s for s > 1, a > 0.
 
     M explicit terms plus the Euler-Maclaurin tail
     (M+a)^(1-s)/(s-1) + (M+a)^-s/2 + s (M+a)^(-s-1)/12, with M chosen so
-    the next correction term s(s+1)(s+2)(M+a)^(-s-3)/720 is below tol.
+    the next correction term s(s+1)(s+2)(M+a)^(-s-3)/720 is below SERIES_TOL.
     """
     s = float(s)
     if s <= 1.0:
@@ -114,9 +98,7 @@ def hurwitz_zeta(s: float, a, tol: SeriesTolerance = DEFAULT_TOL):
     if np.any(a_arr <= 0.0):
         raise ValueError("hurwitz_zeta requires a > 0")
     coeff = s * (s + 1.0) * (s + 2.0) / 720.0
-    M = int(math.ceil((coeff / tol.abs_tol) ** (1.0 / (s + 3.0)))) + 8
-    if M > tol.max_terms:
-        raise ValueError(f"needs {M} terms, above max_terms={tol.max_terms}")
+    M = int(math.ceil((coeff / SERIES_TOL) ** (1.0 / (s + 3.0)))) + 8
     n = np.arange(M, dtype=float)
     partial = _row_sums(a_arr, M, lambda col: (n + col) ** -s)
     x = M + a_arr
@@ -125,14 +107,14 @@ def hurwitz_zeta(s: float, a, tol: SeriesTolerance = DEFAULT_TOL):
     return float(out) if out.ndim == 0 else out
 
 
-def shepard_jump_profile(s: float, t, tol: SeriesTolerance = DEFAULT_TOL):
+def shepard_jump_profile(s: float, t):
     """zeta(s,t) / (zeta(s,t) + zeta(s,1-t)) on (0,1), extended by 1 at t = 0."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr >= 1.0):
         raise ValueError("profile argument must lie in [0, 1)")
     safe = np.where(t_arr == 0.0, 0.5, t_arr)
-    num = hurwitz_zeta(s, safe, tol)
-    den = num + hurwitz_zeta(s, 1.0 - safe, tol)
+    num = hurwitz_zeta(s, safe)
+    den = num + hurwitz_zeta(s, 1.0 - safe)
     out = np.where(t_arr == 0.0, 1.0, num / den)
     return float(out) if out.ndim == 0 else out
 

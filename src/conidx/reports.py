@@ -8,6 +8,7 @@ a re-run produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -35,6 +36,9 @@ class ConfigError(ValueError):
 _OPERATORS = ("lagrange1d", "lagrange2d", "shepard1d", "shepard2d")
 _SPEC_FIELDS = {"lagrange1d": ("theta",), "lagrange2d": ("theta", "gamma"),
                 "shepard1d": ("x0",), "shepard2d": ("x0", "y0")}
+# the jump value d moves only the univariate Lagrange step; s is Shepard's
+_PARAM_FIELDS = {"lagrange1d": ("d",), "lagrange2d": (), "shepard1d": ("s",),
+                 "shepard2d": ("s",)}
 _KNOWN_FIELDS = {
     "schema_version", "experiment", "theta", "gamma", "x0", "y0", "d", "s",
     "window", "epsilon", "checkpoints", "tol", "targets", "eval_point",
@@ -86,10 +90,8 @@ class ExperimentConfig:
         for name, spec in self.specs.items():
             out[name] = ({"rational": [spec.p, spec.q]} if spec.is_rational
                          else {"irrational": spec.name})
-        if self.experiment == "lagrange1d":
-            out["d"] = self.d
-        if self.experiment.startswith("shepard"):
-            out["s"] = self.s
+        for name in _PARAM_FIELDS[self.experiment]:
+            out[name] = getattr(self, name)
         out["window"] = self.window
         if self.epsilon is not None:
             out["epsilon"] = self.epsilon
@@ -170,8 +172,8 @@ def parse_config(text: str) -> ExperimentConfig:
             spec = _parse_point(raw[name], name, errors)
             if spec is not None:
                 specs[name] = spec
-    for name in ("theta", "gamma", "x0", "y0"):
-        if name in raw and name not in _SPEC_FIELDS[experiment]:
+    for name in ("theta", "gamma", "x0", "y0", "d", "s"):
+        if name in raw and name not in _SPEC_FIELDS[experiment] + _PARAM_FIELDS[experiment]:
             errors.append(f"field {name!r} does not apply to {experiment}")
     window = raw.get("window")
     if not isinstance(window, int) or window < 2:
@@ -223,8 +225,9 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("cross_check must be a boolean")
         cross_check = False
     out = raw.get("out", {})
-    if not isinstance(out, dict) or set(out) - {"report", "csv"}:
-        errors.append("out must be an object with keys 'report' and/or 'csv'")
+    if (not isinstance(out, dict) or set(out) - {"report", "csv"}
+            or not all(isinstance(path, str) for path in out.values())):
+        errors.append("out must be an object with string paths at 'report' and/or 'csv'")
         out = {}
     cache_dir = raw.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
@@ -254,13 +257,14 @@ def parse_config(text: str) -> ExperimentConfig:
 # emission
 
 
-def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the concatenated chunks to path through a temp file and a rename."""
+def _atomic_write(path: str | Path, chunks: Iterable, mode: str = "w") -> None:
+    """Write the concatenated chunks (bytes for mode "wb") to path through a
+    temp file and a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, mode) as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -374,7 +378,7 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 # Bump when a change to a window kernel (lagrange._window, shepard._window
 # and what they call) changes the bits of a window, so that the sequence
 # cache cannot serve windows the old kernel computed.
-KERNEL_REVISION = 1
+KERNEL_REVISION = 2
 
 
 class SequenceCache:
@@ -430,20 +434,13 @@ class SequenceCache:
         return win if (win.dim, win.n_max) == (dim, spec.window) else None
 
     def store(self, spec: ExperimentSpec, win: SeqWindow) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
+        buf = io.BytesIO()
+        if win.factors is not None:
+            np.savez(buf, u=win.factors[0], v=win.factors[1])
+        else:
+            np.savez(buf, values=win.values)
         path = self.path_for(spec)
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                if win.factors is not None:
-                    np.savez(fh, u=win.factors[0], v=win.factors[1])
-                else:
-                    np.savez(fh, values=win.values)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, [buf.getvalue()], "wb")
         return path
 
     def entries(self) -> list[Path]:

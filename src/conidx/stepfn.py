@@ -41,15 +41,6 @@ class StepFn1D:
         """
         return cls(x0=x0, left=1.0, at=1.0, right=0.0)
 
-    @classmethod
-    def indicator_below(cls, x0: float) -> "StepFn1D":
-        """Indicator of (-inf, x0): 0 at and above x0 (strict variant).
-
-        Differs from indicator_upto only at x0 itself, which operators
-        see only when x0 is a node.
-        """
-        return cls(x0=x0, left=1.0, at=0.0, right=0.0)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x < self.x0, self.left, np.where(x > self.x0, self.right, self.at))

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import harness, lagrange as lg
 from .density import (
-    IndexSet,
     SeqWindow,
     Target,
     complement_identity_check,
@@ -172,8 +171,8 @@ def check_randomized_properties(configs: int = 100) -> CheckResult:
             # complement identity on a random residue set
             mod = int(rng.integers(2, 12))
             res = int(rng.integers(0, mod))
-            iset = IndexSet.from_predicate(1, lambda idx, m=mod, r=res: idx % m == r)
-            if not complement_identity_check(iset, default_checkpoints(3000)):
+            residues = SeqWindow.from_values_1d(np.arange(1, 3001) % mod == res)
+            if not complement_identity_check(residues, default_checkpoints(3000)):
                 failures.append(f"{trial}: complement identity violated")
             # sum rule on disjoint targets
             targets = [Target.point(0.1), Target.point(0.5), Target.point(0.9)]

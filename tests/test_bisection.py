@@ -18,10 +18,9 @@ from conidx.harness import predict_lagrange_2d
 from conidx.points import PointSpec
 from conidx.profiles import (
     BISECT_TOL,
-    DEFAULT_TOL,
+    SERIES_TOL,
     Profile1D,
     Profile2D,
-    SeriesTolerance,
     affine_jump_profile,
     hurwitz_zeta,
     invert_monotone,
@@ -38,9 +37,9 @@ BISECT_STEPS = int(math.ceil(math.log2(1.0 / BISECT_TOL))) + 2
 # reference code
 
 
-def ref_lerch_j1(a, tol=DEFAULT_TOL):
+def ref_lerch_j1(a, abs_tol=SERIES_TOL):
     a_arr = np.asarray(a, dtype=float)
-    M = int(math.ceil(0.5 * (0.27 / tol.abs_tol) ** 0.2)) + 8
+    M = int(math.ceil(0.5 * (0.27 / abs_tol) ** 0.2)) + 8
     k = np.arange(M, dtype=float)
     base = 2.0 * k + a_arr[..., None]
     partial = (1.0 / (base * (base + 1.0))).sum(axis=-1)
@@ -52,11 +51,11 @@ def ref_lerch_j1(a, tol=DEFAULT_TOL):
     return float(out) if out.ndim == 0 else out
 
 
-def ref_hurwitz_zeta(s, a, tol=DEFAULT_TOL):
+def ref_hurwitz_zeta(s, a, abs_tol=SERIES_TOL):
     s = float(s)
     a_arr = np.asarray(a, dtype=float)
     coeff = s * (s + 1.0) * (s + 2.0) / 720.0
-    M = int(math.ceil((coeff / tol.abs_tol) ** (1.0 / (s + 3.0)))) + 8
+    M = int(math.ceil((coeff / abs_tol) ** (1.0 / (s + 3.0)))) + 8
     n = np.arange(M, dtype=float)
     partial = ((n + a_arr[..., None]) ** -s).sum(axis=-1)
     x = M + a_arr
@@ -155,14 +154,16 @@ KERNEL_POINTS = {
 
 
 @pytest.mark.parametrize("points", KERNEL_POINTS.values(), ids=KERNEL_POINTS.keys())
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, SeriesTolerance(abs_tol=1e-8)], ids=["1e-12", "1e-8"])
-def test_series_kernels_bit_identical(points, tol):
-    assert same_bits(lerch_j1(points, tol), ref_lerch_j1(points, tol))
+@pytest.mark.parametrize("abs_tol", [SERIES_TOL, 1e-8], ids=["1e-12", "1e-8"])
+def test_series_kernels_bit_identical(points, abs_tol, monkeypatch):
+    # the kernels size their series from the module's budget at call time
+    monkeypatch.setattr(profiles, "SERIES_TOL", abs_tol)
+    assert same_bits(lerch_j1(points), ref_lerch_j1(points, abs_tol))
     for s in (1.5, 2.0, 3.0):
         # the shift keeps a > 0 and covers the a > 1 arguments a profile never uses
         for a in (points, np.asarray(points) + 1.5):
-            assert same_bits(hurwitz_zeta(s, a, tol), ref_hurwitz_zeta(s, a, tol))
-    assert isinstance(lerch_j1(points, tol), float) == (np.ndim(points) == 0)
+            assert same_bits(hurwitz_zeta(s, a), ref_hurwitz_zeta(s, a, abs_tol))
+    assert isinstance(lerch_j1(points), float) == (np.ndim(points) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,24 @@ def test_eval_shepard2d(capsys):
     assert float(out) == pytest.approx(0.25, abs=1e-10)
 
 
+def test_eval_lagrange2d_at_a_node_hit(capsys):
+    # n = 100 puts a node on both jumps; the factors there are the step's
+    # value at the jump, 1, and 0.5 off it
+    code, out, _ = run_cli(capsys, "eval", "lagrange2d", "--theta-rational", "1/3",
+                           "--gamma-rational", "1/2", "--n", "100", "--cross-check")
+    assert code == 0
+    assert float(out) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_index_cross_check_at_node_hits(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
+        "gamma": {"rational": [1, 2]}, "window": 100, "cross_check": True}))
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code in (0, 1) and "residual mass" in out
+
+
 def test_index_pass_and_report(tmp_path, capsys):
     cfg = {"schema_version": 1, "experiment": "lagrange1d",
            "theta": {"rational": [1, 3]}, "window": 400, "tol": 0.03}
@@ -156,6 +174,15 @@ def test_index_write_failure_is_usage_error(tmp_path, capsys, flag, target):
     assert f"cannot write {path}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", ["list", "clear"])
+def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys, action):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "cache", action, "--cache-dir", str(blocker))
+    assert code == 2
+    assert "not a directory" in err and out == ""
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "lagrange2")
     assert code == 0
@@ -167,10 +194,3 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
     assert "unknown suite" in err
-
-
-def test_reserved_seed_flag_is_accepted(capsys):
-    # reserved: computation is deterministic, the flag must parse and do nothing
-    code, out, _ = run_cli(capsys, "--seed", "7", "zeta", "profile", "0.5")
-    assert code == 0
-    assert float(out) == pytest.approx(0.5, abs=1e-10)

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conidx.density import (
-    IndexSet,
+    DensityEstimate,
     SeqWindow,
     Target,
     complement_identity_check,
-    count_prefix,
     default_checkpoints,
-    density_bounds,
     index_to_target,
     sum_rule_check,
 )
@@ -27,66 +25,75 @@ def cos_product_window(n_max):
     return SeqWindow.from_product(u, u)
 
 
-ZERO_SET = IndexSet.from_predicate(2, lambda n, m: cos_quarter(n) * cos_quarter(m) == 0.0)
+def nonzero_window(n_max):
+    """Indicator of the pairs where cos(n pi/2) cos(m pi/2) is not zero."""
+    a = (cos_quarter(np.arange(1, n_max + 1)) != 0.0).astype(float)
+    return SeqWindow.from_product(a, a)
+
+
+def members(indicator, checkpoints):
+    """Prefix counts of the index set on which a 0/1 indicator window is 1."""
+    return indicator.hit_counts([(0.5, 1.5)], checkpoints)
+
+
+def zeros(indicator, checkpoints):
+    return indicator.hit_counts([(-0.5, 0.5)], checkpoints)
+
+
+def density(indicator, checkpoints):
+    return DensityEstimate.from_counts(checkpoints, members(indicator, checkpoints),
+                                       indicator.dim)
 
 
 def test_count_prefix_cos_zero_set():
     # 4x4 grid: only the 4 pairs with both indices even avoid the zero set
-    assert count_prefix(ZERO_SET, 4) == 12
+    assert zeros(nonzero_window(4), [4])[0] == 12
 
 
 def test_count_prefix_empty_and_full():
-    empty = IndexSet.from_predicate(2, lambda n, m: np.zeros(np.broadcast(n, m).shape, bool))
-    full = IndexSet.from_predicate(2, lambda n, m: np.ones(np.broadcast(n, m).shape, bool))
-    assert count_prefix(empty, 100) == 0
-    assert count_prefix(full, 10) == 100
+    assert members(SeqWindow.from_product(np.zeros(100), np.zeros(100)), [100])[0] == 0
+    assert members(SeqWindow.from_matrix(np.ones((10, 10))), [10])[0] == 100
 
 
 def test_count_prefix_monotone_in_n():
-    counts = [count_prefix(ZERO_SET, n) for n in range(1, 30)]
+    counts = zeros(nonzero_window(30), np.arange(1, 30))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_density_evens():
-    evens = IndexSet.from_predicate(1, lambda n: n % 2 == 0)
-    est = density_bounds(evens, np.arange(100, 1001, 60))
+    evens = SeqWindow.from_values_1d(np.arange(1, 1001) % 2 == 0)
+    est = density(evens, np.arange(100, 1001, 60))
     assert est.lower_est == pytest.approx(0.5, abs=0.01)
     assert est.upper_est == pytest.approx(0.5, abs=0.01)
 
 
 def test_density_cos_zero_set():
-    est = density_bounds(ZERO_SET, default_checkpoints(2000))
+    cps = default_checkpoints(2000)
+    est = DensityEstimate.from_counts(cps, zeros(nonzero_window(2000), cps), 2)
     assert est.lower_est == pytest.approx(0.75, abs=0.01)
     assert est.upper_est == pytest.approx(0.75, abs=0.01)
 
 
 def test_density_finite_strip_is_null():
-    strip = IndexSet.from_predicate(2, lambda n, m: n <= 10)
-    est = density_bounds(strip, default_checkpoints(1500))
+    rows = np.arange(1, 1501)
+    strip = SeqWindow.from_product((rows <= 10).astype(float), np.ones(1500))
+    est = density(strip, default_checkpoints(1500))
     assert est.upper_est <= 0.02
 
 
-def test_density_bounds_rejects_bad_checkpoints():
-    evens = IndexSet.from_predicate(1, lambda n: n % 2 == 0)
-    with pytest.raises(ValueError):
-        density_bounds(evens, [100])
-    with pytest.raises(ValueError):
-        density_bounds(evens, [100, 100, 200])
-
-
 @pytest.mark.parametrize("index_set", [
-    IndexSet.from_predicate(1, lambda n: n % 2 == 0),
-    ZERO_SET,
-    IndexSet.from_predicate(1, lambda n: (n * 2654435761) % 97 < 31),
+    SeqWindow.from_values_1d(np.arange(1, 4001) % 2 == 0),
+    nonzero_window(1500),
+    SeqWindow.from_values_1d((np.arange(1, 4001) * 2654435761) % 97 < 31),
 ])
 def test_complement_identity(index_set):
-    n_max = 1500 if index_set.dim == 2 else 4000
-    assert complement_identity_check(index_set, default_checkpoints(n_max))
+    assert complement_identity_check(index_set, default_checkpoints(index_set.n_max))
 
 
 def test_exact_complementarity_counts():
-    for n in (7, 50, 311):
-        assert count_prefix(ZERO_SET, n) + count_prefix(ZERO_SET.complement(), n) == n * n
+    win = nonzero_window(311)
+    cps = [7, 50, 311]
+    assert np.array_equal(members(win, cps) + zeros(win, cps), np.square(cps))
 
 
 def test_index_cos_product_to_zero():
@@ -203,18 +210,20 @@ def test_product_counts_handle_zero_factors():
 
 
 FACTOR = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0))
+INFINITE = st.sampled_from([-np.inf, np.inf])
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_product_counts_match_materialized_matrix_property(data):
     # interval ends drawn from the products themselves tie with some
-    # u[n]*v[m], where a division by u[n] may round to either side
+    # u[n]*v[m], where a division by u[n] may round to either side; the
+    # infinite ends are those of the +-inf targets' cutoff intervals
     n = data.draw(st.integers(1, 12), label="n")
     u = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="u"))
     v = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="v"))
     products = (u[:, None] * v[None, :]).ravel().tolist()
-    end = st.one_of(st.sampled_from(products), st.floats(-20.0, 20.0))
+    end = st.one_of(st.sampled_from(products), st.floats(-20.0, 20.0), INFINITE)
     ends = sorted(data.draw(st.lists(end, min_size=2, max_size=8), label="ends"))
     intervals = list(zip(ends[::2], ends[1::2]))
     win = SeqWindow.from_product(u, v)
@@ -254,7 +263,8 @@ def test_target_validation():
 
 
 def test_index_set_listing():
-    s = IndexSet.from_listing(1, [2, 3, 5, 7, 11])
-    assert count_prefix(s, 10) == 4
-    s2 = IndexSet.from_listing(2, [(1, 1), (2, 3)])
-    assert count_prefix(s2, 3) == 2
+    primes = SeqWindow.from_values_1d(np.isin(np.arange(1, 11), [2, 3, 5, 7, 11]))
+    assert members(primes, [10])[0] == 4
+    pairs = np.zeros((3, 3))
+    pairs[0, 0] = pairs[1, 2] = 1.0
+    assert members(SeqWindow.from_matrix(pairs), [3])[0] == 2

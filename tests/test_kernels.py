@@ -69,6 +69,8 @@ def ref_lagrange_step_sequence_at(step, x, n_max):
     out[0] = step(1.0)
     for n in range(2, n_max + 1):
         nodes = np.cos((np.arange(1, n + 1) - 1) * (math.pi / (n - 1)))
+        # a node hit samples the step at x itself, not at the rounded node
+        nodes = np.where(np.abs(x - nodes) <= lg.NODE_COLLISION * n, x, nodes)
         out[n - 1] = float(ref_lagrange_weights(n, x) @ np.asarray(step(nodes), dtype=float))
     return out
 

@@ -12,7 +12,6 @@ from conidx.lagrange import (
     jump_sequence,
     lagrange_eval_1d,
     lagrange_eval_2d,
-    lagrange_eval_cplus_h,
     offset_subsequence,
     step_sequence_at,
 )
@@ -185,27 +184,30 @@ def test_eval_2d_constant_one():
         1.0, abs=1e-10)
 
 
+def test_node_hit_samples_the_step_at_the_jump():
+    # x0 = cos(pi/3) is a node whenever 3 divides n - 1, but the rounded node
+    # falls below x0, where the quadrant step is 0; every evaluator must give
+    # the step's value at the jump there, as the windows do
+    spec_x, spec_y = PointSpec.rational(1, 3), PointSpec.rational(1, 2)
+    x0, y0 = math.cos(math.pi / 3.0), math.cos(math.pi / 2.0)
+    h = StepFn2D.upper_right(x0, y0)
+    u = jump_sequence(spec_x, 1.0, 200, step=h.fx)
+    v = jump_sequence(spec_y, 1.0, 200, step=h.fy)
+    at_x0 = step_sequence_at(h.fx, x0, 200)
+    for n in range(2, 201):
+        assert lagrange_eval_1d(h.fx, n, x0) == u[n - 1] == at_x0[n - 1]
+        assert lagrange_eval_2d(h, n, n, x0, y0, cross_check=True) == u[n - 1] * v[n - 1]
+    assert lagrange_eval_2d(h, 100, 100, x0, y0) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_cplus_h_polynomial_reproduction():
     for n in (3, 6, 20):
-        got = lagrange_eval_cplus_h(lambda x: x**2, [], n, 0.31)
+        got = lagrange_eval_1d(lambda x: x**2, n, 0.31)
         assert got == pytest.approx(0.31**2, abs=1e-10)
 
 
-def test_cplus_h_reduces_to_single_jump():
-    x0 = math.cos(math.pi / 3.0)
-    step = StepFn1D.jump(x0, 1.0)
-    for n in (5, 33, 200):
-        combined = lagrange_eval_cplus_h(lambda x: np.zeros_like(x), [(x0, 1.0, 1.0)], n, x0)
-        assert combined == pytest.approx(lagrange_eval_1d(step, n, x0), abs=1e-12)
-
-
-def test_cplus_h_rejects_duplicate_jumps():
-    with pytest.raises(ValueError):
-        lagrange_eval_cplus_h(lambda x: np.zeros_like(x), [(0.5, 1.0, 1.0), (0.5, 0.0, 2.0)],
-                              8, 0.1)
-
-
 def test_cplus_h_two_jump_convergence_scan():
+    # a continuous part plus two weighted jumps is interpolated as one function
     jumps = [(math.cos(math.pi / 3.0), 1.0, 1.0), (math.cos(2.0 * math.pi / 5.0), 0.5, -2.0)]
 
     def truth(x):
@@ -220,8 +222,7 @@ def test_cplus_h_two_jump_convergence_scan():
     ])
     sups = []
     for n in (250, 1000):
-        err = [abs(lagrange_eval_cplus_h(np.cos, jumps, n, float(x)) - truth(float(x)))
-               for x in grid]
+        err = [abs(lagrange_eval_1d(truth, n, float(x)) - truth(float(x))) for x in grid]
         sups.append(max(err))
     assert sups[1] < sups[0]
     assert sups[1] <= 0.02

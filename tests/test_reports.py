@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conidx.density import SeqWindow
 from conidx.harness import run_index_experiment
+from conidx.points import IRRATIONAL_VALUES
 from conidx.reports import (
     ConfigError,
     SequenceCache,
@@ -40,6 +43,67 @@ def test_parse_round_trip():
     cfg = parse_config(make_config(d=0.25, epsilon=0.04, tol=0.01, checkpoints=12))
     again = parse_config(json.dumps(cfg.to_json_dict()))
     assert again == cfg
+
+
+POINT = st.one_of(
+    st.sampled_from([[1, 2], [1, 3], [2, 3], [1, 4], [2, 5], [3, 7]]).map(
+        lambda pq: {"rational": pq}),
+    st.sampled_from(sorted(IRRATIONAL_VALUES)).map(lambda name: {"irrational": name}))
+POSITIVE = st.one_of(st.integers(1, 8), st.floats(0.01, 8.0))
+PATH = st.text("abc/._-", min_size=1, max_size=8)
+OPTIONAL_FIELDS = {
+    "d": st.one_of(st.integers(-2, 2), st.floats(-2.0, 2.0)),
+    "s": st.one_of(st.integers(1, 6), st.floats(1.0, 6.0)),
+    "epsilon": POSITIVE,
+    "checkpoints": st.integers(2, 64),
+    "tol": POSITIVE,
+    "targets": st.lists(st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=2),
+                        min_size=1, max_size=3),
+    "eval_point": st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    "cross_check": st.booleans(),
+    "out": st.fixed_dictionaries({}, optional={"report": PATH, "csv": PATH}),
+    "cache_dir": PATH,
+}
+POINT_FIELDS = {"lagrange1d": ("theta",), "lagrange2d": ("theta", "gamma"),
+                "shepard1d": ("x0",), "shepard2d": ("x0", "y0")}
+
+
+@st.composite
+def raw_configs(draw):
+    experiment = draw(st.sampled_from(sorted(POINT_FIELDS)))
+    raw = {"schema_version": 1, "experiment": experiment,
+           "window": draw(st.integers(2, 3000))}
+    for name in POINT_FIELDS[experiment]:
+        raw[name] = draw(POINT)
+    for name, values in OPTIONAL_FIELDS.items():
+        if draw(st.booleans()):
+            raw[name] = draw(values)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=raw_configs())
+def test_parse_round_trip_property(raw):
+    """Every config that parses comes back unchanged through to_json_dict, so
+    the config a run report echoes is the one that ran."""
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except ConfigError:
+        return
+    assert parse_config(json.dumps(cfg.to_json_dict())) == cfg
+
+
+def test_parse_rejects_inapplicable_parameters():
+    with pytest.raises(ConfigError, match="'s' does not apply to lagrange1d"):
+        parse_config(make_config(s=3.0))
+    doc = {"schema_version": 1, "experiment": "shepard1d",
+           "x0": {"rational": [1, 2]}, "window": 100, "d": 0.5}
+    with pytest.raises(ConfigError, match="'d' does not apply to shepard1d"):
+        parse_config(json.dumps(doc))
+    with pytest.raises(ConfigError, match="'d' does not apply to lagrange2d"):
+        parse_config(make_config(experiment="lagrange2d", gamma={"rational": [1, 2]}, d=0.5))
+    with pytest.raises(ConfigError, match="string paths"):
+        parse_config(make_config(out={"report": 5}))
 
 
 def test_parse_rejects_unknown_fields():
