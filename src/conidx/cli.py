@@ -134,26 +134,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_index(args) -> int:
+    out = {key: path for key, path in (("report", args.out), ("csv", args.csv)) if path}
+    flags = {"epsilon": args.epsilon, "checkpoints": args.checkpoints, "tol": args.tol,
+             "cross_check": args.cross_check or None, "out": out or None,
+             "cache_dir": args.cache_dir or None}
     try:
         with open(args.config) as fh:
-            config = parse_config(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
-    if args.epsilon is not None:
-        config.epsilon = args.epsilon
-    if args.checkpoints is not None:
-        config.checkpoints = args.checkpoints
-    if args.tol is not None:
-        config.tol = args.tol
-    if args.cross_check:
-        config.cross_check = True
-    if args.out:
-        config.out_report = args.out
-    if args.csv:
-        config.out_csv = args.csv
-    if args.cache_dir:
-        config.cache_dir = args.cache_dir
-    spec = config.to_experiment_spec()
+    config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
+    spec = config.spec
     cache = SequenceCache(config.cache_dir) if config.cache_dir else None
     t0 = time.perf_counter()
     window = cache.load(spec) if cache else None
@@ -198,7 +189,7 @@ def cmd_verify(args) -> int:
     if args.out:
         doc = [
             {"name": r.name, "passed": r.passed, "detail": r.detail,
-             "runtime_s": round(r.runtime_s, 3)}
+             "runtime_s": round(r.runtime_s, 3), "budget_s": r.budget_s}
             for r in results
         ]
         text = json.dumps({"version": __version__, "checks": doc}, indent=2) + "\n"

@@ -607,18 +607,17 @@ def check_uniform_limit_rule(n_max: int, interval: tuple[float, float] = (0.0, 0
 
 
 def _rect_distance_to_cross(rect, segs) -> float:
-    """Distance from an axis-aligned rectangle to the jump cross segments."""
+    """Distance from an axis-aligned rectangle to the jump cross segments.
 
-    def seg_dist(ax, ay, bx, by):
-        # distance between rect and segment endpoint-sampled densely enough
-        ts = np.linspace(0.0, 1.0, 129)
-        sx = ax + ts * (bx - ax)
-        sy = ay + ts * (by - ay)
-        dx = np.maximum(np.maximum(rect[0] - sx, sx - rect[1]), 0.0)
-        dy = np.maximum(np.maximum(rect[2] - sy, sy - rect[3]), 0.0)
-        return float(np.hypot(dx, dy).min())
+    The segments are axis-parallel, so each is a degenerate rectangle, and
+    the distance is the hypotenuse of the gaps between the x and y extents.
+    """
 
-    return min(seg_dist(*s) for s in segs)
+    def gap(lo, hi, a, b):
+        return max(lo - max(a, b), min(a, b) - hi, 0.0)
+
+    return min(math.hypot(gap(rect[0], rect[1], ax, bx), gap(rect[2], rect[3], ay, by))
+               for ax, ay, bx, by in segs)
 
 
 def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import zipfile
@@ -33,7 +34,6 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-_OPERATORS = ("lagrange1d", "lagrange2d", "shepard1d", "shepard2d")
 _SPEC_FIELDS = {"lagrange1d": ("theta",), "lagrange2d": ("theta", "gamma"),
                 "shepard1d": ("x0",), "shepard2d": ("x0", "y0")}
 # the jump value d moves only the univariate Lagrange step; s is Shepard's
@@ -44,75 +44,70 @@ _KNOWN_FIELDS = {
     "window", "epsilon", "checkpoints", "tol", "targets", "eval_point",
     "cross_check", "out", "cache_dir",
 }
+# name: (default, integer, requirement, check).  window has no default, and
+# epsilon's default None (absent or null) lets the harness derive it.
+_NUMBER_FIELDS = {
+    "window": (None, True, "an integer >= 2", lambda v: v >= 2),
+    "s": (2.0, False, ">= 1", lambda v: v >= 1),
+    "d": (1.0, False, "a number", lambda v: True),
+    "epsilon": (None, False, "positive", lambda v: v > 0),
+    "checkpoints": (16, True, "an integer >= 2", lambda v: v >= 2),
+    "tol": (0.03, False, "positive", lambda v: v > 0),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration (mirrors the JSON schema)."""
+    """A validated experiment config: the experiment and where its outputs go."""
 
-    experiment: str
-    specs: dict[str, PointSpec]
-    d: float = 1.0
-    s: float = 2.0
-    window: int = 1000
-    epsilon: float | None = None
-    checkpoints: int = 16
-    tol: float = 0.03
-    targets: list[tuple[float, float]] | None = None
-    eval_point: tuple[float, float] | None = None
-    cross_check: bool = False
+    spec: ExperimentSpec
     out_report: str | None = None
     out_csv: str | None = None
     cache_dir: str | None = None
-    schema_version: int = 1
 
     def to_experiment_spec(self) -> ExperimentSpec:
-        names = _SPEC_FIELDS[self.experiment]
-        spec_x = self.specs[names[0]]
-        spec_y = self.specs[names[1]] if len(names) > 1 else None
-        return ExperimentSpec(
-            operator=self.experiment,
-            spec_x=spec_x,
-            spec_y=spec_y,
-            d=self.d,
-            s=self.s,
-            window=self.window,
-            epsilon=self.epsilon,
-            checkpoint_count=self.checkpoints,
-            tolerance=self.tol,
-            eval_point=self.eval_point,
-            targets=self.targets,
-            cross_check=self.cross_check,
-        )
+        return self.spec
 
     def to_json_dict(self) -> dict:
-        out: dict = {"schema_version": self.schema_version, "experiment": self.experiment}
-        for name, spec in self.specs.items():
-            out[name] = ({"rational": [spec.p, spec.q]} if spec.is_rational
-                         else {"irrational": spec.name})
-        for name in _PARAM_FIELDS[self.experiment]:
-            out[name] = getattr(self, name)
-        out["window"] = self.window
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        out["checkpoints"] = self.checkpoints
-        out["tol"] = self.tol
-        if self.targets is not None:
-            out["targets"] = [list(t) for t in self.targets]
-        if self.eval_point is not None:
-            out["eval_point"] = list(self.eval_point)
-        if self.cross_check:
+        spec = self.spec
+        out: dict = {"schema_version": 1, "experiment": spec.operator}
+        for name, point in zip(_SPEC_FIELDS[spec.operator], (spec.spec_x, spec.spec_y)):
+            out[name] = ({"rational": [point.p, point.q]} if point.is_rational
+                         else {"irrational": point.name})
+        for name in _PARAM_FIELDS[spec.operator]:
+            out[name] = getattr(spec, name)
+        out["window"] = spec.window
+        if spec.epsilon is not None:
+            out["epsilon"] = spec.epsilon
+        out["checkpoints"] = spec.checkpoint_count
+        out["tol"] = spec.tolerance
+        if spec.targets is not None:
+            out["targets"] = [list(t) for t in spec.targets]
+        if spec.eval_point is not None:
+            out["eval_point"] = list(spec.eval_point)
+        if spec.cross_check:
             out["cross_check"] = True
-        out_paths = {}
-        if self.out_report:
-            out_paths["report"] = self.out_report
-        if self.out_csv:
-            out_paths["csv"] = self.out_csv
+        out_paths = {key: path for key, path in (("report", self.out_report),
+                                                 ("csv", self.out_csv)) if path}
         if out_paths:
             out["out"] = out_paths
         if self.cache_dir:
             out["cache_dir"] = self.cache_dir
         return out
+
+
+def _finite(value) -> bool:
+    """True for a JSON number with a finite float value.  Booleans, NaN, the
+    infinities (json reads 1e400 as inf) and integers too large for a float
+    are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _finite_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_finite, value))
 
 
 def _parse_point(raw, name: str, errors: list[str]) -> PointSpec | None:
@@ -121,8 +116,7 @@ def _parse_point(raw, name: str, errors: list[str]) -> PointSpec | None:
         return None
     if "rational" in raw:
         pq = raw["rational"]
-        if (not isinstance(pq, list) or len(pq) != 2
-                or not all(isinstance(v, int) for v in pq)):
+        if not _finite_pair(pq) or not all(isinstance(v, int) for v in pq):
             errors.append(f"{name}.rational: expected a pair of integers")
             return None
         p, q = pq
@@ -136,7 +130,7 @@ def _parse_point(raw, name: str, errors: list[str]) -> PointSpec | None:
             return None
     if "irrational" in raw:
         nm = raw["irrational"]
-        if nm not in IRRATIONAL_VALUES:
+        if not isinstance(nm, str) or nm not in IRRATIONAL_VALUES:
             presets = ", ".join(sorted(IRRATIONAL_VALUES))
             errors.append(f"{name}.irrational: unknown preset {nm!r}; presets: {presets}")
             return None
@@ -145,9 +139,13 @@ def _parse_point(raw, name: str, errors: list[str]) -> PointSpec | None:
     return None
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; raise ConfigError listing
-    every violation found."""
+    every violation found.
+
+    overrides (e.g. command-line flags) replace fields of the document before
+    any check runs, so they are validated exactly as the fields would be.
+    """
     errors: list[str] = []
     try:
         raw = json.loads(text)
@@ -155,102 +153,76 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
+    for key, value in (overrides or {}).items():  # an object replaces only its own keys
+        both = isinstance(value, dict) and isinstance(raw.get(key), dict)
+        raw[key] = {**raw[key], **value} if both else value
     for key in sorted(set(raw) - _KNOWN_FIELDS):
         errors.append(f"unknown field {key!r}")
     version = raw.get("schema_version")
-    if version != 1:
+    if not (_finite(version) and version == 1):
         errors.append("schema_version must be 1")
     experiment = raw.get("experiment")
-    if experiment not in _OPERATORS:
-        errors.append(f"experiment must be one of {', '.join(_OPERATORS)}")
+    if not isinstance(experiment, str) or experiment not in _SPEC_FIELDS:
+        errors.append(f"experiment must be one of {', '.join(_SPEC_FIELDS)}")
         raise ConfigError(errors)
-    specs: dict[str, PointSpec] = {}
+    specs: list[PointSpec] = []
     for name in _SPEC_FIELDS[experiment]:
         if name not in raw:
             errors.append(f"missing required point spec {name!r}")
         else:
             spec = _parse_point(raw[name], name, errors)
             if spec is not None:
-                specs[name] = spec
+                specs.append(spec)
     for name in ("theta", "gamma", "x0", "y0", "d", "s"):
         if name in raw and name not in _SPEC_FIELDS[experiment] + _PARAM_FIELDS[experiment]:
             errors.append(f"field {name!r} does not apply to {experiment}")
-    window = raw.get("window")
-    if not isinstance(window, int) or window < 2:
-        errors.append("window must be an integer >= 2")
-        window = 2
-    s = raw.get("s", 2.0)
-    if not isinstance(s, (int, float)) or s < 1:
-        errors.append("s must be >= 1")
-        s = 2.0
-    d = raw.get("d", 1.0)
-    if not isinstance(d, (int, float)):
-        errors.append("d must be a number")
-        d = 1.0
-    epsilon = raw.get("epsilon")
-    if epsilon is not None and (not isinstance(epsilon, (int, float)) or epsilon <= 0):
-        errors.append("epsilon must be positive")
-        epsilon = None
-    checkpoints = raw.get("checkpoints", 16)
-    if not isinstance(checkpoints, int) or checkpoints < 2:
-        errors.append("checkpoints must be an integer >= 2")
-        checkpoints = 16
-    tol = raw.get("tol", 0.03)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        errors.append("tol must be positive")
-        tol = 0.03
+    num = {}
+    for name, (default, integer, requirement, check) in _NUMBER_FIELDS.items():
+        value = raw.get(name, default)
+        if value is None and name == "epsilon":
+            num[name] = None
+        elif _finite(value) and (isinstance(value, int) or not integer) and check(value):
+            num[name] = value if integer else float(value)
+        else:
+            errors.append(f"{name} must be {requirement}")
+            num[name] = default
     targets = raw.get("targets")
     if targets is not None:
-        good = (isinstance(targets, list) and targets
-                and all(isinstance(t, list) and len(t) == 2
-                        and all(isinstance(v, (int, float)) for v in t) for t in targets))
-        if good:
+        if isinstance(targets, list) and targets and all(map(_finite_pair, targets)):
             targets = [(float(a), float(b)) for a, b in targets]
         else:
-            errors.append("targets must be a nonempty list of [lo, hi] pairs")
-            targets = None
+            errors.append("targets must be a nonempty list of finite [lo, hi] pairs")
     eval_point = raw.get("eval_point")
     if eval_point is not None and experiment.endswith("1d"):
         errors.append(f"field 'eval_point' does not apply to {experiment}")
-        eval_point = None
+    elif eval_point is not None and not _finite_pair(eval_point):
+        errors.append("eval_point must be a finite pair [x, y]")
     elif eval_point is not None:
-        if (isinstance(eval_point, list) and len(eval_point) == 2
-                and all(isinstance(v, (int, float)) for v in eval_point)):
-            eval_point = (float(eval_point[0]), float(eval_point[1]))
-        else:
-            errors.append("eval_point must be a pair [x, y]")
-            eval_point = None
+        eval_point = (float(eval_point[0]), float(eval_point[1]))
     cross_check = raw.get("cross_check", False)
     if not isinstance(cross_check, bool):
         errors.append("cross_check must be a boolean")
-        cross_check = False
     out = raw.get("out", {})
     if (not isinstance(out, dict) or set(out) - {"report", "csv"}
             or not all(isinstance(path, str) for path in out.values())):
         errors.append("out must be an object with string paths at 'report' and/or 'csv'")
-        out = {}
     cache_dir = raw.get("cache_dir")
     if cache_dir is not None and not isinstance(cache_dir, str):
         errors.append("cache_dir must be a string path")
-        cache_dir = None
+    spec = None
+    if len(specs) == len(_SPEC_FIELDS[experiment]) and num["window"] is not None:
+        try:  # the window's upper cap is the operator's, checked by the spec
+            spec = ExperimentSpec(
+                operator=experiment, spec_x=specs[0], spec_y=specs[1] if specs[1:] else None,
+                d=num["d"], s=num["s"], window=num["window"], epsilon=num["epsilon"],
+                checkpoint_count=num["checkpoints"], tolerance=num["tol"],
+                eval_point=eval_point, targets=targets, cross_check=cross_check)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        experiment=experiment,
-        specs=specs,
-        d=float(d),
-        s=float(s),
-        window=window,
-        epsilon=None if epsilon is None else float(epsilon),
-        checkpoints=checkpoints,
-        tol=float(tol),
-        targets=targets,
-        eval_point=eval_point,
-        cross_check=cross_check,
-        out_report=out.get("report"),
-        out_csv=out.get("csv"),
-        cache_dir=cache_dir,
-    )
+    return ExperimentConfig(spec=spec, out_report=out.get("report"), out_csv=out.get("csv"),
+                            cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ class CheckResult:
     runtime_s: float
     budget_s: float | None = None
 
+    def __post_init__(self):
+        # a check that overruns its runtime budget fails; numpy comparisons
+        # give numpy booleans, which json cannot write
+        within = self.budget_s is None or self.runtime_s < self.budget_s
+        self.passed = bool(self.passed) and within
+
     @property
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -75,7 +81,7 @@ def check_cos_product_example() -> CheckResult:
         return out
 
     out, dt = _timed(run)
-    ok = all(abs(est - want) <= 0.01 for est, want in out.values()) and dt < 1.0
+    ok = all(abs(est - want) <= 0.01 for est, want in out.values())
     detail = ", ".join(f"i({t:g})={est:.4f} (want {want})" for t, (est, want) in out.items())
     return CheckResult("cos-product indices (N=2000, eps=0.1)", ok, detail, dt, 1.0)
 
@@ -95,7 +101,7 @@ def check_special_functions() -> CheckResult:
         return errs
 
     errs, dt = _timed(run)
-    ok = all(e <= 1e-10 for e in errs.values()) and dt < 1.0
+    ok = all(e <= 1e-10 for e in errs.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in errs.items())
     return CheckResult("special-function values and reflection", ok, detail, dt, 1.0)
 
@@ -181,7 +187,7 @@ def check_randomized_properties(configs: int = 100) -> CheckResult:
         return failures
 
     failures, dt = _timed(run)
-    ok = not failures and dt < 60.0
+    ok = not failures
     detail = f"{configs} configurations" if ok else "; ".join(failures[:3])
     return CheckResult("randomized property suite", ok, detail, dt, 60.0)
 
@@ -203,7 +209,7 @@ def check_lagrange_oracle_equivalence() -> CheckResult:
         return worst
 
     worst, dt = _timed(run)
-    ok = worst <= 1e-8 and dt < 5.0
+    ok = worst <= 1e-8
     return CheckResult("jump-value decomposition oracle (n<=2000)", ok,
                        f"max deviation {worst:.2e}", dt, 5.0)
 
@@ -222,7 +228,7 @@ def check_lagrange_rational_clusters() -> CheckResult:
         return result, witnesses
 
     (result, witnesses), dt = _timed(run)
-    ok = result.all_pass and all(w.tail_deviation <= 5e-3 for w in witnesses) and dt < 10.0
+    ok = result.all_pass and all(w.tail_deviation <= 5e-3 for w in witnesses)
     ests = ", ".join(f"{r.notes['label']}={r.estimate.lower_est:.4f}" for r in result.reports)
     tails = max(w.tail_deviation for w in witnesses)
     return CheckResult("lagrange clusters at angle 1/3 pi (N=3000)", ok,
@@ -240,7 +246,7 @@ def check_lagrange_irrational_measure() -> CheckResult:
 
     result, dt = _timed(run)
     rep = result.reports[0]
-    ok = result.all_pass and dt < 10.0
+    ok = result.all_pass
     return CheckResult(
         "lagrange irrational angle, measure target (N=5000)", ok,
         f"estimate {rep.estimate.lower_est:.4f} vs measure {rep.predicted:.4f}", dt, 10.0)
@@ -256,7 +262,7 @@ def check_lagrange_corner_products() -> CheckResult:
 
     result, dt = _timed(run)
     ok = (result.all_pass and len(result.reports) == 6
-          and result.residual_mass <= 0.03 and dt < 30.0)
+          and result.residual_mass <= 0.03)
     ests = ", ".join(f"{r.estimate.lower_est:.3f}" for r in result.reports)
     return CheckResult(
         "lagrange corner products 1/3 x 1/2 (N=600/axis)", ok,

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conidx.cli import main
+from conidx.suites import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,19 @@ def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
     assert json.loads(path.read_text())["checks"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("flags", [["--checkpoints", "0"], ["--checkpoints", "1"],
+                                   ["--tol", "-1"], ["--tol", "nan"],
+                                   ["--epsilon", "nan"], ["--epsilon", "inf"]])
+def test_index_flags_are_checked_like_config_fields(tmp_path, capsys, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
+                                    "theta": {"rational": [1, 3]}, "window": 100}))
+    code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), *flags)
+    assert code == 2
+    assert "config errors:" in err and "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag,target", [("--out", "r.json"), ("--csv", "w.csv"),
                                          ("--cache-dir", None)])
 def test_index_write_failure_is_usage_error(tmp_path, capsys, flag, target):
@@ -188,6 +202,27 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "1/1 checks passed" in out
+
+
+def test_verify_all_suites(tmp_path, capsys):
+    """All four suites: every check passes but the stated s = 1 Shepard corner
+    row, and the JSON summary carries each check's runtime budget."""
+    path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--out", str(path))
+    assert code == 1
+    assert "12/13 checks passed" in out
+    checks = json.loads(path.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [
+        "shepard corner s=1 at (1/2,1/2) (N=1000/axis)"]
+    budgets = {c["name"]: c["budget_s"] for c in checks}
+    assert budgets["cos-product indices (N=2000, eps=0.1)"] == 1.0
+    assert budgets["shepard corner s=1 at (1/2,1/2) (N=1000/axis)"] is None
+
+
+def test_check_fails_at_its_runtime_budget():
+    assert not CheckResult("c", True, "", runtime_s=1.0, budget_s=1.0).passed
+    assert CheckResult("c", True, "", runtime_s=0.5, budget_s=1.0).passed
+    assert CheckResult("c", True, "", runtime_s=90.0).passed
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

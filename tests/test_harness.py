@@ -366,6 +366,12 @@ def test_scan_rejects_regions_near_jump():
     spec2 = ExperimentSpec(operator="shepard2d", spec_x=HALF, spec_y=HALF, s=2.0, window=10)
     with pytest.raises(ValueError):
         uniform_convergence_scan(spec2, [(0.45, 1.0, 0.0, 1.0)], [100])
+    # the jump cross of 1/3 x 1/2 runs up from (1/2, ~0) along x = 1/2: the
+    # first region is 0.099997 from it, the second 0.100003
+    spec3 = ExperimentSpec(operator="lagrange2d", spec_x=THIRD, spec_y=HALF, window=10)
+    with pytest.raises(ValueError, match="within 0.1"):
+        uniform_convergence_scan(spec3, [(0.599997, 1.0, 0.501, 0.502)], [])
+    assert uniform_convergence_scan(spec3, [(0.600003, 1.0, 0.501, 0.502)], []) == []
 
 
 def test_scan_shepard_2d_decreases():

@@ -32,11 +32,11 @@ def make_config(**overrides):
 
 
 def test_parse_minimal_config():
-    cfg = parse_config(make_config())
-    assert cfg.experiment == "lagrange1d"
-    assert cfg.specs["theta"].q == 3
-    assert cfg.window == 300
-    assert cfg.tol == 0.03
+    spec = parse_config(make_config()).spec
+    assert spec.operator == "lagrange1d"
+    assert spec.spec_x.q == 3
+    assert spec.window == 300
+    assert spec.tolerance == 0.03
 
 
 def test_parse_round_trip():
@@ -109,6 +109,50 @@ def test_parse_rejects_inapplicable_parameters():
 def test_parse_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown field"):
         parse_config(make_config(bogus=1))
+
+
+SHEPARD_IRRATIONAL = ('{"schema_version": 1, "experiment": "shepard1d", '
+                      '"x0": {"irrational": "inv_sqrt2"}, "window": 100, %s}')
+
+
+@pytest.mark.parametrize("fields,needles", [
+    ('"tol": NaN', ["tol must be positive"]),
+    ('"s": Infinity', ["s must be >= 1"]),
+    ('"targets": [[NaN, 0.5]]', ["targets must be"]),
+    ('"s": true, "tol": true', ["s must be >= 1", "tol must be positive"]),
+    ('"tol": 1e400', ["tol must be positive"]),
+    ('"epsilon": 1' + "0" * 400, ["epsilon must be positive"]),
+    ('"targets": [[false, true]]', ["targets must be"]),
+])
+def test_parse_rejects_non_finite_and_boolean_numbers(fields, needles):
+    """json reads NaN, Infinity and 1e400 as non-finite floats and true as 1."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(SHEPARD_IRRATIONAL % fields)
+    errors = err.value.errors
+    assert len(errors) == len(needles)
+    assert all(e.startswith(n) for e, n in zip(errors, needles))
+
+
+@pytest.mark.parametrize("overrides,needle", [
+    ({"theta": {"rational": [True, 3]}}, "expected a pair of integers"),
+    ({"theta": {"irrational": ["inv_sqrt2"]}}, "unknown preset"),
+    ({"experiment": ["lagrange1d"]}, "experiment must be one of"),
+    ({"window": 10_001}, "window must lie in [2, 10000]"),
+    ({"schema_version": True}, "schema_version must be 1"),
+])
+def test_parse_rejects_wrong_types_and_window_caps(overrides, needle):
+    with pytest.raises(ConfigError) as err:
+        parse_config(make_config(**overrides))
+    assert any(needle in e for e in err.value.errors)
+
+
+def test_parse_overrides_replace_fields_before_the_checks():
+    cfg = parse_config(make_config(tol=0.5, out={"csv": "w.csv"}),
+                       {"tol": 0.01, "out": {"report": "r.json"}})
+    assert cfg.spec.tolerance == 0.01
+    assert (cfg.out_report, cfg.out_csv) == ("r.json", "w.csv")
+    with pytest.raises(ConfigError, match="checkpoints must be an integer >= 2"):
+        parse_config(make_config(), {"checkpoints": 0})
 
 
 def test_parse_rejects_s_below_one():
