@@ -23,13 +23,10 @@ from .harness import (
     ExperimentSpec,
     Prediction,
     PredictionTable,
+    build_table,
     check_product_rule,
     check_uniform_limit_rule,
     cluster_witness,
-    predict_lagrange_1d,
-    predict_lagrange_2d,
-    predict_shepard_1d,
-    predict_shepard_2d,
     product_measure,
     rotation_sequence,
     run_index_experiment,
@@ -67,13 +64,12 @@ __all__ = [
     "__version__", "ChebGrid", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
     "IRRATIONAL_VALUES", "IndexReport", "PointSpec", "Prediction", "PredictionTable",
     "Profile1D", "Profile2D", "SeqWindow", "ShepardParams", "StepFn1D", "StepFn2D",
-    "Target", "affine_jump_profile", "cheb_grid", "check_product_rule",
+    "Target", "affine_jump_profile", "build_table", "cheb_grid", "check_product_rule",
     "check_uniform_limit_rule", "cluster_witness", "complement_identity_check",
     "default_checkpoints", "eval_jump_decomposed", "fundamental_weight", "grid_offset",
     "hurwitz_zeta", "index_to_target", "jump_sequence", "jump_value_direct",
     "lagrange_eval_1d", "lagrange_eval_2d", "lagrange_jump_profile", "lerch_j1",
-    "offset_subsequence", "predict_lagrange_1d", "predict_lagrange_2d",
-    "predict_shepard_1d", "predict_shepard_2d", "preimage_measure_1d",
+    "offset_subsequence", "preimage_measure_1d",
     "preimage_measure_2d", "product_measure", "rotation_sequence",
     "run_index_experiment", "scan_decreasing", "shepard_eval_1d", "shepard_eval_2d",
     "shepard_jump_profile", "shepard_weights_1d", "sum_rule_check",

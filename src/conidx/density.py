@@ -334,13 +334,13 @@ def index_to_target(
 
 
 def sum_rule_check(win: SeqWindow, targets: Sequence[Target], epsilon: float,
-                   tol: float, checkpoints=None) -> bool:
+                   tol: float) -> bool:
     """Disjoint-target sum rule: the index estimates sum to at most 1 + tol.
 
     Raises if the eps-dilations overlap (the rule's hypothesis); also
     verifies the exact per-checkpoint identity sum(counts) <= cp^dim.
     """
-    cps = default_checkpoints(win.n_max) if checkpoints is None else np.asarray(checkpoints)
+    cps = default_checkpoints(win.n_max)
     dilations = [t.dilated(epsilon) for t in targets]
     flat = sorted(iv for d in dilations for iv in d)
     for (_, b1), (a2, _) in zip(flat, flat[1:]):

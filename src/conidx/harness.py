@@ -44,6 +44,12 @@ PROFILE_EPS = 0.005       # default dilation for measure-profile targets
 MAX_WINDOW_1D = 10_000
 MAX_WINDOW_2D = 3_000
 
+RULE_EPS = 0.01           # dilation and tolerance of the sequence-law checks
+RULE_TOL = 0.02
+SCAN_GRID = 32            # grid points per axis of a 2-d scan region
+SCAN_MIN_DISTANCE = 0.1   # scan regions keep this far from the jump set
+SCAN_SLACK = 0.2          # relative growth of a sup error a scan tolerates
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -129,7 +135,6 @@ def _factor_table(spec: PointSpec, profile: _JumpProfile, node=None) -> Predicti
     value at the jump, unless `node` gives its (value, label) instead.  An
     irrational point gives the measure profile.
     """
-    spec.require_interior()
     if not spec.is_rational:
         return PredictionTable(profile=profile.make())
     q = spec.q
@@ -147,8 +152,6 @@ def _corner_table(profile: _JumpProfile, spec_x: PointSpec,
     fill (0, 1], gives the lower bounds 1/q on [0, profile(j/q)].  Two
     irrational factors give the product measure profile.
     """
-    spec_x.require_interior()
-    spec_y.require_interior()
     rational = [spec for spec in (spec_x, spec_y) if spec.is_rational]
     name = profile.corner_name
     if not rational:
@@ -165,78 +168,24 @@ def _corner_table(profile: _JumpProfile, spec_x: PointSpec,
                    for m2, vy in enumerate(_arms(spec_y, profile))])
 
 
-def _edge_spec(spec_x: PointSpec, spec_y: PointSpec, where: str) -> PointSpec | None:
-    """The point spec of the factor an edge table reduces to; None at the corner."""
-    if where not in ("corner", "edge_x", "edge_y"):
-        raise ValueError(f"unknown case {where!r}")
-    return {"edge_x": spec_x, "edge_y": spec_y}.get(where)
+def _shepard_s1_table(factors: list[PointSpec]) -> PredictionTable:
+    """The stated s = 1 Shepard rows, which no profile gives.
 
-
-def predict_lagrange_1d(spec: PointSpec, d: float) -> PredictionTable:
-    """Clusters of L_n(jump step)(x0) at the jump.
-
-    Rational angle p/q pi: the node-hit arm converges to d and each offset
-    arm m/q to profile(m/q), all with index 1/q; equal values merge (so a d
-    chosen on the profile doubles that cluster's index).  Irrational angle:
-    the index of any interval A is the preimage measure under the profile.
+    One factor: the node arm tends to 1 with index 1/q, every other arm to
+    1/2.  At the corner the rows are the stated table, 1/2 with index
+    1/(q1 q2) over the rational factors and 1/4 with the rest, not the
+    products of the factor tables (README, "A known red check").  Without a
+    rational factor the whole index goes to the lower cluster.
     """
-    return _factor_table(spec, _LAGRANGE_PROFILE, node=(float(d), "d"))
-
-
-def predict_lagrange_2d(spec_x: PointSpec, spec_y: PointSpec,
-                        where: str = "corner") -> PredictionTable:
-    """Clusters of L_{n,m}(quadrant step) on the jump cross.
-
-    where: "edge_x" (x = x0, y above y0), "edge_y", or "corner".
-    """
-    edge = _edge_spec(spec_x, spec_y, where)
-    if edge is not None:
-        return _factor_table(edge, _LAGRANGE_PROFILE)
-    return _corner_table(_LAGRANGE_PROFILE, spec_x, spec_y)
-
-
-def predict_shepard_1d(s: float, spec: PointSpec) -> PredictionTable:
-    """Clusters of S_n(closed left indicator)(x0) at the jump.
-
-    For s > 1 the table mirrors the Lagrange shape with the power profile;
-    s = 1 is a distinct regime whose only non-node cluster is 1/2.
-    """
-    if s > 1.0:
-        return _factor_table(spec, _shepard_profile(s))
-    spec.require_interior()
-    if not spec.is_rational:
-        return PredictionTable(predictions=[Prediction(Target.point(0.5), 1.0, label="1/2")])
-    q = spec.q
-    return PredictionTable(predictions=[
-        Prediction(Target.point(1.0), 1.0 / q, label="node arm"),
-        Prediction(Target.point(0.5), 1.0 - 1.0 / q, label="1/2"),
-    ])
-
-
-def predict_shepard_2d(s: float, spec_x: PointSpec, spec_y: PointSpec,
-                       where: str = "corner") -> PredictionTable:
-    """Clusters of S_{n,m,s}(closed rectangle step) on the jump cross.
-
-    The s = 1 corner rows are the stated table, not the products of the
-    factor tables (README, "A known red check").
-    """
-    if s < 1.0:
-        raise ValueError("exponent s must be >= 1")
-    edge = _edge_spec(spec_x, spec_y, where)
-    if edge is not None:
-        return predict_shepard_1d(s, edge)
-    if s > 1.0:
-        return _corner_table(_shepard_profile(s), spec_x, spec_y)
-    spec_x.require_interior()
-    spec_y.require_interior()
-    rational = [spec.q for spec in (spec_x, spec_y) if spec.is_rational]
-    if not rational:
-        return PredictionTable(predictions=[Prediction(Target.point(0.25), 1.0, label="1/4")])
-    q = math.prod(rational)
-    return PredictionTable(predictions=[
-        Prediction(Target.point(0.5), 1.0 / q, label="1/2"),
-        Prediction(Target.point(0.25), 1.0 - 1.0 / q, label="1/4"),
-    ])
+    (high, high_label), (low, low_label) = (
+        ((1.0, "node arm"), (0.5, "1/2")) if len(factors) == 1
+        else ((0.5, "1/2"), (0.25, "1/4")))
+    q = math.prod(point.q for point in factors if point.is_rational)
+    rows = [(high, 1.0 / q, high_label), (low, 1.0 - 1.0 / q, low_label)]
+    if q == 1:  # no rational factor
+        rows = [(low, 1.0, low_label)]
+    return PredictionTable(predictions=[Prediction(Target.point(value), idx, label=label)
+                                        for value, idx, label in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +309,32 @@ def _classify_point(spec: ExperimentSpec) -> tuple[str, tuple[float, float | Non
 
 
 def build_table(spec: ExperimentSpec, where: str = "corner") -> PredictionTable:
-    if spec.operator == "lagrange1d":
-        return predict_lagrange_1d(spec.spec_x, spec.d)
-    if spec.operator == "shepard1d":
-        return predict_shepard_1d(spec.s, spec.spec_x)
-    if spec.operator == "lagrange2d":
-        return predict_lagrange_2d(spec.spec_x, spec.spec_y, where)
-    return predict_shepard_2d(spec.s, spec.spec_x, spec.spec_y, where)
+    """Predicted clusters of the experiment's operator on its jump cross.
+
+    where: "corner" (the jump point of a univariate operator), "edge_x"
+    (x = x0, y beyond y0) or "edge_y"; an edge reduces to the table of the
+    factor pinned there.  Rational factors give discrete clusters (for
+    Lagrange in 1-d the node-hit arm tends to the jump value d), irrational
+    ones a measure profile, and Shepard with s = 1 its stated rows.
+    """
+    factors = {"corner": [spec.spec_x, spec.spec_y], "edge_x": [spec.spec_x],
+               "edge_y": [spec.spec_y]}.get(where)
+    if factors is None:
+        raise ValueError(f"unknown case {where!r}")
+    if spec.spec_y is None:
+        factors = [spec.spec_x]
+    for point in factors:
+        point.require_interior()
+    shepard = spec.operator.startswith("shepard")
+    if shepard and spec.s < 1.0:
+        raise ValueError("exponent s must be >= 1")
+    if shepard and spec.s == 1.0:
+        return _shepard_s1_table(factors)
+    profile = _family(spec).profile(spec.s)
+    if len(factors) == 2:
+        return _corner_table(profile, *factors)
+    node = (float(spec.d), "d") if spec.operator == "lagrange1d" else None
+    return _factor_table(factors[0], profile, node)
 
 
 def generate_window(spec: ExperimentSpec) -> SeqWindow:
@@ -431,6 +399,11 @@ def run_index_experiment(spec: ExperimentSpec,
     """
     where, eval_xy = _classify_point(spec)
     table = build_table(spec, where)
+    if table.profile is not None and not spec.targets:
+        raise ValueError("irrational case: supply interval targets to measure")
+    if table.profile is None and spec.targets:
+        raise ValueError("interval targets apply only to measure-profile "
+                         "(irrational) cases; this case predicts discrete clusters")
     if window is not None and window.n_max != spec.window:
         raise ValueError("supplied window size disagrees with the experiment spec")
     win = window if window is not None else generate_window(spec)
@@ -439,8 +412,6 @@ def run_index_experiment(spec: ExperimentSpec,
     cps = default_checkpoints(spec.window, spec.checkpoint_count)
     reports: list[IndexReport] = []
     if table.profile is not None:
-        if not spec.targets:
-            raise ValueError("irrational case: supply interval targets to measure")
         eps = spec.epsilon if spec.epsilon is not None else PROFILE_EPS
         for a, b in spec.targets:
             target = Target.interval_union([(a, b)])
@@ -454,9 +425,6 @@ def run_index_experiment(spec: ExperimentSpec,
             reports.append(rep)
         return ExperimentResult(spec=spec, table=table, epsilon=eps,
                                 reports=reports, residual_mass=None, window=win)
-    if spec.targets:
-        raise ValueError("interval targets apply only to measure-profile "
-                         "(irrational) cases; this case predicts discrete clusters")
     eps = spec.epsilon if spec.epsilon is not None else _auto_epsilon(table)
     dilated_union: list[tuple[float, float]] = []
     for pred in table.predictions:
@@ -567,36 +535,34 @@ def product_measure(a: float, b: float) -> float:
 
 
 def check_product_rule(alpha: PointSpec | str, gamma: PointSpec | str,
-                       interval: tuple[float, float], n_max: int,
-                       epsilon: float = 0.01, tolerance: float = 0.02) -> IndexReport:
+                       interval: tuple[float, float], n_max: int) -> IndexReport:
     """Index of x_n * y_m for two rotations against the closed-form measure."""
     u = rotation_sequence(alpha, 0.0, n_max).values
     v = rotation_sequence(gamma, 0.0, n_max).values
     win = SeqWindow.from_product(u, v)
     a, b = interval
     target = Target.interval_union([(a, b)])
-    rep = index_to_target(win, target, epsilon, default_checkpoints(n_max))
-    rep.judge(product_measure(a, b), tolerance)
+    rep = index_to_target(win, target, RULE_EPS, default_checkpoints(n_max))
+    rep.judge(product_measure(a, b), RULE_TOL)
     rep.notes["kind"] = "product-rule"
     return rep
 
 
-def check_uniform_limit_rule(n_max: int, interval: tuple[float, float] = (0.0, 0.5),
-                             alpha: str = "sqrt2_minus_1", epsilon: float = 0.01,
-                             tolerance: float = 0.02) -> IndexReport:
-    """x_{n,m} = y_n + 1/m converges to y_n uniformly in n along all m.
+def check_uniform_limit_rule(n_max: int) -> IndexReport:
+    """x_{n,m} = y_n + 1/m, with y_n the sqrt2_minus_1 rotation, converges to
+    y_n uniformly in n along all m.
 
-    The index of the double sequence to any target must then be at least
-    the index of y_n to it (the approximating subsequence has density 1).
+    The index of the double sequence to [0, 1/2] must then be at least the
+    index of y_n to it (the approximating subsequence has density 1).
     """
-    y = rotation_sequence(alpha, 0.0, n_max).values
+    y = rotation_sequence("sqrt2_minus_1", 0.0, n_max).values
     cps = default_checkpoints(n_max)
-    target = Target.interval_union([interval])
-    rep_1d = index_to_target(SeqWindow.from_values_1d(y), target, epsilon, cps)
+    target = Target.interval_union([(0.0, 0.5)])
+    rep_1d = index_to_target(SeqWindow.from_values_1d(y), target, RULE_EPS, cps)
     m = np.arange(1, n_max + 1, dtype=float)
     matrix = y[:, None] + 1.0 / m[None, :]
-    rep_2d = index_to_target(SeqWindow.from_matrix(matrix), target, epsilon, cps)
-    rep_2d.judge(rep_1d.estimate.lower_est, tolerance, lower_bound=True)
+    rep_2d = index_to_target(SeqWindow.from_matrix(matrix), target, RULE_EPS, cps)
+    rep_2d.judge(rep_1d.estimate.lower_est, RULE_TOL, lower_bound=True)
     rep_2d.notes["kind"] = "uniform-limit-rule"
     rep_2d.notes["index_1d"] = rep_1d.estimate.lower_est
     return rep_2d
@@ -620,29 +586,29 @@ def _rect_distance_to_cross(rect, segs) -> float:
                for ax, ay, bx, by in segs)
 
 
-def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list,
-                             grid: int = 32, min_distance: float = 0.1):
+def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list):
     """Sup of |operator - step| over grids on regions avoiding the jump set.
 
-    1-d regions are intervals (a, b); 2-d regions are rectangles
-    (x_lo, x_hi, y_lo, y_hi).  Returns one row per (region, n) with the sup
-    error; regions closer than min_distance to the jump set are rejected.
+    1-d regions are intervals (a, b) on a grid of 2 * SCAN_GRID points; 2-d
+    regions are rectangles (x_lo, x_hi, y_lo, y_hi) on a SCAN_GRID square
+    grid.  Returns one row per (region, n) with the sup error; regions
+    closer than SCAN_MIN_DISTANCE to the jump set are rejected.
     """
     fam = _family(spec)
     x0, y0 = _jump_xy(spec)
     if spec.spec_y is None:
         # an interval is a flat rectangle, and the jump a point on its axis
-        steps, size, segs = [fam.step(x0, spec.d)], 2 * grid, [(x0, 0.0, x0, 0.0)]
+        steps, size, segs = [fam.step(x0, spec.d)], 2 * SCAN_GRID, [(x0, 0.0, x0, 0.0)]
     else:
         # the jump cross runs from the corner to the far sides of the square
         far = 1.0 if fam.side > 0 else 0.0
-        steps, size = [fam.step(x0, 1.0), fam.step(y0, 1.0)], grid
+        steps, size = [fam.step(x0, 1.0), fam.step(y0, 1.0)], SCAN_GRID
         segs = [(x0, y0, x0, far), (x0, y0, far, y0)]
     rows = []
     for region in regions:
         rect = tuple(region) if len(region) == 4 else (*region, 0.0, 0.0)
-        if _rect_distance_to_cross(rect, segs) < min_distance:
-            raise ValueError(f"region {region} is within {min_distance} of the jump set")
+        if _rect_distance_to_cross(rect, segs) < SCAN_MIN_DISTANCE:
+            raise ValueError(f"region {region} is within {SCAN_MIN_DISTANCE} of the jump set")
         axes = [np.linspace(lo, hi, size) for lo, hi in zip(region[::2], region[1::2])]
         exact = reduce(np.multiply.outer, [f(ts) for f, ts in zip(steps, axes)])
         for n in n_list:
@@ -654,14 +620,14 @@ def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list,
     return rows
 
 
-def scan_decreasing(rows, slack: float = 0.2) -> bool:
-    """True when, per region, sup errors never grow by more than the slack."""
+def scan_decreasing(rows) -> bool:
+    """True when, per region, sup errors never grow by more than SCAN_SLACK."""
     by_region: dict[tuple, list[tuple[int, float]]] = {}
     for row in rows:
         by_region.setdefault(row["region"], []).append((row["n"], row["sup_error"]))
     for seq in by_region.values():
         seq.sort()
         for (_, e1), (_, e2) in zip(seq, seq[1:]):
-            if e2 > e1 * (1.0 + slack):
+            if e2 > e1 * (1.0 + SCAN_SLACK):
                 return False
     return True

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .density import IndexReport, SeqWindow
-from .harness import ExperimentResult, ExperimentSpec
+from .harness import MAX_WINDOW_1D, ExperimentResult, ExperimentSpec
 from .points import IRRATIONAL_VALUES, PointSpec
 
 
@@ -45,13 +45,15 @@ _KNOWN_FIELDS = {
     "cross_check", "out", "cache_dir",
 }
 # name: (default, integer, requirement, check).  window has no default, and
-# epsilon's default None (absent or null) lets the harness derive it.
+# epsilon's default None (absent or null) lets the harness derive it.  No
+# window has more distinct checkpoints than the largest window, MAX_WINDOW_1D.
 _NUMBER_FIELDS = {
     "window": (None, True, "an integer >= 2", lambda v: v >= 2),
     "s": (2.0, False, ">= 1", lambda v: v >= 1),
     "d": (1.0, False, "a number", lambda v: True),
     "epsilon": (None, False, "positive", lambda v: v > 0),
-    "checkpoints": (16, True, "an integer >= 2", lambda v: v >= 2),
+    "checkpoints": (16, True, f"an integer >= 2 and <= {MAX_WINDOW_1D}",
+                    lambda v: 2 <= v <= MAX_WINDOW_1D),
     "tol": (0.03, False, "positive", lambda v: v > 0),
 }
 
@@ -394,12 +396,8 @@ class SequenceCache:
             return None
         try:
             with np.load(path) as data:
-                if "u" in data:
-                    win = SeqWindow.from_product(data["u"], data["v"])
-                else:
-                    values = data["values"]
-                    win = (SeqWindow.from_values_1d(values) if values.ndim == 1
-                           else SeqWindow.from_matrix(values))
+                win = (SeqWindow.from_product(data["u"], data["v"]) if "u" in data
+                       else SeqWindow.from_values_1d(data["values"]))
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None
         dim = 2 if spec.operator.endswith("2d") else 1

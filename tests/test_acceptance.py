@@ -266,7 +266,7 @@ def test_criterion_10_uniform_convergence():
 
 
 def test_criterion_11_property_suite():
-    res = suites.check_randomized_properties(100)
+    res = suites.check_randomized_properties()
     report("criterion 11 (randomized properties)", res.passed,
            f"{res.detail}; runtime {res.runtime_s:.1f}s")
     assert res.passed

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conidx import profiles
-from conidx.harness import predict_lagrange_2d
+from conidx.harness import ExperimentSpec, build_table
 from conidx.points import PointSpec
 from conidx.profiles import (
     BISECT_TOL,
@@ -260,8 +260,9 @@ def test_corner_bisection_evaluates_distinct_midpoints_only():
     The old loop evaluated 36 levels x 4096 slices per interval end; sharing
     midpoints evaluates 37-40% of that.
     """
-    table = predict_lagrange_2d(PointSpec.irrational("inv_sqrt2"),
-                                PointSpec.irrational("golden_frac"))
+    table = build_table(ExperimentSpec(operator="lagrange2d",
+                                       spec_x=PointSpec.irrational("inv_sqrt2"),
+                                       spec_y=PointSpec.irrational("golden_frac")))
     fy = table.profile.fy
     calls = []
 

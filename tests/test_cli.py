@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conidx import suites
 from conidx.cli import main
 from conidx.suites import CheckResult
 
@@ -163,7 +164,8 @@ def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--checkpoints", "0"], ["--checkpoints", "1"],
                                    ["--tol", "-1"], ["--tol", "nan"],
-                                   ["--epsilon", "nan"], ["--epsilon", "inf"]])
+                                   ["--epsilon", "nan"], ["--epsilon", "inf"],
+                                   ["--checkpoints", "10001"]])
 def test_index_flags_are_checked_like_config_fields(tmp_path, capsys, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
@@ -229,3 +231,11 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_unknown_suite_is_rejected_before_any_check_runs(monkeypatch):
+    experiments = []
+    monkeypatch.setattr(suites, "run_index_experiment", experiments.append)
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        suites.run_suites(["lagrange2", "nonsense"])
+    assert experiments == []

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from conidx.density import SeqWindow, Target, default_checkpoints, index_to_target
+from conidx import harness
 from conidx.harness import (
     ExperimentSpec,
+    build_table,
     check_product_rule,
     check_uniform_limit_rule,
     cluster_witness,
-    predict_lagrange_1d,
-    predict_lagrange_2d,
-    predict_shepard_1d,
-    predict_shepard_2d,
     product_measure,
     rotation_sequence,
     run_index_experiment,
@@ -31,8 +29,26 @@ IRR = PointSpec.irrational("inv_sqrt2")
 # prediction tables
 
 
+def lagrange_1d(spec, d):
+    return build_table(ExperimentSpec(operator="lagrange1d", spec_x=spec, d=d))
+
+
+def lagrange_2d(spec_x, spec_y, where="corner"):
+    return build_table(ExperimentSpec(operator="lagrange2d", spec_x=spec_x, spec_y=spec_y),
+                       where)
+
+
+def shepard_1d(s, spec):
+    return build_table(ExperimentSpec(operator="shepard1d", spec_x=spec, s=s))
+
+
+def shepard_2d(s, spec_x, spec_y, where="corner"):
+    return build_table(ExperimentSpec(operator="shepard2d", spec_x=spec_x, spec_y=spec_y,
+                                      s=s), where)
+
+
 def test_lagrange_1d_table_rational():
-    table = predict_lagrange_1d(THIRD, d=1.0)
+    table = lagrange_1d(THIRD, d=1.0)
     values = sorted(p.target.value for p in table.predictions)
     want = sorted([1.0, lagrange_jump_profile(1 / 3), lagrange_jump_profile(2 / 3)])
     assert values == pytest.approx(want, abs=1e-12)
@@ -41,7 +57,7 @@ def test_lagrange_1d_table_rational():
 
 def test_lagrange_1d_table_merges_matching_d():
     # d landing on a profile value doubles that cluster's index
-    table = predict_lagrange_1d(HALF, d=0.5)
+    table = lagrange_1d(HALF, d=0.5)
     assert len(table.predictions) == 1
     only = table.predictions[0]
     assert only.target.value == pytest.approx(0.5)
@@ -49,13 +65,13 @@ def test_lagrange_1d_table_merges_matching_d():
 
 
 def test_lagrange_1d_table_irrational_carries_profile():
-    table = predict_lagrange_1d(IRR, d=1.0)
+    table = lagrange_1d(IRR, d=1.0)
     assert table.profile is not None
     assert not table.predictions
 
 
 def test_lagrange_2d_corner_table():
-    table = predict_lagrange_2d(THIRD, HALF, "corner")
+    table = lagrange_2d(THIRD, HALF, "corner")
     assert len(table.predictions) == 6
     assert all(p.index == pytest.approx(1.0 / 6.0) for p in table.predictions)
     total = sum(p.index for p in table.predictions)
@@ -63,14 +79,14 @@ def test_lagrange_2d_corner_table():
 
 
 def test_lagrange_2d_edge_table_has_unit_arm():
-    table = predict_lagrange_2d(THIRD, HALF, "edge_x")
+    table = lagrange_2d(THIRD, HALF, "edge_x")
     values = sorted(p.target.value for p in table.predictions)
     assert values[-1] == pytest.approx(1.0)   # offset-zero arm: profile(0) = 1
     assert len(values) == 3
 
 
 def test_lagrange_2d_mixed_corner_lower_bounds():
-    table = predict_lagrange_2d(THIRD, IRR, "corner")
+    table = lagrange_2d(THIRD, IRR, "corner")
     assert len(table.predictions) == 3
     for pred in table.predictions:
         assert pred.lower_bound_only
@@ -81,34 +97,34 @@ def test_lagrange_2d_mixed_corner_lower_bounds():
 
 
 def test_lagrange_2d_double_irrational_profile():
-    table = predict_lagrange_2d(IRR, PointSpec.irrational("golden_frac"), "corner")
+    table = lagrange_2d(IRR, PointSpec.irrational("golden_frac"), "corner")
     assert isinstance(table.profile, Profile2D)
 
 
 def test_shepard_tables_s1():
-    edge = predict_shepard_1d(1.0, HALF)
+    edge = shepard_1d(1.0, HALF)
     got = {p.target.value: p.index for p in edge.predictions}
     assert got == {1.0: pytest.approx(0.5), 0.5: pytest.approx(0.5)}
-    corner = predict_shepard_2d(1.0, HALF, HALF, "corner")
+    corner = shepard_2d(1.0, HALF, HALF, "corner")
     got = {p.target.value: p.index for p in corner.predictions}
     assert got[0.5] == pytest.approx(0.25)
     assert got[0.25] == pytest.approx(0.75)
-    mixed = predict_shepard_2d(1.0, HALF, IRR, "corner")
+    mixed = shepard_2d(1.0, HALF, IRR, "corner")
     got = {p.target.value: p.index for p in mixed.predictions}
     assert got[0.5] == pytest.approx(0.5)
-    both = predict_shepard_2d(1.0, IRR, IRR, "corner")
+    both = shepard_2d(1.0, IRR, IRR, "corner")
     assert both.predictions[0].target.value == 0.25
     assert both.predictions[0].index == 1.0
 
 
 def test_shepard_tables_s2_mirror_lagrange_shape():
-    table = predict_shepard_2d(2.0, THIRD, HALF, "corner")
+    table = shepard_2d(2.0, THIRD, HALF, "corner")
     assert len(table.predictions) == 6
     assert all(p.index == pytest.approx(1.0 / 6.0) for p in table.predictions)
-    edge = predict_shepard_2d(2.0, THIRD, HALF, "edge_y")
+    edge = shepard_2d(2.0, THIRD, HALF, "edge_y")
     assert {round(p.target.value, 6) for p in edge.predictions} == {0.5, 1.0}
     # an irrational edge coordinate turns the table into a measure profile
-    irr_edge = predict_shepard_2d(2.0, THIRD, IRR, "edge_y")
+    irr_edge = shepard_2d(2.0, THIRD, IRR, "edge_y")
     assert irr_edge.profile is not None and irr_edge.profile.kind.startswith("shepard")
 
 
@@ -116,14 +132,20 @@ def test_table_rejects_inseparable_clusters():
     # a jump value within 2e-3 of a profile cluster cannot be told apart
     bad_d = lagrange_jump_profile(1 / 3) + 1e-3
     with pytest.raises(ValueError, match="closer than"):
-        predict_lagrange_1d(THIRD, d=bad_d)
+        lagrange_1d(THIRD, d=bad_d)
 
 
 def test_tables_reject_endpoint_specs():
     with pytest.raises(ValueError):
-        predict_lagrange_1d(PointSpec.rational(0, 1), d=1.0)
+        lagrange_1d(PointSpec.rational(0, 1), d=1.0)
     with pytest.raises(ValueError):
-        predict_shepard_1d(2.0, PointSpec.rational(1, 1))
+        shepard_1d(2.0, PointSpec.rational(1, 1))
+
+
+def test_shepard_tables_reject_s_below_one_in_1d_and_2d():
+    for table in (lambda: shepard_1d(0.5, HALF), lambda: shepard_2d(0.5, HALF, HALF)):
+        with pytest.raises(ValueError, match="exponent s must be >= 1"):
+            table()
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +247,31 @@ def test_lagrange_double_irrational_corner_measure():
     assert rep.verdict == "pass"
 
 
-def test_profile_case_requires_targets():
-    spec = ExperimentSpec(operator="lagrange1d", spec_x=IRR, window=300)
-    with pytest.raises(ValueError, match="targets"):
-        run_index_experiment(spec)
+def count_windows(monkeypatch) -> list:
+    """Record each generate_window call the harness makes."""
+    calls = []
+    generate = harness.generate_window
+    monkeypatch.setattr(harness, "generate_window",
+                        lambda spec: calls.append(spec) or generate(spec))
+    return calls
 
 
-def test_discrete_case_rejects_targets():
+def test_profile_case_requires_targets(monkeypatch):
+    calls = count_windows(monkeypatch)
+    for spec in (ExperimentSpec(operator="lagrange1d", spec_x=IRR, window=300),
+                 ExperimentSpec(operator="shepard1d", spec_x=IRR, s=2.0, window=300)):
+        with pytest.raises(ValueError, match="targets"):
+            run_index_experiment(spec)
+    assert calls == []  # the config error comes before the window is built
+
+
+def test_discrete_case_rejects_targets(monkeypatch):
+    calls = count_windows(monkeypatch)
     spec = ExperimentSpec(operator="lagrange1d", spec_x=THIRD, window=300,
                           targets=[(0.2, 0.4)])
     with pytest.raises(ValueError, match="measure-profile"):
         run_index_experiment(spec)
+    assert calls == []
 
 
 def test_window_values_must_be_finite():

@@ -139,6 +139,7 @@ def test_parse_rejects_non_finite_and_boolean_numbers(fields, needles):
     ({"experiment": ["lagrange1d"]}, "experiment must be one of"),
     ({"window": 10_001}, "window must lie in [2, 10000]"),
     ({"schema_version": True}, "schema_version must be 1"),
+    ({"checkpoints": 10_001}, "checkpoints must be an integer >= 2 and <= 10000"),
 ])
 def test_parse_rejects_wrong_types_and_window_caps(overrides, needle):
     with pytest.raises(ConfigError) as err:
@@ -320,3 +321,8 @@ def test_cache_entry_of_the_wrong_shape_is_a_miss(tmp_path):
     assert cache.load(spec) is None
     cache.store(spec, SeqWindow.from_values_1d(np.zeros(spec.window)))
     assert cache.load(spec) is not None
+    # store writes product windows only, so a full matrix is never served
+    spec_2d = parse_config(make_config(experiment="lagrange2d",
+                                       gamma={"rational": [1, 2]})).to_experiment_spec()
+    np.savez(cache.path_for(spec_2d), values=np.zeros((spec_2d.window, spec_2d.window)))
+    assert cache.load(spec_2d) is None
