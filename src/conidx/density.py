@@ -177,18 +177,17 @@ class SeqWindow:
         """Counts of indices with value in the open interval union, per checkpoint.
 
         An interval end may be infinite: (c, inf) counts the values above c.
+        Checkpoints are indices in 1..n_max, in any order.
         """
         cps = np.asarray(checkpoints, dtype=int)
-        if cps[-1] > self.n_max:
-            raise ValueError(f"checkpoint {cps[-1]} exceeds window size {self.n_max}")
+        if cps.ndim != 1 or cps.size == 0 or cps.min() < 1 or cps.max() > self.n_max:
+            raise ValueError(f"checkpoints must be one or more indices in 1..{self.n_max}")
         if self.dim == 1:
             mask = _interval_mask(self.values, intervals)
             return mask.cumsum()[cps - 1]
         if self.factors is not None:
             return _product_counts(self.factors[0], self.factors[1], intervals, cps)
-        mask = _interval_mask(self.values, intervals)
-        pref = mask.cumsum(axis=0).cumsum(axis=1)
-        return pref[cps - 1, cps - 1]
+        return _matrix_counts(self.values, intervals, cps)
 
 
 def _interval_mask(values: np.ndarray, intervals) -> np.ndarray:
@@ -196,6 +195,26 @@ def _interval_mask(values: np.ndarray, intervals) -> np.ndarray:
     for lo, hi in intervals:
         mask |= (values > lo) & (values < hi)
     return mask
+
+
+def _matrix_counts(values: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:
+    """Pairs (n,m) <= cp with values[n,m] in the open interval union, per checkpoint.
+
+    A checkpoint's square grows from the previous one's by an L: its rows
+    against the columns up to it, and its columns against the earlier rows.
+    Counting each L straight from the mask needs no prefix table.
+    """
+    levels, slot = np.unique(cps, return_inverse=True)
+    size = int(levels[-1])
+    mask = _interval_mask(values[:size, :size], intervals)
+    counts = np.empty(levels.size, dtype=np.int64)
+    total, prev = 0, 0
+    for i, cp in enumerate(levels):
+        total += (np.count_nonzero(mask[prev:cp, :cp])
+                  + np.count_nonzero(mask[:prev, prev:cp]))
+        counts[i] = total
+        prev = cp
+    return counts[slot]
 
 
 def _product_counts(u: np.ndarray, v: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:

@@ -7,8 +7,12 @@ parity in the test itself; the tabulated table it contradicts stays on
 record as the failing `conidx verify shepard` check.
 """
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,8 @@ from conidx.profiles import (
 )
 from conidx.shepard import ShepardParams, shepard_eval_2d, shepard_weights_1d
 from conidx.stepfn import StepFn2D
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -235,15 +241,41 @@ def test_criterion_09_product_rule_and_mc():
     want = (1.0 + math.log(2.0)) / 2.0
     prof = Profile2D(Profile1D.identity(), Profile1D.identity())
     measure = preimage_measure_2d(prof, [(0.0, 0.5)])
-    rng = np.random.default_rng(suites.SEED)
-    xy = rng.random((10_000_000, 2))
-    mc = float(np.count_nonzero(xy[:, 0] * xy[:, 1] <= 0.5)) / 10_000_000
+    mc = suites.monte_carlo_products_at_most(0.5) / suites.MC_PAIRS
     ok = abs(rep.estimate.lower_est - want) <= 0.02 and abs(measure - mc) <= 5e-3
     report("criterion 9 (product rule + MC)", ok,
            f"index {rep.estimate.lower_est:.4f} vs {want:.4f}; "
            f"measure {measure:.5f} vs MC {mc:.5f}")
     assert rep.estimate.lower_est == pytest.approx(want, abs=0.02)
     assert measure == pytest.approx(mc, abs=5e-3)
+
+
+@pytest.mark.parametrize("block", [7, 999, 4096, 1 << 16, 100_000, 250_000])
+@pytest.mark.parametrize("c", [0.5, 0.2])
+def test_streamed_monte_carlo_equals_one_shot_draw(c, block):
+    rng = np.random.default_rng(suites.SEED)
+    xy = rng.random((100_000, 2))
+    want = int(np.count_nonzero(xy[:, 0] * xy[:, 1] <= c))
+    assert suites.monte_carlo_products_at_most(c, 100_000, block) == want
+
+
+def test_rule_checks_run_in_bounded_memory():
+    # VmHWM is the peak resident set of the child's own address space; its
+    # ru_maxrss would also carry the peak of this process, the one it was
+    # started from, across the exec
+    script = ("from conidx import suites\n"
+              "assert suites.check_product_rule_and_measure().passed\n"
+              "assert suites.check_uniform_limit_rule().passed\n"
+              "status = open('/proc/self/status').read()\n"
+              "print(status.split('VmHWM:')[1].split()[0])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout) / 1024.0
+    assert peak_mb < 150.0
 
 
 def test_criterion_10_uniform_convergence():

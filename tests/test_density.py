@@ -152,6 +152,30 @@ def test_index_checkpoint_must_fit_window():
         index_to_target(win, Target.point(0.0), 0.1, [50, 200])
 
 
+def ten_value_windows():
+    values = np.linspace(-1.0, 1.0, 10)
+    return [SeqWindow.from_values_1d(values), SeqWindow.from_product(values, values),
+            SeqWindow.from_matrix(np.outer(values, values))]
+
+
+@pytest.mark.parametrize("checkpoints", [[0], [-1], [11], [12, 3], [3, 0, 5], []],
+                         ids=["zero", "negative", "past-end", "unsorted-past-end",
+                              "unsorted-zero", "none"])
+def test_hit_counts_rejects_checkpoints_outside_the_window(checkpoints):
+    # a check on the last checkpoint alone misses all but "past-end": 0
+    # would read index -1, the whole window in two forms and 0 in the third
+    for win in ten_value_windows():
+        with pytest.raises(ValueError, match=r"checkpoints must be .* in 1\.\.10"):
+            win.hit_counts([(-0.5, 0.5)], checkpoints)
+
+
+def test_hit_counts_take_checkpoints_in_any_order():
+    for win in ten_value_windows():
+        ordered = win.hit_counts([(-0.5, 0.5)], [1, 3, 7, 10])
+        assert np.array_equal(win.hit_counts([(-0.5, 0.5)], [10, 3, 7, 3, 1]),
+                              ordered[[3, 1, 2, 1, 0]])
+
+
 def test_epsilon_monotonicity():
     win = cos_product_window(800)
     cps = default_checkpoints(800)
@@ -244,6 +268,39 @@ def test_product_counts_at_a_product_tie():
     # an empty open interval at a product counts nothing, not minus one
     single = SeqWindow.from_product(np.array([1.0]), np.array([0.5]))
     assert single.hit_counts([(0.5, 0.5)], [1])[0] == 0
+
+
+def ref_matrix_counts(values, intervals, cps):
+    """Reference full-matrix counts: the 2-d prefix table of the mask (two
+    N x N int64 tables), read on its diagonal."""
+    mask = np.zeros(values.shape, dtype=bool)
+    for lo, hi in intervals:
+        mask |= (values > lo) & (values < hi)
+    return mask.cumsum(axis=0).cumsum(axis=1)[cps - 1, cps - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_matrix_counts_match_prefix_table_property(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    entries = data.draw(st.lists(FACTOR, min_size=n * n, max_size=n * n), label="values")
+    values = np.array(entries).reshape(n, n)
+    end = st.one_of(st.sampled_from(entries), st.floats(-20.0, 20.0), INFINITE)
+    ends = sorted(data.draw(st.lists(end, min_size=2, max_size=8), label="ends"))
+    intervals = list(zip(ends[::2], ends[1::2]))
+    cps = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6),
+                             label="checkpoints"))
+    got = SeqWindow.from_matrix(values).hit_counts(intervals, cps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref_matrix_counts(values, intervals, cps))
+
+
+def test_matrix_counts_match_prefix_table_at_default_checkpoints():
+    values = np.random.default_rng(11).normal(size=(300, 300))
+    cps = default_checkpoints(300)
+    for intervals in ([(-0.4, 0.3)], [(-np.inf, -1.0), (0.5, np.inf)], [(2.0, 1.0)]):
+        got = SeqWindow.from_matrix(values).hit_counts(intervals, cps)
+        assert np.array_equal(got, ref_matrix_counts(values, intervals, cps))
 
 
 def test_target_validation():
