@@ -200,21 +200,12 @@ def _interval_mask(values: np.ndarray, intervals) -> np.ndarray:
 def _matrix_counts(values: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:
     """Pairs (n,m) <= cp with values[n,m] in the open interval union, per checkpoint.
 
-    A checkpoint's square grows from the previous one's by an L: its rows
-    against the columns up to it, and its columns against the earlier rows.
-    Counting each L straight from the mask needs no prefix table.
+    Each checkpoint's top-left square is counted straight from the mask, so
+    no prefix table is built.
     """
-    levels, slot = np.unique(cps, return_inverse=True)
-    size = int(levels[-1])
+    size = int(cps.max())
     mask = _interval_mask(values[:size, :size], intervals)
-    counts = np.empty(levels.size, dtype=np.int64)
-    total, prev = 0, 0
-    for i, cp in enumerate(levels):
-        total += (np.count_nonzero(mask[prev:cp, :cp])
-                  + np.count_nonzero(mask[:prev, prev:cp]))
-        counts[i] = total
-        prev = cp
-    return counts[slot]
+    return np.array([np.count_nonzero(mask[:cp, :cp]) for cp in cps], dtype=np.int64)
 
 
 def _product_counts(u: np.ndarray, v: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:

@@ -108,12 +108,12 @@ def check_special_functions():
 
 
 MC_PAIRS = 10_000_000
+MC_BOUND = 0.5
 
 
-def monte_carlo_products_at_most(c: float, pairs: int = MC_PAIRS,
-                                 block: int = 1 << 16) -> int:
+def monte_carlo_hits(pairs: int = MC_PAIRS, block: int = 1 << 16) -> int:
     """How many of the first `pairs` uniform pairs (x, y) of
-    default_rng(SEED) have x * y <= c.
+    default_rng(SEED) have x * y <= MC_BOUND.
 
     The pairs are drawn `block` at a time into one buffer.  Generator.random
     fills its output in C order, so the blocks are the rows of the one-shot
@@ -127,7 +127,7 @@ def monte_carlo_products_at_most(c: float, pairs: int = MC_PAIRS,
         xy = buf[: min(block, pairs - start)]
         rng.random(out=xy)
         p = np.multiply(xy[:, 0], xy[:, 1], out=prod[: len(xy)])
-        hits += int(np.count_nonzero(p <= c))
+        hits += int(np.count_nonzero(p <= MC_BOUND))
     return hits
 
 
@@ -138,7 +138,7 @@ def check_product_rule_and_measure():
     rep = harness.check_product_rule("sqrt2_minus_1", "golden_frac", (0.0, 0.5), 1500)
     prof = Profile2D(Profile1D.identity(), Profile1D.identity())
     meas = preimage_measure_2d(prof, [(0.0, 0.5)])
-    mc = monte_carlo_products_at_most(0.5) / MC_PAIRS
+    mc = monte_carlo_hits() / MC_PAIRS
     truth = harness.product_measure(0.0, 0.5)
     ok = rep.verdict == "pass" and abs(meas - mc) <= 5e-3 and abs(meas - truth) <= 1e-6
     return ok, (f"index={rep.estimate.lower_est:.4f} vs {truth:.4f}; "
