@@ -58,7 +58,7 @@ def complement_identity_check(indicator: SeqWindow, checkpoints) -> bool:
     identity is checked exactly.  The ratio identity then holds up to one
     rounding of each division, so it is checked to 1e-12.
     """
-    cps = np.asarray(checkpoints, dtype=int)
+    cps = np.asarray(checkpoints)
     dim = indicator.dim
     est, est_c = (DensityEstimate.from_counts(cps, indicator.hit_counts([iv], cps), dim)
                   for iv in ((0.5, 1.5), (-0.5, 0.5)))
@@ -135,15 +135,16 @@ class Target:
 class SeqWindow:
     """Evaluated finite prefix of a single or double sequence.
 
-    Double sequences are stored either as a full matrix or, when the
-    sequence is a declared product x[n,m] = u[n]*v[m], as the two factor
-    arrays; product-form counting then never materializes the matrix.
+    A double sequence is stored in factor form x[n,m] = op(u[n], v[m]), op
+    np.multiply (`from_product`) or np.add (`from_sum`), as the two factor
+    arrays; counting never materializes the matrix.
     """
 
     dim: int
     n_max: int
     values: np.ndarray | None = None
     factors: tuple[np.ndarray, np.ndarray] | None = None
+    op: np.ufunc = np.multiply
 
     @classmethod
     def from_values_1d(cls, values) -> "SeqWindow":
@@ -156,71 +157,56 @@ class SeqWindow:
 
     @classmethod
     def from_product(cls, u, v) -> "SeqWindow":
+        return cls._from_factors(u, v, np.multiply)
+
+    @classmethod
+    def from_sum(cls, u, v) -> "SeqWindow":
+        return cls._from_factors(u, v, np.add)
+
+    @classmethod
+    def _from_factors(cls, u, v, op: np.ufunc) -> "SeqWindow":
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError("factor arrays must be 1-d of equal length")
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("window values must be finite")
-        return cls(dim=2, n_max=u.size, factors=(u, v))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "SeqWindow":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("window values must be finite")
-        return cls(dim=2, n_max=m.shape[0], values=m)
+        return cls(dim=2, n_max=u.size, factors=(u, v), op=op)
 
     def hit_counts(self, intervals, checkpoints) -> np.ndarray:
         """Counts of indices with value in the open interval union, per checkpoint.
 
         An interval end may be infinite: (c, inf) counts the values above c.
-        Checkpoints are indices in 1..n_max, in any order.
+        Checkpoints are integral indices in 1..n_max, in any order.
         """
-        cps = np.asarray(checkpoints, dtype=int)
-        if cps.ndim != 1 or cps.size == 0 or cps.min() < 1 or cps.max() > self.n_max:
+        cps = np.asarray(checkpoints)
+        if (cps.ndim != 1 or cps.size == 0
+                or not np.all((cps >= 1) & (cps <= self.n_max) & (cps == np.floor(cps)))):
             raise ValueError(f"checkpoints must be one or more indices in 1..{self.n_max}")
+        cps = cps.astype(np.int64)
         if self.dim == 1:
-            mask = _interval_mask(self.values, intervals)
+            mask = np.zeros(self.values.shape, dtype=bool)
+            for lo, hi in intervals:
+                mask |= (self.values > lo) & (self.values < hi)
             return mask.cumsum()[cps - 1]
-        if self.factors is not None:
-            return _product_counts(self.factors[0], self.factors[1], intervals, cps)
-        return _matrix_counts(self.values, intervals, cps)
+        return _factor_counts(*self.factors, self.op, intervals, cps)
 
 
-def _interval_mask(values: np.ndarray, intervals) -> np.ndarray:
-    mask = np.zeros(values.shape, dtype=bool)
-    for lo, hi in intervals:
-        mask |= (values > lo) & (values < hi)
-    return mask
-
-
-def _matrix_counts(values: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:
-    """Pairs (n,m) <= cp with values[n,m] in the open interval union, per checkpoint.
-
-    Each checkpoint's top-left square is counted straight from the mask, so
-    no prefix table is built.
-    """
-    size = int(cps.max())
-    mask = _interval_mask(values[:size, :size], intervals)
-    return np.array([np.count_nonzero(mask[:cp, :cp]) for cp in cps], dtype=np.int64)
-
-
-def _product_counts(u: np.ndarray, v: np.ndarray, intervals, cps: np.ndarray) -> np.ndarray:
-    """Pairs (n,m) <= cp with u[n]*v[m] in the open interval union, per checkpoint.
+def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, intervals,
+                   cps: np.ndarray) -> np.ndarray:
+    """Pairs (n,m) <= cp with op(u[n], v[m]) in the open interval union, per checkpoint.
 
     Never materializes the matrix, and counts the same pairs as its rounded
-    products would, ties at the interval ends included.  A checkpoint's
+    entries would, ties at the interval ends included.  A checkpoint's
     square grows from the previous one's by its rows n against the columns
     m up to it, and by its columns m against the earlier rows.  So every
-    index is one query against the other factor (`_strip_counts`), and the
-    counts per checkpoint are prefix sums over the indices.
+    index is one query against the other factor (`_strip_counts`; op is
+    commutative), and the counts per checkpoint are prefix sums over the
+    indices.
     """
     levels, slot = np.unique(cps, return_inverse=True)
     size = int(levels[-1])
-    # an open (lo, hi) holds the products p <= pred(hi) minus those p <= lo
+    # an open (lo, hi) holds the entries x <= pred(hi) minus those x <= lo
     ends, signs = [], []
     for lo, hi in intervals:
         if lo < hi:
@@ -229,24 +215,26 @@ def _product_counts(u: np.ndarray, v: np.ndarray, intervals, cps: np.ndarray) ->
     ends = np.array(ends, dtype=float)[:, None]
     signs = np.array(signs, dtype=np.int64)
     level = np.searchsorted(levels, np.arange(1, size + 1))
-    per_index = (_strip_counts(u[:size], level, v[:size], level, ends, signs)
-                 + _strip_counts(v[:size], level - 1, u[:size], level, ends, signs))
+    per_index = (_strip_counts(u[:size], level, v[:size], level, op, ends, signs)
+                 + _strip_counts(v[:size], level - 1, u[:size], level, op, ends, signs))
     return np.cumsum(per_index)[levels - 1][slot]
 
 
 def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
-                  other_level: np.ndarray, ends: np.ndarray, signs: np.ndarray) -> np.ndarray:
+                  other_level: np.ndarray, op: np.ufunc, ends: np.ndarray,
+                  signs: np.ndarray) -> np.ndarray:
     """For each query w[i]: sum over r of signs[r] * #{j : other_level[j] <=
-    allowed[i], fl(w[i] * other[j]) <= ends[r]}.
+    allowed[i], fl(op(w[i], other[j])) <= ends[r]}.
 
-    fl(|w| x) is nondecreasing in x, so over the sorted `other` the entries
-    at or below a threshold form a prefix (a suffix for w < 0, where
-    fl(w x) <= t is fl(|w| x) > pred(-t)).  The rounded quotient t / |w|
-    only guesses the prefix's length: a product can tie t, or an x within an
-    ulp or two of the quotient can land on the other side.  The guess is
-    moved run by run of equal values until the entries on either side of it
-    agree with their products.  A table of prefix counts per level then
-    turns the length into the number of allowed entries.
+    fl(|w| x) and fl(w + x) are nondecreasing in x, so over the sorted
+    `other` the entries at or below a threshold form a prefix (a suffix for
+    a product with w < 0, where fl(w x) <= t is fl(|w| x) > pred(-t)).  The
+    rounded t / |w| or t - w only guesses the prefix's length: an entry can
+    tie t, or an x within an ulp or two of the guess can land on the other
+    side.  The guess is moved run by run of equal values until the entries
+    on either side of it agree with their rounded op.  A table of prefix
+    counts per level then turns the length into the number of allowed
+    entries.
     """
     order = np.argsort(other)
     xs = other[order]
@@ -255,19 +243,24 @@ def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
     top = np.arange(-1, int(other_level.max()) + 1)
     table = np.zeros((top.size, n + 1), dtype=np.int32)
     np.cumsum(other_level[order] <= top[:, None], axis=1, out=table[:, 1:])
-    neg = w < 0.0
-    a = np.abs(w)
     padded = np.concatenate(([-np.inf], xs, [np.inf]))
     before, at = padded[:-1], padded[1:]
-    # a zero query gets the guess +-inf or nan (0/0), which the checks
-    # settle at once: its products are 0, and nan at the infinite ends;
-    # pred(-t) of the largest finite end t overflows to -inf, as it should
+    # a zero product query gets the guess +-inf or nan (0/0), which the
+    # checks settle at once: its products are 0, and nan at the infinite
+    # ends; pred(-t) of the largest finite end t overflows to -inf, as it
+    # should, and an overflowing t - w or w + x is settled like a tie
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
-        k = np.searchsorted(xs, t / a, "right")
+        if op is np.add:
+            neg, a, t = None, w, ends
+            k = np.searchsorted(xs, t - a, "right")
+        else:
+            neg = w < 0.0
+            a = np.abs(w)
+            t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
+            k = np.searchsorted(xs, t / a, "right")
         while True:
-            back = before.take(k) * a > t
-            ahead = at.take(k) * a <= t
+            back = op(before.take(k), a) > t
+            ahead = op(at.take(k), a) <= t
             if not (back.any() or ahead.any()):
                 break
             k[back] = np.searchsorted(xs, before.take(k[back]), "left")
@@ -275,7 +268,8 @@ def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
     flat = table.ravel()
     base = (allowed + 1) * (n + 1)
     below = flat.take(base + k)
-    below = np.where(neg, flat.take(base + n) - below, below)
+    if neg is not None:
+        below = np.where(neg, flat.take(base + n) - below, below)
     return signs @ below
 
 
@@ -323,7 +317,7 @@ def index_to_target(
     grid; the reported estimate is the infimum over the grid, mirroring the
     supremum in the definition of the index.
     """
-    cps = np.asarray(checkpoints, dtype=int)
+    cps = np.asarray(checkpoints)
     if target.kind in ("value", "set"):
         if epsilon is None or epsilon <= 0.0:
             raise ValueError("epsilon must be positive for value/set targets")

@@ -560,8 +560,7 @@ def check_uniform_limit_rule(n_max: int) -> IndexReport:
     target = Target.interval_union([(0.0, 0.5)])
     rep_1d = index_to_target(SeqWindow.from_values_1d(y), target, RULE_EPS, cps)
     m = np.arange(1, n_max + 1, dtype=float)
-    matrix = y[:, None] + 1.0 / m[None, :]
-    rep_2d = index_to_target(SeqWindow.from_matrix(matrix), target, RULE_EPS, cps)
+    rep_2d = index_to_target(SeqWindow.from_sum(y, 1.0 / m), target, RULE_EPS, cps)
     rep_2d.judge(rep_1d.estimate.lower_est, RULE_TOL, lower_bound=True)
     rep_2d.notes["kind"] = "uniform-limit-rule"
     rep_2d.notes["index_1d"] = rep_1d.estimate.lower_est

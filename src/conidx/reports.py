@@ -251,8 +251,8 @@ def _csv_chunks(win: SeqWindow) -> Iterator[str]:
     """The CSV text of a window, one chunk per row of a 2-d window.
 
     A 2-d row is one %-format call on a template of "%d,m,%.17g" lines;
-    '%.17g' % x and f"{x:.17g}" print the same bytes.  Product rows are the
-    products u[n-1] * v, rounded as the materialized matrix would be.
+    '%.17g' % x and f"{x:.17g}" print the same bytes.  Row n is op(u[n-1], v),
+    rounded as the materialized matrix would be.
     """
     if win.dim == 1:
         yield "n,value\n"
@@ -262,11 +262,10 @@ def _csv_chunks(win: SeqWindow) -> Iterator[str]:
     size = win.n_max
     template = "".join(f"%d,{m},%.17g\n" for m in range(1, size + 1))
     args: list = [0] * (2 * size)
+    u, v = win.factors
     for n in range(1, size + 1):
-        row = (win.factors[0][n - 1] * win.factors[1] if win.factors is not None
-               else win.values[n - 1])
         args[::2] = [n] * size
-        args[1::2] = row.tolist()
+        args[1::2] = win.op(u[n - 1], v).tolist()
         yield template % tuple(args)
 
 
@@ -404,6 +403,8 @@ class SequenceCache:
         return win if (win.dim, win.n_max) == (dim, spec.window) else None
 
     def store(self, spec: ExperimentSpec, win: SeqWindow) -> Path:
+        if win.op is not np.multiply:
+            raise ValueError("the cache holds 1-d and product windows only")
         buf = io.BytesIO()
         if win.factors is not None:
             np.savez(buf, u=win.factors[0], v=win.factors[1])

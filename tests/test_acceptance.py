@@ -275,7 +275,7 @@ def test_rule_checks_run_in_bounded_memory():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     peak_mb = int(done.stdout) / 1024.0
-    assert peak_mb < 150.0
+    assert peak_mb < 60.0
 
 
 def test_criterion_10_uniform_convergence():

@@ -40,6 +40,15 @@ def zeros(indicator, checkpoints):
     return indicator.hit_counts([(-0.5, 0.5)], checkpoints)
 
 
+def ref_matrix_counts(values, intervals, cps):
+    """Reference counts of a materialized double window: the 2-d prefix table
+    of its mask (two N x N int64 tables), read on its diagonal."""
+    mask = np.zeros(values.shape, dtype=bool)
+    for lo, hi in intervals:
+        mask |= (values > lo) & (values < hi)
+    return mask.cumsum(axis=0).cumsum(axis=1)[cps - 1, cps - 1]
+
+
 def density(indicator, checkpoints):
     return DensityEstimate.from_counts(checkpoints, members(indicator, checkpoints),
                                        indicator.dim)
@@ -52,7 +61,9 @@ def test_count_prefix_cos_zero_set():
 
 def test_count_prefix_empty_and_full():
     assert members(SeqWindow.from_product(np.zeros(100), np.zeros(100)), [100])[0] == 0
-    assert members(SeqWindow.from_matrix(np.ones((10, 10))), [10])[0] == 100
+    ones = SeqWindow.from_sum(np.full(10, 0.25), np.full(10, 0.75))
+    assert members(ones, [10])[0] == 100
+    assert ref_matrix_counts(np.ones((10, 10)), [(0.5, 1.5)], np.array([10]))[0] == 100
 
 
 def test_count_prefix_monotone_in_n():
@@ -155,7 +166,7 @@ def test_index_checkpoint_must_fit_window():
 def ten_value_windows():
     values = np.linspace(-1.0, 1.0, 10)
     return [SeqWindow.from_values_1d(values), SeqWindow.from_product(values, values),
-            SeqWindow.from_matrix(np.outer(values, values))]
+            SeqWindow.from_sum(values, values)]
 
 
 @pytest.mark.parametrize("checkpoints", [[0], [-1], [11], [12, 3], [3, 0, 5], []],
@@ -163,10 +174,26 @@ def ten_value_windows():
                               "unsorted-zero", "none"])
 def test_hit_counts_rejects_checkpoints_outside_the_window(checkpoints):
     # a check on the last checkpoint alone misses all but "past-end": 0
-    # would read index -1, the whole window in two forms and 0 in the third
+    # would read index -1, the whole 1-d window and 0 in the factor forms
     for win in ten_value_windows():
         with pytest.raises(ValueError, match=r"checkpoints must be .* in 1\.\.10"):
             win.hit_counts([(-0.5, 0.5)], checkpoints)
+
+
+@pytest.mark.parametrize("checkpoints", [[2.9], [2.5], [1, 4.5, 7], [np.nan], [np.inf]],
+                         ids=["2.9", "2.5", "among-integers", "nan", "inf"])
+def test_hit_counts_rejects_non_integral_checkpoints(checkpoints):
+    # a cast to int would count the first 2 indices for 2.9 and 2.5
+    for win in ten_value_windows():
+        with pytest.raises(ValueError, match=r"checkpoints must be .* in 1\.\.10"):
+            win.hit_counts([(-0.5, 0.5)], checkpoints)
+
+
+def test_hit_counts_accept_integral_checkpoints_of_any_dtype():
+    for win in ten_value_windows():
+        want = win.hit_counts([(-0.5, 0.5)], [3, 10])
+        for cps in ([3.0, 10.0], np.array([3, 10], dtype=np.int32), np.array([3.0, 10.0])):
+            assert np.array_equal(win.hit_counts([(-0.5, 0.5)], cps), want)
 
 
 def test_hit_counts_take_checkpoints_in_any_order():
@@ -216,21 +243,20 @@ def test_product_counts_match_materialized_matrix():
     u = rng.normal(size=150)
     v = rng.normal(size=150)
     win = SeqWindow.from_product(u, v)
-    full = SeqWindow.from_matrix(u[:, None] * v[None, :])
     cps = default_checkpoints(150)
     for lo, hi in [(-0.4, 0.3), (0.0, 2.0), (-3.0, -0.1)]:
         got = win.hit_counts([(lo, hi)], cps)
-        want = full.hit_counts([(lo, hi)], cps)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, ref_matrix_counts(u[:, None] * v[None, :], [(lo, hi)], cps))
 
 
 def test_product_counts_handle_zero_factors():
     u = np.array([0.0, 1.0, -1.0, 0.0])
     v = np.array([2.0, 0.5, -0.5, 0.0])
     win = SeqWindow.from_product(u, v)
-    full = SeqWindow.from_matrix(u[:, None] * v[None, :])
+    cps = np.array([2, 4])
     for iv in [(-0.1, 0.1), (0.4, 0.6), (-2.5, 2.5)]:
-        assert np.array_equal(win.hit_counts([iv], [2, 4]), full.hit_counts([iv], [2, 4]))
+        assert np.array_equal(win.hit_counts([iv], cps),
+                              ref_matrix_counts(u[:, None] * v[None, :], [iv], cps))
 
 
 FACTOR = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0))
@@ -251,9 +277,9 @@ def test_product_counts_match_materialized_matrix_property(data):
     ends = sorted(data.draw(st.lists(end, min_size=2, max_size=8), label="ends"))
     intervals = list(zip(ends[::2], ends[1::2]))
     win = SeqWindow.from_product(u, v)
-    full = SeqWindow.from_matrix(u[:, None] * v[None, :])
     cps = np.arange(1, n + 1)
-    assert np.array_equal(win.hit_counts(intervals, cps), full.hit_counts(intervals, cps))
+    assert np.array_equal(win.hit_counts(intervals, cps),
+                          ref_matrix_counts(u[:, None] * v[None, :], intervals, cps))
 
 
 def test_product_counts_at_a_product_tie():
@@ -264,43 +290,47 @@ def test_product_counts_at_a_product_tie():
     win = SeqWindow.from_product(u, v)
     ends = (0.0, float(u[0] * v[0]))
     assert win.hit_counts([ends], [1])[0] == 0
-    assert SeqWindow.from_matrix(u[:, None] * v[None, :]).hit_counts([ends], [1])[0] == 0
+    assert ref_matrix_counts(u[:, None] * v[None, :], [ends], np.array([1]))[0] == 0
     # an empty open interval at a product counts nothing, not minus one
     single = SeqWindow.from_product(np.array([1.0]), np.array([0.5]))
     assert single.hit_counts([(0.5, 0.5)], [1])[0] == 0
 
 
-def ref_matrix_counts(values, intervals, cps):
-    """Reference full-matrix counts: the 2-d prefix table of the mask (two
-    N x N int64 tables), read on its diagonal."""
-    mask = np.zeros(values.shape, dtype=bool)
-    for lo, hi in intervals:
-        mask |= (values > lo) & (values < hi)
-    return mask.cumsum(axis=0).cumsum(axis=1)[cps - 1, cps - 1]
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_matrix_counts_match_prefix_table_property(data):
+def test_sum_counts_match_materialized_matrix_property(data):
+    # ends drawn from the sums themselves tie with some u[n]+v[m], where
+    # the difference t - u[n] may round to either side; the infinite ends
+    # are those of the +-inf targets' cutoff intervals
     n = data.draw(st.integers(1, 8), label="n")
-    entries = data.draw(st.lists(FACTOR, min_size=n * n, max_size=n * n), label="values")
-    values = np.array(entries).reshape(n, n)
-    end = st.one_of(st.sampled_from(entries), st.floats(-20.0, 20.0), INFINITE)
+    u = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="u"))
+    v = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="v"))
+    sums = u[:, None] + v[None, :]
+    end = st.one_of(st.sampled_from(sums.ravel().tolist()), st.floats(-20.0, 20.0), INFINITE)
     ends = sorted(data.draw(st.lists(end, min_size=2, max_size=8), label="ends"))
     intervals = list(zip(ends[::2], ends[1::2]))
     cps = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6),
                              label="checkpoints"))
-    got = SeqWindow.from_matrix(values).hit_counts(intervals, cps)
+    got = SeqWindow.from_sum(u, v).hit_counts(intervals, cps)
     assert got.dtype == np.int64
-    assert np.array_equal(got, ref_matrix_counts(values, intervals, cps))
+    assert np.array_equal(got, ref_matrix_counts(sums, intervals, cps))
 
 
-def test_matrix_counts_match_prefix_table_at_default_checkpoints():
-    values = np.random.default_rng(11).normal(size=(300, 300))
+def test_sum_counts_match_materialized_matrix_at_default_checkpoints():
+    u, v = np.random.default_rng(11).normal(size=(2, 300))
     cps = default_checkpoints(300)
     for intervals in ([(-0.4, 0.3)], [(-np.inf, -1.0), (0.5, np.inf)], [(2.0, 1.0)]):
-        got = SeqWindow.from_matrix(values).hit_counts(intervals, cps)
-        assert np.array_equal(got, ref_matrix_counts(values, intervals, cps))
+        got = SeqWindow.from_sum(u, v).hit_counts(intervals, cps)
+        assert np.array_equal(got, ref_matrix_counts(u[:, None] + v[None, :], intervals, cps))
+
+
+def test_sum_counts_at_a_sum_tie():
+    # 2.308 is the double u+v, but 2.308 - u rounds below v, so a count by
+    # the difference alone takes the pair into the open interval above it
+    u, v = np.array([2.198]), np.array([0.11])
+    ends = (float(u[0] + v[0]), 5.0)
+    assert SeqWindow.from_sum(u, v).hit_counts([ends], [1])[0] == 0
+    assert ref_matrix_counts(u[:, None] + v[None, :], [ends], np.array([1]))[0] == 0
 
 
 def test_target_validation():
@@ -322,6 +352,8 @@ def test_target_validation():
 def test_index_set_listing():
     primes = SeqWindow.from_values_1d(np.isin(np.arange(1, 11), [2, 3, 5, 7, 11]))
     assert members(primes, [10])[0] == 4
-    pairs = np.zeros((3, 3))
-    pairs[0, 0] = pairs[1, 2] = 1.0
-    assert members(SeqWindow.from_matrix(pairs), [3])[0] == 2
+    rows, cols = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])
+    pairs = SeqWindow.from_product(rows, cols)
+    assert members(pairs, [3])[0] == 4
+    assert np.array_equal(members(pairs, [1, 2, 3]),
+                          ref_matrix_counts(np.outer(rows, cols), [(0.5, 1.5)], np.arange(1, 4)))

@@ -365,8 +365,14 @@ def test_uniform_limit_rule_degenerate_cases():
     cps = default_checkpoints(n)
     target = Target.interval_union([(0.2, 0.3)])
     rep1 = index_to_target(SeqWindow.from_values_1d(y), target, 0.01, cps)
-    rep2 = index_to_target(SeqWindow.from_matrix(y[:, None] + 1.0 / m[None, :]),
-                           target, 0.01, cps)
+    win = SeqWindow.from_sum(y, 1.0 / m)
+    rep2 = index_to_target(win, target, 0.01, cps)
+    # the sum form counts what the materialized matrix holds
+    matrix = y[:, None] + 1.0 / m[None, :]
+    (lo, hi), = target.dilated(0.01)
+    mask = (matrix > lo) & (matrix < hi)
+    assert np.array_equal(win.hit_counts([(lo, hi)], cps),
+                          [np.count_nonzero(mask[:cp, :cp]) for cp in cps])
     assert rep1.estimate.lower_est == 1.0
     assert rep2.estimate.lower_est >= 0.9
     # target disjoint from the range: both zero

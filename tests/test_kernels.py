@@ -116,16 +116,11 @@ def ref_emit_csv(win, path):
             lines.append(f"{i},{v:.17g}")
     else:
         lines.append("n,m,value")
-        if win.factors is not None:
-            u, v = win.factors
-            for n in range(1, win.n_max + 1):
-                row = u[n - 1] * v
-                for m in range(1, win.n_max + 1):
-                    lines.append(f"{n},{m},{row[m - 1]:.17g}")
-        else:
-            for n in range(1, win.n_max + 1):
-                for m in range(1, win.n_max + 1):
-                    lines.append(f"{n},{m},{win.values[n - 1, m - 1]:.17g}")
+        u, v = win.factors
+        matrix = u[:, None] + v[None, :] if win.op is np.add else u[:, None] * v[None, :]
+        for n in range(1, win.n_max + 1):
+            for m in range(1, win.n_max + 1):
+                lines.append(f"{n},{m},{matrix[n - 1, m - 1]:.17g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -234,7 +229,8 @@ WINDOWS = {
     "1d": SeqWindow.from_values_1d([0.1, -0.0, 1.0, 1e-300, 2.0 / 3.0, 123456789.0]),
     "product": SeqWindow.from_product(np.random.default_rng(0).random(37) - 0.5,
                                       np.r_[-0.0, np.random.default_rng(1).random(36)]),
-    "matrix": SeqWindow.from_matrix(np.random.default_rng(2).random((23, 23)) * 1e-7),
+    "sum": SeqWindow.from_sum(np.random.default_rng(2).random(23) * 1e-7,
+                              np.r_[-0.0, -np.random.default_rng(3).random(22) * 1e-7]),
 }
 
 

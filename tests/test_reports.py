@@ -291,6 +291,10 @@ def test_cache_product_windows(tmp_path):
     assert len(cache.entries()) == 1
     assert cache.clear() == 1
     assert cache.entries() == []
+    # an entry holds no op, so a sum window would load as a product
+    with pytest.raises(ValueError, match="product windows only"):
+        cache.store(spec, SeqWindow.from_sum(*result.window.factors))
+    assert cache.entries() == []
 
 
 def test_parse_rejects_eval_point_in_univariate_configs():
