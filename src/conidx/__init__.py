@@ -37,7 +37,7 @@ from .lagrange import (
     ChebGrid,
     cheb_grid,
     eval_jump_decomposed,
-    fundamental_weight,
+    fundamental_weights,
     grid_offset,
     jump_sequence,
     jump_value_direct,
@@ -49,7 +49,6 @@ from .points import IRRATIONAL_VALUES, PointSpec
 from .profiles import (
     Profile1D,
     Profile2D,
-    affine_jump_profile,
     hurwitz_zeta,
     lagrange_jump_profile,
     lerch_j1,
@@ -64,9 +63,9 @@ __all__ = [
     "__version__", "ChebGrid", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
     "IRRATIONAL_VALUES", "IndexReport", "PointSpec", "Prediction", "PredictionTable",
     "Profile1D", "Profile2D", "SeqWindow", "ShepardParams", "StepFn1D", "StepFn2D",
-    "Target", "affine_jump_profile", "build_table", "cheb_grid", "check_product_rule",
+    "Target", "build_table", "cheb_grid", "check_product_rule",
     "check_uniform_limit_rule", "cluster_witness", "complement_identity_check",
-    "default_checkpoints", "eval_jump_decomposed", "fundamental_weight", "grid_offset",
+    "default_checkpoints", "eval_jump_decomposed", "fundamental_weights", "grid_offset",
     "hurwitz_zeta", "index_to_target", "jump_sequence", "jump_value_direct",
     "lagrange_eval_1d", "lagrange_eval_2d", "lagrange_jump_profile", "lerch_j1",
     "offset_subsequence", "preimage_measure_1d",

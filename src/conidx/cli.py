@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
 
 from . import __version__
-from .harness import run_index_experiment
+from .harness import _FAMILIES, run_index_experiment
+from .lagrange import eval_jump_decomposed, jump_value_direct
 from .points import PointSpec
 from .profiles import hurwitz_zeta, lagrange_jump_profile, lerch_j1, shepard_jump_profile
 from .reports import (
+    _NUMBER_FIELDS,
+    _PARAM_FIELDS,
+    _SPEC_FIELDS,
     ConfigError,
     SequenceCache,
     _atomic_write,
+    _finite,
     build_run_report,
     emit_csv,
     emit_report,
     parse_config,
 )
-from .shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d
-from .stepfn import StepFn1D, StepFn2D
+from .shepard import ShepardParams, shepard_eval_1d
+from .stepfn import StepFn2D
 from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -39,29 +43,6 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     pass
-
-
-def _point_from_flags(args, rational_flag: str, irrational_flag: str,
-                      what: str) -> PointSpec:
-    rational = getattr(args, rational_flag, None)
-    irrational = getattr(args, irrational_flag, None)
-    if (rational is None) == (irrational is None):
-        raise UsageError(f"give exactly one of --{rational_flag.replace('_', '-')} "
-                         f"or --{irrational_flag.replace('_', '-')} for {what}")
-    try:
-        if rational is not None:
-            p, _, q = rational.partition("/")
-            return PointSpec.rational(int(p), int(q))
-        return PointSpec.irrational(irrational)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"{what}: {exc}") from exc
-
-
-def _grid_point(text: str, what: str) -> PointSpec:
-    try:
-        return PointSpec.parse(text)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"{what}: {exc}") from exc
 
 
 @contextmanager
@@ -89,47 +70,58 @@ def cmd_zeta(args) -> int:
     return EXIT_PASS
 
 
+def _eval_point(args, name: str) -> PointSpec:
+    """The jump point flag --name, read and checked like the config field."""
+    text = getattr(args, name)
+    if text is None:
+        raise UsageError(f"{args.operator} needs --{name}")
+    try:
+        point = PointSpec.parse(text)
+        point.require_interior()
+    except ValueError as exc:
+        raise UsageError(f"--{name}: {exc}") from exc
+    return point
+
+
+def _eval_number(args, name: str) -> float:
+    """The flag --d or --s, defaulted and checked like the config field."""
+    default, _, requirement, check = _NUMBER_FIELDS[name]
+    value = default if getattr(args, name) is None else getattr(args, name)
+    if not (_finite(value) and check(value)):
+        raise UsageError(f"--{name} must be {requirement}")
+    return value
+
+
 def cmd_eval(args) -> int:
     op = args.operator
+    applies = (_SPEC_FIELDS[op] + _PARAM_FIELDS[op] + (("m",) if op.endswith("2d") else ())
+               + (() if op == "shepard1d" else ("cross_check",)))
+    for name in ("theta", "gamma", "x0", "y0", "d", "s", "m", "cross_check"):
+        if getattr(args, name) not in (None, False) and name not in applies:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to {op}")
+    d, s = _eval_number(args, "d"), _eval_number(args, "s")
+    n, m = args.n, args.n if args.m is None else args.m
+    for name, count in (("n", n), ("m", m)):
+        if count < 1:
+            raise UsageError(f"--{name} must be >= 1")
+    fam = _FAMILIES[op[:-2]]
+    points = [_eval_point(args, name) for name in _SPEC_FIELDS[op]]
+    jumps = [fam.jump(point.value) for point in points]
     if op == "lagrange1d":
-        from .lagrange import eval_jump_decomposed, jump_value_direct
-
-        spec = _point_from_flags(args, "theta_rational", "theta_irrational", "the jump angle")
-        value = jump_value_direct(spec, args.d, args.n)
-        print(f"{value:.17g}")
-        if args.cross_check:
-            oracle = eval_jump_decomposed(spec, args.d, args.n)
-            if abs(oracle - value) > 1e-8:
-                print(f"cross-check FAILED: decomposition gives {oracle:.17g}",
-                      file=sys.stderr)
-                return EXIT_FAIL
-            print(f"cross-check ok: decomposition gives {oracle:.17g}", file=sys.stderr)
-        return EXIT_PASS
-    if op == "lagrange2d":
-        from .lagrange import lagrange_eval_2d
-
-        spec_x = _point_from_flags(args, "theta_rational", "theta_irrational", "the x angle")
-        spec_y = _point_from_flags(args, "gamma_rational", "gamma_irrational", "the y angle")
-        x0, y0 = math.cos(math.pi * spec_x.value), math.cos(math.pi * spec_y.value)
-        h = StepFn2D.upper_right(x0, y0)
-        value = lagrange_eval_2d(h, args.n, args.m or args.n, x0, y0,
-                                 cross_check=args.cross_check)
-        print(f"{value:.17g}")
-        return EXIT_PASS
-    if op == "shepard1d":
-        spec = _grid_point(args.x0, "--x0")
-        step = StepFn1D.indicator_upto(spec.value)
-        value = shepard_eval_1d(step, ShepardParams(args.s, args.n), spec.value, spec=spec)
-        print(f"{value:.17g}")
-        return EXIT_PASS
-    # shepard2d
-    spec_x = _grid_point(args.x0, "--x0")
-    spec_y = _grid_point(args.y0, "--y0")
-    h = StepFn2D.lower_left(spec_x.value, spec_y.value)
-    value = shepard_eval_2d(h, ShepardParams(args.s, args.n),
-                            ShepardParams(args.s, args.m or args.n),
-                            spec_x.value, spec_y.value, cross_check=args.cross_check)
+        value = jump_value_direct(points[0], d, n)
+    elif op == "shepard1d":
+        value = shepard_eval_1d(fam.step(jumps[0], d), ShepardParams(s, n), jumps[0],
+                                spec=points[0])
+    else:
+        h = StepFn2D(*(fam.step(jump, 1.0) for jump in jumps))
+        value = fam.eval_2d(h, s, n, m, *jumps, args.cross_check)
     print(f"{value:.17g}")
+    if op == "lagrange1d" and args.cross_check:
+        oracle = eval_jump_decomposed(points[0], d, n)
+        ok = abs(oracle - value) <= 1e-8
+        print(f"cross-check {'ok' if ok else 'FAILED'}: decomposition gives {oracle:.17g}",
+              file=sys.stderr)
+        return EXIT_PASS if ok else EXIT_FAIL
     return EXIT_PASS
 
 
@@ -238,22 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="single operator value at the jump")
     p_eval.add_argument("operator",
                         choices=["lagrange1d", "lagrange2d", "shepard1d", "shepard2d"])
-    p_eval.add_argument("--theta-rational", metavar="p/q",
-                        help="jump angle as a rational multiple of pi")
-    p_eval.add_argument("--theta-irrational", metavar="NAME",
-                        help="jump angle as a named irrational multiple of pi")
-    p_eval.add_argument("--gamma-rational", metavar="p/q",
-                        help="second jump angle (bivariate)")
-    p_eval.add_argument("--gamma-irrational", metavar="NAME",
-                        help="second jump angle (bivariate)")
-    p_eval.add_argument("--x0", metavar="p/q|NAME", help="jump abscissa")
-    p_eval.add_argument("--y0", metavar="p/q|NAME", help="jump ordinate (bivariate)")
+    # each point flag is the config field of that name: p/q or a preset name
+    p_eval.add_argument("--theta", metavar="p/q|NAME", help="jump angle / pi (Lagrange)")
+    p_eval.add_argument("--gamma", metavar="p/q|NAME",
+                        help="second jump angle / pi (lagrange2d)")
+    p_eval.add_argument("--x0", metavar="p/q|NAME", help="jump abscissa (Shepard)")
+    p_eval.add_argument("--y0", metavar="p/q|NAME", help="jump ordinate (shepard2d)")
     p_eval.add_argument("--n", type=int, required=True, help="node parameter")
-    p_eval.add_argument("--m", type=int, help="second node parameter (bivariate)")
-    p_eval.add_argument("--d", type=float, default=1.0, help="step value at the jump")
-    p_eval.add_argument("--s", type=float, default=2.0, help="Shepard exponent")
+    p_eval.add_argument("--m", type=int, help="second node parameter (2-d; default n)")
+    p_eval.add_argument("--d", type=float, help="step value at the jump (lagrange1d; default 1)")
+    p_eval.add_argument("--s", type=float, help="Shepard exponent (default 2)")
     p_eval.add_argument("--cross-check", action="store_true",
-                        help="verify against the independent evaluation route")
+                        help="verify against the independent evaluation route "
+                             "(all but shepard1d)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_index = sub.add_parser("index", help="run one experiment config")

@@ -249,7 +249,7 @@ class _Family:
     at_jump: Callable        # (point spec, s, n_max, step) -> values at the jump
     at_point: Callable       # (step, s, x, n_max) -> values at x
     eval_1d: Callable        # (step, s, n, x) -> one value
-    eval_2d: Callable        # (h, s, n, x, y) -> one value, checked by the double sum
+    eval_2d: Callable        # (h, s, n, m, x, y, cross_check) -> one value
     first_index: Callable[[int, int, int], int]  # (p, q, m) -> first n of arm m/q
     profile: Callable[[float], _JumpProfile]
 
@@ -262,7 +262,8 @@ _FAMILIES = {
         at_jump=lambda point, s, n_max, step: lg.jump_sequence(point, step.at, n_max, step),
         at_point=lambda step, s, x, n_max: lg.step_sequence_at(step, x, n_max),
         eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
-        eval_2d=lambda h, s, n, x, y: lg.lagrange_eval_2d(h, n, n, x, y, cross_check=True),
+        eval_2d=lambda h, s, n, m, x, y, cross_check: lg.lagrange_eval_2d(
+            h, n, m, x, y, cross_check=cross_check),
         first_index=lambda p, q, m: next(lg.offset_subsequence(p, q, m)),
         profile=lambda s: _LAGRANGE_PROFILE,
     ),
@@ -273,8 +274,8 @@ _FAMILIES = {
         at_jump=lambda point, s, n_max, step: sh.step_sequence(point, s, n_max, step),
         at_point=lambda step, s, x, n_max: sh.step_sequence_at(step, s, x, n_max),
         eval_1d=lambda step, s, n, x: sh.shepard_eval_1d(step, sh.ShepardParams(s, n), x),
-        eval_2d=lambda h, s, n, x, y: sh.shepard_eval_2d(
-            h, sh.ShepardParams(s, n), sh.ShepardParams(s, n), x, y, cross_check=True),
+        eval_2d=lambda h, s, n, m, x, y, cross_check: sh.shepard_eval_2d(
+            h, sh.ShepardParams(s, n), sh.ShepardParams(s, m), x, y, cross_check=cross_check),
         first_index=lambda p, q, m: (m * pow(p, -1, q)) % q or q,
         profile=_shepard_profile,
     ),
@@ -380,7 +381,7 @@ def _cross_check_window(spec: ExperimentSpec, win: SeqWindow,
     u, v = win.factors
     for n in np.unique(np.geomspace(2, min(spec.window, 200), 5).astype(int)):
         n = int(n)
-        direct = fam.eval_2d(h, spec.s, n, px, py)
+        direct = fam.eval_2d(h, spec.s, n, n, px, py, True)
         prod = u[n - 1] * v[n - 1]
         if abs(direct - prod) > 1e-9:
             raise AssertionError(

@@ -83,8 +83,8 @@ def _weights(w: np.ndarray, diff: np.ndarray, nodes: np.ndarray, alt: np.ndarray
     np.divide(w, diff, out=w)
 
 
-def _weights_all(grid: ChebGrid, x: float) -> np.ndarray:
-    """All fundamental polynomial values ell[1..n](x) at once."""
+def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
+    """The fundamental polynomial values ell[1..n](x), as one vector."""
     n = grid.n
     w, work = np.zeros(n), np.empty(n)
     j = _node_hit(grid.nodes, x, work)
@@ -93,13 +93,6 @@ def _weights_all(grid: ChebGrid, x: float) -> np.ndarray:
     else:
         _weights(w, work, grid.nodes, _alternating(n), x, math.acos(min(1.0, max(-1.0, x))))
     return w
-
-
-def fundamental_weight(grid: ChebGrid, k: int, x: float) -> float:
-    """ell[n,k](x) for 1-based node index k."""
-    if not 1 <= k <= grid.n:
-        raise ValueError(f"node index {k} out of range 1..{grid.n}")
-    return float(_weights_all(grid, x)[k - 1])
 
 
 def _node_samples(f, grid: ChebGrid, x: float) -> np.ndarray:
@@ -122,7 +115,7 @@ def _node_samples(f, grid: ChebGrid, x: float) -> np.ndarray:
 def lagrange_eval_1d(f, n: int, x: float) -> float:
     """L_n f(x); f may be a StepFn1D, a callable, or a node-sample array."""
     grid = cheb_grid(n)
-    return float(_weights_all(grid, x) @ _node_samples(f, grid, x))
+    return float(fundamental_weights(grid, x) @ _node_samples(f, grid, x))
 
 
 def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
@@ -133,7 +126,7 @@ def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
     evaluated and must agree to 1e-9.
     """
     gx, gy = cheb_grid(n), cheb_grid(m)
-    wx, wy = _weights_all(gx, x), _weights_all(gy, y)
+    wx, wy = fundamental_weights(gx, x), fundamental_weights(gy, y)
     sx, sy = _node_samples(h.fx, gx, x), _node_samples(h.fy, gy, y)
     out = float(wx @ sx) * float(wy @ sy)
     if cross_check:

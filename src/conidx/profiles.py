@@ -54,7 +54,7 @@ def lerch_j1(a):
     is ~ 0.27*(2M+a)^-5, which fixes M from the tolerance.
     """
     a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr <= 0.0) or np.any(a_arr > 1.0):
+    if not np.all((a_arr > 0.0) & (a_arr <= 1.0)):  # NaN fails too
         raise ValueError("lerch_j1 requires 0 < a <= 1")
     M = int(math.ceil(0.5 * (0.27 / SERIES_TOL) ** 0.2)) + 8
     two_k = 2.0 * np.arange(M, dtype=float)
@@ -75,7 +75,7 @@ def lerch_j1(a):
 def lagrange_jump_profile(x):
     """sin(pi x)/pi * lerch_j1(x) on (0,1), extended by 1 at x = 0."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr >= 1.0):
+    if not np.all((x_arr >= 0.0) & (x_arr < 1.0)):
         raise ValueError("profile argument must lie in [0, 1)")
     # evaluate the series at a safe stand-in where x == 0, then overwrite
     safe = np.where(x_arr == 0.0, 0.5, x_arr)
@@ -92,11 +92,11 @@ def hurwitz_zeta(s: float, a):
     the next correction term s(s+1)(s+2)(M+a)^(-s-3)/720 is below SERIES_TOL.
     """
     s = float(s)
-    if s <= 1.0:
-        raise ValueError("hurwitz_zeta requires s > 1 (no analytic continuation)")
+    if not 1.0 < s < math.inf:
+        raise ValueError("hurwitz_zeta requires a finite s > 1 (no analytic continuation)")
     a_arr = np.asarray(a, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise ValueError("hurwitz_zeta requires a > 0")
+    if not np.all((a_arr > 0.0) & (a_arr < math.inf)):
+        raise ValueError("hurwitz_zeta requires a finite a > 0")
     coeff = s * (s + 1.0) * (s + 2.0) / 720.0
     M = int(math.ceil((coeff / SERIES_TOL) ** (1.0 / (s + 3.0)))) + 8
     n = np.arange(M, dtype=float)
@@ -110,7 +110,7 @@ def hurwitz_zeta(s: float, a):
 def shepard_jump_profile(s: float, t):
     """zeta(s,t) / (zeta(s,t) + zeta(s,1-t)) on (0,1), extended by 1 at t = 0."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr >= 1.0):
+    if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
         raise ValueError("profile argument must lie in [0, 1)")
     safe = np.where(t_arr == 0.0, 0.5, t_arr)
     num = hurwitz_zeta(s, safe)
@@ -155,11 +155,6 @@ class Profile1D:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    @property
-    def range_interval(self) -> tuple[float, float]:
-        lo, hi = sorted((self.value_at_0, self.limit_at_1))
-        return lo, hi
-
     @classmethod
     def lagrange(cls) -> "Profile1D":
         return cls(fn=lagrange_jump_profile, kind="lagrange", value_at_0=1.0, limit_at_1=0.0)
@@ -177,23 +172,6 @@ class Profile1D:
     def identity(cls) -> "Profile1D":
         return cls(fn=lambda x: np.asarray(x, dtype=float), kind="identity",
                    value_at_0=0.0, limit_at_1=1.0)
-
-
-def affine_jump_profile(left: float, right: float) -> Profile1D:
-    """Profile left + (right-left)*profile(x) for a jump from left to right.
-
-    At x = 0 it equals right (node-hit arm), and tends to left as x -> 1.
-    A zero jump is rejected: the point is not a discontinuity then.
-    """
-    if left == right:
-        raise ValueError("degenerate jump: left and right limits coincide")
-    base = lagrange_jump_profile
-
-    def fn(x):
-        return left + (right - left) * np.asarray(base(x), dtype=float)
-
-    return Profile1D(fn=fn, kind=f"affine({left:g},{right:g})",
-                     value_at_0=right, limit_at_1=left)
 
 
 def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):

@@ -233,9 +233,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 def _atomic_write(path: str | Path, chunks: Iterable, mode: str = "w") -> None:
     """Write the concatenated chunks (bytes for mode "wb") to path through a
-    temp file and a rename."""
+    temp file and a rename.  The directory must exist."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:
@@ -411,6 +410,7 @@ class SequenceCache:
         else:
             np.savez(buf, values=win.values)
         path = self.path_for(spec)
+        self.dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, [buf.getvalue()], "wb")
         return path
 

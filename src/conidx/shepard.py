@@ -27,7 +27,7 @@ class ShepardParams:
     n: int
 
     def __post_init__(self):
-        if self.s < 1.0:
+        if not self.s >= 1.0:  # NaN fails too
             raise ValueError("exponent s must be >= 1")
         if self.n < 1:
             raise ValueError("need at least 1 subdivision")
@@ -128,7 +128,7 @@ def _window(step: StepFn1D, s: float, x: float, n_max: int,
     once.  Every value is bit-identical to the per-n evaluation
     (`shepard_eval_1d`); tests/test_kernels.py holds the reference loops.
     """
-    if s < 1.0:
+    if not s >= 1.0:
         raise ValueError("exponent s must be >= 1")
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")

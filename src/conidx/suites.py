@@ -167,12 +167,11 @@ def check_randomized_properties():
         n = int(rng.integers(2, 80))
         grid = lg.cheb_grid(n)
         x = float(rng.uniform(-1.0, 1.0))
-        weights = np.array([lg.fundamental_weight(grid, k, x) for k in range(1, n + 1)])
+        weights = lg.fundamental_weights(grid, x)
         if abs(weights.sum() - 1.0) > 1e-10:
             failures.append(f"{trial}: partition of unity off by {weights.sum()-1:.2e}")
         k = int(rng.integers(1, n + 1))
-        node_w = np.array([lg.fundamental_weight(grid, j, float(grid.nodes[k - 1]))
-                           for j in range(1, n + 1)])
+        node_w = lg.fundamental_weights(grid, float(grid.nodes[k - 1]))
         expect = np.zeros(n)
         expect[k - 1] = 1.0
         if np.abs(node_w - expect).max() > 1e-12:

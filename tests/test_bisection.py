@@ -21,9 +21,9 @@ from conidx.profiles import (
     SERIES_TOL,
     Profile1D,
     Profile2D,
-    affine_jump_profile,
     hurwitz_zeta,
     invert_monotone,
+    lagrange_jump_profile,
     lerch_j1,
     preimage_measure_1d,
     preimage_measure_2d,
@@ -123,13 +123,24 @@ def ref_kernels(monkeypatch):
     return Swap()
 
 
+def affine_profile(left, right):
+    """left + (right - left) * profile(x): right at x = 0, tending to left."""
+    return Profile1D(fn=lambda x: left + (right - left) * lagrange_jump_profile(x),
+                     kind=f"affine({left:g},{right:g})", value_at_0=right, limit_at_1=left)
+
+
+def endpoints(profile):
+    """The profile's declared endpoint values, in increasing order."""
+    return sorted((profile.value_at_0, profile.limit_at_1))
+
+
 PROFILES = {
     "lagrange": Profile1D.lagrange(),
     "shepard1.5": Profile1D.shepard(1.5),
     "shepard2": Profile1D.shepard(2.0),
     "shepard3": Profile1D.shepard(3.0),
-    "affine-up": affine_jump_profile(1.0, -1.0),
-    "affine-down": affine_jump_profile(2.0, 4.0),
+    "affine-up": affine_profile(1.0, -1.0),
+    "affine-down": affine_profile(2.0, 4.0),
     "identity": Profile1D.identity(),
 }
 
@@ -171,7 +182,7 @@ def test_series_kernels_bit_identical(points, abs_tol, monkeypatch):
 
 
 def sample_ys(profile):
-    lo, hi = profile.range_interval
+    lo, hi = endpoints(profile)
     span = hi - lo
     inside = lo + span * np.linspace(0.0, 1.0, 257)
     outside = np.array([lo - span, lo - 1e-12, hi + 1e-12, hi + 2.0 * span])
@@ -190,7 +201,7 @@ def test_invert_monotone_bit_identical(name):
 @pytest.mark.parametrize("name", PROFILES)
 def test_invert_monotone_scalar_bit_identical(name):
     prof = PROFILES[name]
-    lo, hi = prof.range_interval
+    lo, hi = endpoints(prof)
     for y in (lo + 0.3 * (hi - lo), lo - 1.0, hi + 1.0, lo, hi):
         got = invert_monotone(prof, y)
         assert isinstance(got, float)
@@ -203,7 +214,7 @@ def test_invert_monotone_scalar_bit_identical(name):
        order=st.sampled_from(["as drawn", "ascending", "descending"]))
 def test_invert_monotone_bit_identical_sweep(name, fractions, order):
     prof = PROFILES[name]
-    lo, hi = prof.range_interval
+    lo, hi = endpoints(prof)
     ys = lo + (hi - lo) * np.array(fractions)
     if order != "as drawn":
         ys = np.sort(ys) if order == "ascending" else np.sort(ys)[::-1]
@@ -227,7 +238,7 @@ def test_preimage_measure_2d_bit_identical(s, ref_kernels):
 
 
 def test_preimage_measure_2d_mixed_factors_bit_identical():
-    prof = Profile2D(Profile1D.shepard(3.0), affine_jump_profile(1.0, -1.0))
+    prof = Profile2D(Profile1D.shepard(3.0), affine_profile(1.0, -1.0))
     prof_id = Profile2D(Profile1D.identity(), Profile1D.identity())
     for p in (prof, prof_id):
         for ivs in ([(0.0, 0.5)], [(-1.0, 0.2), (0.4, 3.0)], TARGETS_CORNER):
@@ -238,7 +249,7 @@ def test_preimage_measure_2d_mixed_factors_bit_identical():
 @pytest.mark.parametrize("name", PROFILES)
 def test_preimage_measure_1d_bit_identical(name, ref_kernels):
     prof = PROFILES[name]
-    lo, hi = prof.range_interval
+    lo, hi = endpoints(prof)
     cases = [[iv] for iv in TARGETS_CORNER] + [
         TARGETS_CORNER,
         [(lo + 0.3 * (hi - lo), lo + 0.6 * (hi - lo))],

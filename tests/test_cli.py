@@ -5,6 +5,10 @@ import pytest
 
 from conidx import suites
 from conidx.cli import main
+from conidx.lagrange import jump_value_direct, lagrange_eval_2d
+from conidx.points import IRRATIONAL_VALUES, PointSpec
+from conidx.shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d
+from conidx.stepfn import StepFn1D, StepFn2D
 from conidx.suites import CheckResult
 
 
@@ -35,8 +39,21 @@ def test_zeta_domain_error_is_usage(capsys):
     assert "s > 1" in err
 
 
+@pytest.mark.parametrize("argv", [["lerch-j1", "nan"], ["profile", "nan"],
+                                  ["hurwitz", "--s", "2", "nan"],
+                                  ["hurwitz", "--s", "2", "inf"],
+                                  ["profile-s", "--s", "2", "nan"],
+                                  ["hurwitz", "--s", "inf", "1.0"],
+                                  ["hurwitz", "--s", "nan", "1.0"]])
+def test_zeta_non_finite_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "zeta", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_eval_lagrange_cross_check(capsys):
-    code, out, err = run_cli(capsys, "eval", "lagrange1d", "--theta-rational", "1/3",
+    code, out, err = run_cli(capsys, "eval", "lagrange1d", "--theta", "1/3",
                              "--n", "200", "--cross-check")
     assert code == 0
     assert "cross-check ok" in err
@@ -45,10 +62,11 @@ def test_eval_lagrange_cross_check(capsys):
 def test_eval_requires_exactly_one_angle(capsys):
     code, _, err = run_cli(capsys, "eval", "lagrange1d", "--n", "50")
     assert code == 2
-    assert "exactly one" in err
+    assert "lagrange1d needs --theta" in err
     code, _, err = run_cli(capsys, "eval", "lagrange1d", "--n", "50",
-                           "--theta-rational", "1/3", "--theta-irrational", "inv_sqrt2")
+                           "--theta", "1/3", "--gamma", "inv_sqrt2")
     assert code == 2
+    assert "--gamma does not apply to lagrange1d" in err
 
 
 def test_eval_shepard2d(capsys):
@@ -61,10 +79,86 @@ def test_eval_shepard2d(capsys):
 def test_eval_lagrange2d_at_a_node_hit(capsys):
     # n = 100 puts a node on both jumps; the factors there are the step's
     # value at the jump, 1, and 0.5 off it
-    code, out, _ = run_cli(capsys, "eval", "lagrange2d", "--theta-rational", "1/3",
-                           "--gamma-rational", "1/2", "--n", "100", "--cross-check")
+    code, out, _ = run_cli(capsys, "eval", "lagrange2d", "--theta", "1/3",
+                           "--gamma", "1/2", "--n", "100", "--cross-check")
     assert code == 0
     assert float(out) == pytest.approx(0.5, abs=1e-12)
+
+
+def _cos_pi(text):
+    return math.cos(math.pi * PointSpec.parse(text).value)
+
+
+# (command line, printed value, the library call it must equal bit for bit)
+EVAL_CASES = [
+    ("lagrange1d --theta 1/3 --n 200 --cross-check", "0.69170273256735748",
+     lambda: jump_value_direct(PointSpec.parse("1/3"), 1.0, 200)),
+    ("lagrange1d --theta inv_sqrt2 --n 1234 --d 0.25 --cross-check", "0.10988540722095885",
+     lambda: jump_value_direct(PointSpec.parse("inv_sqrt2"), 0.25, 1234)),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 100 --cross-check", "0.50000000000000189",
+     lambda: lagrange_eval_2d(StepFn2D.upper_right(_cos_pi("1/3"), _cos_pi("1/2")), 100, 100,
+                              _cos_pi("1/3"), _cos_pi("1/2"))),
+    ("lagrange2d --theta inv_sqrt2 --gamma golden_frac --n 77 --m 91 --cross-check",
+     "0.081329279127191845",
+     lambda: lagrange_eval_2d(StepFn2D.upper_right(_cos_pi("inv_sqrt2"), _cos_pi("golden_frac")),
+                              77, 91, _cos_pi("inv_sqrt2"), _cos_pi("golden_frac"))),
+    ("shepard1d --x0 1/3 --n 999 --s 3", "1",
+     lambda: shepard_eval_1d(StepFn1D.indicator_upto(1 / 3), ShepardParams(3.0, 999), 1 / 3,
+                             spec=PointSpec.parse("1/3"))),
+    ("shepard1d --x0 inv_sqrt2 --n 500", "0.40964980290247333",
+     lambda: shepard_eval_1d(StepFn1D.indicator_upto(IRRATIONAL_VALUES["inv_sqrt2"]),
+                             ShepardParams(2.0, 500), IRRATIONAL_VALUES["inv_sqrt2"],
+                             spec=PointSpec.parse("inv_sqrt2"))),
+    ("shepard2d --x0 1/2 --y0 1/2 --s 1 --n 999 --cross-check", "0.25000000000000688",
+     lambda: shepard_eval_2d(StepFn2D.lower_left(0.5, 0.5), ShepardParams(1.0, 999),
+                             ShepardParams(1.0, 999), 0.5, 0.5)),
+    ("shepard2d --x0 golden_frac --y0 2/3 --n 50 --m 60", "0.017659244473411783",
+     lambda: shepard_eval_2d(StepFn2D.lower_left(IRRATIONAL_VALUES["golden_frac"], 2 / 3),
+                             ShepardParams(2.0, 50), ShepardParams(2.0, 60),
+                             IRRATIONAL_VALUES["golden_frac"], 2 / 3)),
+]
+
+
+@pytest.mark.parametrize("argv,printed,library", EVAL_CASES, ids=[c[0] for c in EVAL_CASES])
+def test_eval_prints_the_library_value(capsys, argv, printed, library):
+    code, out, err = run_cli(capsys, "eval", *argv.split())
+    assert code == 0
+    assert out == f"{library():.17g}\n" == printed + "\n"
+    assert ("cross-check ok" in err) == argv.startswith("lagrange1d")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("shepard1d --x0 1/3 --n 10 --d 5", "--d does not apply to shepard1d"),
+    ("shepard1d --x0 1/3 --n 10 --cross-check", "--cross-check does not apply"),
+    ("shepard1d --x0 1/3 --n 10 --theta 1/3", "--theta does not apply"),
+    ("shepard1d --x0 1/3 --n 10 --m 10", "--m does not apply"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --s 7", "--s does not apply to lagrange2d"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --d 0.5", "--d does not apply"),
+    ("shepard1d --n 10", "shepard1d needs --x0"),
+    ("shepard2d --x0 1/3 --n 10", "shepard2d needs --y0"),
+    ("shepard1d --x0 1/3 --n 10 --s nan", "--s must be >= 1"),
+    ("shepard2d --x0 1/3 --y0 1/2 --n 10 --s inf", "--s must be >= 1"),
+    ("shepard1d --x0 1/3 --n 10 --s 0.5", "--s must be >= 1"),
+    ("lagrange1d --theta 1/3 --n 10 --d nan", "--d must be a number"),
+    ("shepard2d --x0 1/3 --y0 1/2 --n 10 --m 0", "--m must be >= 1"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --m 0", "--m must be >= 1"),
+    ("shepard1d --x0 1/3 --n 0", "--n must be >= 1"),
+    ("lagrange1d --theta 0/1 --n 10", "--theta: point 0/1 must lie strictly inside"),
+    ("shepard2d --x0 1/2 --y0 1/1 --n 10", "--y0: point 1/1 must lie strictly inside"),
+    ("lagrange2d --theta 1/3 --gamma 2/4 --n 10", "--gamma: p/q=2/4 not in lowest terms"),
+    ("shepard1d --x0 pi --n 10", "--x0: unknown irrational preset 'pi'"),
+])
+def test_eval_bad_input_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eval", *argv.split())
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_eval_old_point_flags_are_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "shepard1d", "--x0", "1/3", "--n", "10", "--theta-rational", "1/3"])
+    assert exc.value.code == 2
 
 
 def test_index_cross_check_at_node_hits(tmp_path, capsys):
@@ -156,7 +250,12 @@ def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "lagrange2", "--out", str(blocker / "x.json"))
     assert code == 2
     assert "cannot write" in err and "Traceback" not in err
-    path = tmp_path / "new" / "x.json"
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "lagrange2", "--out", str(missing))
+    assert code == 2
+    assert f"cannot write {missing}" in err and "Traceback" not in err
+    assert not missing.parent.exists()
+    path = tmp_path / "x.json"
     code, out, _ = run_cli(capsys, "verify", "lagrange2", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text())["checks"][0]["passed"] is True
@@ -177,14 +276,21 @@ def test_index_flags_are_checked_like_config_fields(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flag,target", [("--out", "r.json"), ("--csv", "w.csv"),
-                                         ("--cache-dir", None)])
+                                         ("--cache-dir", None),
+                                         ("--out", "missing/r.json"),
+                                         ("--csv", "missing/w.csv")])
 def test_index_write_failure_is_usage_error(tmp_path, capsys, flag, target):
+    """Paths under a file, a cache dir that is a file, and paths in a
+    directory that does not exist: outputs create no directories."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
                                     "theta": {"rational": [1, 3]}, "window": 100}))
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    path = blocker / target if target else blocker
+    if target is None:
+        path = blocker
+    else:
+        path = tmp_path / target if target.startswith("missing/") else blocker / target
     code, _, err = run_cli(capsys, "index", "--config", str(cfg_path), flag, str(path))
     assert code == 2
     assert f"cannot write {path}" in err and "Traceback" not in err

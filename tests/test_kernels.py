@@ -202,9 +202,9 @@ def test_single_values_bit_identical():
     for _ in range(200):
         n = int(rng.integers(2, 200))
         x = float(rng.uniform(-1.0, 1.0))
-        same_bits(lg._weights_all(lg.cheb_grid(n), x), ref_lagrange_weights(n, x))
+        same_bits(lg.fundamental_weights(lg.cheb_grid(n), x), ref_lagrange_weights(n, x))
         node = float(lg.cheb_grid(n).nodes[int(rng.integers(0, n))])
-        same_bits(lg._weights_all(lg.cheb_grid(n), node), ref_lagrange_weights(n, node))
+        same_bits(lg.fundamental_weights(lg.cheb_grid(n), node), ref_lagrange_weights(n, node))
         s = float(rng.uniform(1.0, 4.0))
         xs = float(rng.random())
         params = sh.ShepardParams(s, n)

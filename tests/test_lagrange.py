@@ -7,7 +7,7 @@ import pytest
 from conidx.lagrange import (
     cheb_grid,
     eval_jump_decomposed,
-    fundamental_weight,
+    fundamental_weights,
     grid_offset,
     jump_sequence,
     lagrange_eval_1d,
@@ -49,15 +49,15 @@ def test_grid_monotone_and_endpoints():
 
 def test_fundamental_weight_kronecker():
     g = cheb_grid(9)
-    for k in range(1, 10):
-        for j in range(1, 10):
-            want = 1.0 if j == k else 0.0
-            assert fundamental_weight(g, k, float(g.nodes[j - 1])) == want
+    for j in range(1, 10):
+        want = np.zeros(9)
+        want[j - 1] = 1.0
+        assert np.array_equal(fundamental_weights(g, float(g.nodes[j - 1])), want)
 
 
 def test_fundamental_weight_closed_case():
     g = cheb_grid(3)
-    assert fundamental_weight(g, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
+    assert fundamental_weights(g, 0.5)[1] == pytest.approx(0.75, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 11, 24])
@@ -65,9 +65,11 @@ def test_fundamental_weight_product_formula_oracle(n):
     g = cheb_grid(n)
     rng = np.random.default_rng(42 + n)
     for x in rng.uniform(-1.0, 1.0, size=6):
+        weights = fundamental_weights(g, float(x))
+        assert weights.shape == (n,)
         for k in range(1, n + 1):
             want = product_formula_weight(g.nodes, k, float(x))
-            assert fundamental_weight(g, k, float(x)) == pytest.approx(want, abs=1e-9)
+            assert weights[k - 1] == pytest.approx(want, abs=1e-9)
 
 
 def test_partition_of_unity():
@@ -75,16 +77,7 @@ def test_partition_of_unity():
     for n in (2, 17, 150, 900):
         g = cheb_grid(n)
         for x in rng.uniform(-1.0, 1.0, size=4):
-            total = sum(fundamental_weight(g, k, float(x)) for k in range(1, n + 1))
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fundamental_weight_index_range():
-    g = cheb_grid(4)
-    with pytest.raises(ValueError):
-        fundamental_weight(g, 0, 0.3)
-    with pytest.raises(ValueError):
-        fundamental_weight(g, 5, 0.3)
+            assert fundamental_weights(g, float(x)).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_eval_constant_reproduced():

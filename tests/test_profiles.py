@@ -10,7 +10,6 @@ from conidx import profiles
 from conidx.profiles import (
     Profile1D,
     Profile2D,
-    affine_jump_profile,
     hurwitz_zeta,
     invert_monotone,
     lagrange_jump_profile,
@@ -42,6 +41,9 @@ def test_lerch_j1_domain():
         lerch_j1(0.0)
     with pytest.raises(ValueError):
         lerch_j1(1.5)
+    for bad in (math.nan, np.array([0.5, math.nan]), math.inf):
+        with pytest.raises(ValueError):
+            lerch_j1(bad)
 
 
 def with_budget(monkeypatch, abs_tol, fn, *args):
@@ -86,6 +88,10 @@ def test_hurwitz_zeta_domain():
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 0.0)
+    for s, a in [(math.nan, 0.5), (math.inf, 0.5), (2.0, math.nan), (2.0, math.inf),
+                 (2.0, np.array([0.5, math.nan]))]:
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, a)
 
 
 def test_hurwitz_zeta_tolerance_stability(monkeypatch):
@@ -113,6 +119,11 @@ def test_profile_domain():
         lagrange_jump_profile(1.0)
     with pytest.raises(ValueError):
         lagrange_jump_profile(-0.1)
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            lagrange_jump_profile(bad)
+        with pytest.raises(ValueError):
+            shepard_jump_profile(2.0, bad)
 
 
 def test_shepard_profile_values():
@@ -128,19 +139,6 @@ def test_profiles_strictly_decreasing():
     xs = np.linspace(0.0, 1.0 - 1e-9, 1024)
     for vals in (lagrange_jump_profile(xs), shepard_jump_profile(2.0, xs)):
         assert np.all(np.diff(vals) < 0.0)
-
-
-def test_affine_profile():
-    base = Profile1D.lagrange()
-    ident = affine_jump_profile(0.0, 1.0)
-    xs = np.linspace(0.0, 0.999, 64)
-    assert np.abs(ident(xs) - base(xs)).max() <= 1e-14
-    mid = affine_jump_profile(2.0, 4.0)
-    assert mid(0.5) == pytest.approx(3.0, abs=1e-10)
-    down = affine_jump_profile(1.0, -1.0)
-    assert down(0.0) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        affine_jump_profile(2.0, 2.0)
 
 
 def test_profile_monotonicity_guard():

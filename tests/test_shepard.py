@@ -20,6 +20,8 @@ def test_params_validation():
         ShepardParams(s=0.5, n=10)
     with pytest.raises(ValueError):
         ShepardParams(s=2.0, n=0)
+    with pytest.raises(ValueError):
+        ShepardParams(s=float("nan"), n=3)
 
 
 def test_weights_worked_example():
