@@ -101,9 +101,10 @@ def cmd_eval(args) -> int:
             raise UsageError(f"--{name.replace('_', '-')} does not apply to {op}")
     d, s = _eval_number(args, "d"), _eval_number(args, "s")
     n, m = args.n, args.n if args.m is None else args.m
+    least = 2 if op.startswith("lagrange") else 1  # the Chebyshev grid has both endpoints
     for name, count in (("n", n), ("m", m)):
-        if count < 1:
-            raise UsageError(f"--{name} must be >= 1")
+        if count < least:
+            raise UsageError(f"--{name} must be >= {least}")
     fam = _FAMILIES[op[:-2]]
     points = [_eval_point(args, name) for name in _SPEC_FIELDS[op]]
     jumps = [fam.jump(point.value) for point in points]

@@ -67,18 +67,19 @@ def _node_hit(nodes: np.ndarray, x: float, dist: np.ndarray) -> int | None:
 
 
 def _weights(w: np.ndarray, diff: np.ndarray, nodes: np.ndarray, alt: np.ndarray,
-             x: float, theta: float) -> None:
-    """ell[1..n](x) into w for x = cos(theta) off the nodes; diff receives x - nodes.
+             x: float, theta: float, n: int) -> None:
+    """ell[1..K](x) into w for x = cos(theta) off the nodes of the n-node grid,
+    where K = len(nodes) <= n; diff receives x - nodes.
 
     The numerator is (-1)^k c with c = (1/(n-1)) sin((n-1) theta) sin theta,
     halved at both endpoints: halving is exact, so every entry rounds as
     sign / ((n-1) fac) * s does.
     """
-    n = len(nodes)
     c = (1.0 / (n - 1)) * (math.sin((n - 1) * theta) * math.sin(theta))
     np.multiply(alt, c, out=w)
     w[0] *= 0.5
-    w[-1] *= 0.5
+    if len(w) == n:
+        w[-1] *= 0.5
     np.subtract(x, nodes, out=diff)
     np.divide(w, diff, out=w)
 
@@ -91,7 +92,7 @@ def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
     if j is not None:
         w[j] = 1.0
     else:
-        _weights(w, work, grid.nodes, _alternating(n), x, math.acos(min(1.0, max(-1.0, x))))
+        _weights(w, work, grid.nodes, _alternating(n), x, math.acos(min(1.0, max(-1.0, x))), n)
     return w
 
 
@@ -219,8 +220,13 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     exactly when the grid offset is zero; without, a node within
     NODE_COLLISION * n of x is a hit.  A hit returns the step value at x.
     Otherwise the value is the dot product of the weights with the step
-    values at the nodes, computed in three buffers allocated once.  Every
-    value is bit-identical to the per-n evaluation (`lagrange_eval_1d`);
+    values at the nodes, computed in three buffers allocated once.  With
+    spec and step.left == 0, the step is 0 on every node below step.x0, so
+    the nodes, weights and step values are computed only on the head
+    k < K of nodes at or above it, and both vectors are zeroed past it (the
+    buffers may hold nan there, and 0 * nan is nan): the full-length dot
+    product sums the same nonzero terms.  Every value is
+    bit-identical to the per-n evaluation (`lagrange_eval_1d`);
     tests/test_kernels.py holds the reference loops.
     """
     size = ns.stop - 1
@@ -228,21 +234,32 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     alt = _alternating(size)
     nodes_buf, w_buf, work_buf = np.empty(size), np.empty(size), np.empty(size)
     out = np.empty(len(ns))
+    # the jump angle of the step over pi: nodes k <= (n-1) cut lie at or above it
+    cut = math.acos(min(1.0, max(-1.0, step.x0))) / math.pi
+    at_x = step(x)
     for i, n in enumerate(ns):
-        nodes, w, work = nodes_buf[:n], w_buf[:n], work_buf[:n]
         if spec is not None and grid_offset(spec, n) == 0.0:
-            out[i] = step(x)
+            out[i] = at_x
             continue
-        np.multiply(kf[:n], math.pi / (n - 1), out=work)
-        np.cos(work, out=nodes)
+        K = n if spec is None or step.left != 0.0 else min(n, int((n - 1) * cut) + 1)
+        while True:  # the estimate is confirmed on the rounded nodes, never trusted
+            head = min(K + 1, n)
+            np.multiply(kf[:head], math.pi / (n - 1), out=work_buf[:head])
+            np.cos(work_buf[:head], out=nodes_buf[:head])
+            if K == n or nodes_buf[K] < step.x0:
+                break
+            K += 1
+        nodes, w, work = nodes_buf[:K], w_buf[:K], work_buf[:K]
         if spec is None:
             j = _node_hit(nodes, x, work)
             if j is not None:
-                out[i] = step(x)
+                out[i] = at_x
                 continue
-        _weights(w, work, nodes, alt[:n], x, theta)
+        _weights(w, work, nodes, alt[:K], x, theta, n)
         step.sample_sorted(nodes, work)
-        out[i] = w @ work
+        w_buf[K:n] = 0.0
+        work_buf[K:n] = 0.0
+        out[i] = w_buf[:n] @ work_buf[:n]
     return out
 
 

@@ -54,8 +54,8 @@ class StepFn1D:
         """
         n = len(nodes)
         ascending = nodes[::-1] if n > 1 and nodes[0] > nodes[-1] else nodes
-        lo = int(np.searchsorted(ascending, self.x0, "left"))
-        hi = int(np.searchsorted(ascending, self.x0, "right"))
+        lo = int(ascending.searchsorted(self.x0, "left"))
+        hi = int(ascending.searchsorted(self.x0, "right"))
         if ascending is nodes:
             out[:lo], out[lo:hi], out[hi:] = self.left, self.at, self.right
         else:

@@ -141,8 +141,12 @@ def test_eval_prints_the_library_value(capsys, argv, printed, library):
     ("shepard1d --x0 1/3 --n 10 --s 0.5", "--s must be >= 1"),
     ("lagrange1d --theta 1/3 --n 10 --d nan", "--d must be a number"),
     ("shepard2d --x0 1/3 --y0 1/2 --n 10 --m 0", "--m must be >= 1"),
-    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --m 0", "--m must be >= 1"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --m 0", "--m must be >= 2"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --m 1", "--m must be >= 2"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 1", "--n must be >= 2"),
+    ("lagrange1d --theta 1/3 --n 1", "--n must be >= 2"),
     ("shepard1d --x0 1/3 --n 0", "--n must be >= 1"),
+    ("shepard2d --x0 1/3 --y0 1/2 --n 1 --m 0", "--m must be >= 1"),
     ("lagrange1d --theta 0/1 --n 10", "--theta: point 0/1 must lie strictly inside"),
     ("shepard2d --x0 1/2 --y0 1/1 --n 10", "--y0: point 1/1 must lie strictly inside"),
     ("lagrange2d --theta 1/3 --gamma 2/4 --n 10", "--gamma: p/q=2/4 not in lowest terms"),

@@ -151,6 +151,54 @@ def test_jump_sequence_bit_identical(spec):
                   ref_jump_sequence(spec, 1.0, 700, step=step))
 
 
+def head_steps(x0):
+    """The step orientations through `lagrange._window`: left = 0 (head only)
+    and left != 0 (every node)."""
+    return (StepFn1D.jump(x0, 0.5), StepFn1D.indicator_from(x0), StepFn1D.indicator_upto(x0),
+            StepFn1D(x0=x0, left=0.0, at=-0.3, right=2.5),
+            StepFn1D(x0=x0, left=-1.25, at=0.0, right=0.75))
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(2, 2000), p=st.integers(1, 1999), d=st.sampled_from([0.0, 0.5, 1.0]),
+       n_max=st.integers(2, 2000))
+def test_jump_sequence_head_bit_identical_over_rationals(q, p, d, n_max):
+    """Large q puts the jump within 1/q of a node; d = 0 zeroes the jump value too."""
+    p = p % q or 1
+    g = math.gcd(p, q)
+    spec = PointSpec.rational(p // g, q // g)
+    same_bits(lg.jump_sequence(spec, d, n_max), ref_jump_sequence(spec, d, n_max))
+
+
+@pytest.mark.parametrize("p", [1, 996])
+def test_jump_sequence_head_edges(p):
+    """At 1/997 the head holds one node up to n = 997 and two up to 1994; at
+    996/997 it holds all but the last node, and left != 0 makes it all."""
+    spec = PointSpec.rational(p, 997)
+    theta0 = math.pi * spec.value
+    x0 = math.cos(theta0)
+    for step in head_steps(x0):
+        same_bits(lg.jump_sequence(spec, step.at, 2000, step=step),
+                  ref_jump_sequence(spec, step.at, 2000, step=step))
+    for n in (2, 3, 997, 998, 1994, 1995):
+        got = lg.jump_value_direct(spec, 0.5, n)
+        want = ref_jump_value(StepFn1D.jump(x0, 0.5), x0, theta0, lg.grid_offset(spec, n), n)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_jump_sequence_head_at_rounded_nodes():
+    """Steps whose jump is a rounded node, or the end -1, where the estimated
+    head falls short of the nodes at or above the jump and has to grow."""
+    n, k = 7, 1
+    node = float(np.cos(k * (math.pi / (n - 1))))
+    assert int((n - 1) * math.acos(node) / math.pi) + 1 <= k
+    spec = PointSpec.rational(2, 7)
+    for x0 in (node, -1.0):
+        for step in head_steps(x0):
+            same_bits(lg.jump_sequence(spec, 1.0, 600, step=step),
+                      ref_jump_sequence(spec, 1.0, 600, step=step))
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_shepard_step_sequence_bit_identical(spec):
     for s in (1.0, 2.0, 2.5, 3.0):
