@@ -44,7 +44,7 @@ exp = ExperimentSpec(operator="lagrange1d", spec_x=spec, d=1.0, window=3000,
 result = run_index_experiment(exp)
 print(f"\nindex estimates over a {exp.window}-term window (eps = {result.epsilon}):")
 for rep in result.reports:
-    print(f"  {rep.notes['label']:>14}: estimated {rep.estimate.lower_est:.4f}"
+    print(f"  {rep.label:>14}: estimated {rep.estimate.lower_est:.4f}"
           f"  predicted {rep.predicted:.4f}  [{rep.verdict}]")
 print(f"  residual mass outside all clusters: {result.residual_mass:.4f}")
 

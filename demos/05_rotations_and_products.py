@@ -47,4 +47,4 @@ print(f"  sum of index estimates <= 1 + 0.02: {sum_rule_check(prod_win, targets,
 print("\nuniform-limit rule: x[n,m] = y_n + 1/m inherits the index of y_n")
 rep = check_uniform_limit_rule(2000)
 print(f"  2-d index {rep.estimate.lower_est:.4f} >= 1-d index "
-      f"{rep.notes['index_1d']:.4f} - 0.02  [{rep.verdict}]")
+      f"{rep.predicted:.4f} - 0.02  [{rep.verdict}]")

@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 
 from . import __version__
-from .harness import _FAMILIES, run_index_experiment
+from .harness import _FAMILIES, MAX_WINDOW_2D, CrossCheckError, run_index_experiment
 from .lagrange import eval_jump_decomposed, jump_value_direct
 from .points import PointSpec
 from .profiles import hurwitz_zeta, lagrange_jump_profile, lerch_j1, shepard_jump_profile
@@ -39,6 +39,8 @@ from .suites import SUITES, run_suites
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+MAX_EVAL_NODES = 1_000_000  # largest --n and --m of `eval`
 
 
 class UsageError(ValueError):
@@ -102,9 +104,14 @@ def cmd_eval(args) -> int:
     d, s = _eval_number(args, "d"), _eval_number(args, "s")
     n, m = args.n, args.n if args.m is None else args.m
     least = 2 if op.startswith("lagrange") else 1  # the Chebyshev grid has both endpoints
+    # the 2-d cross-check's double sum samples the whole n x m node grid
+    most, why = ((MAX_WINDOW_2D, " with --cross-check")
+                 if op.endswith("2d") and args.cross_check else (MAX_EVAL_NODES, ""))
     for name, count in (("n", n), ("m", m)):
         if count < least:
             raise UsageError(f"--{name} must be >= {least}")
+        if count > most:
+            raise UsageError(f"--{name} must be <= {most}{why}")
     fam = _FAMILIES[op[:-2]]
     points = [_eval_point(args, name) for name in _SPEC_FIELDS[op]]
     jumps = [fam.jump(point.value) for point in points]
@@ -142,7 +149,11 @@ def cmd_index(args) -> int:
     t0 = time.perf_counter()
     window = cache.load(spec) if cache else None
     cached = window is not None
-    result = run_index_experiment(spec, window=window)
+    try:
+        result = run_index_experiment(spec, window=window)
+    except CrossCheckError as exc:
+        print(f"cross-check FAILED: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     if cache and not cached:
         with _writing(cache.dir):
@@ -166,7 +177,7 @@ def cmd_index(args) -> int:
         with _writing(config.out_csv):
             emit_csv(result.window, config.out_csv)
         print(f"window written to {config.out_csv}")
-    return EXIT_PASS if report.all_pass else EXIT_FAIL
+    return EXIT_PASS if result.all_pass else EXIT_FAIL
 
 
 def cmd_verify(args) -> int:

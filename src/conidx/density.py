@@ -9,7 +9,7 @@ that grid (the early checkpoints only absorb transients).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +73,21 @@ def complement_identity_check(indicator: SeqWindow, checkpoints) -> bool:
 # targets
 
 
+def merge_open(intervals) -> tuple[tuple[float, float], ...]:
+    """The union of open intervals as disjoint open intervals, in order.
+
+    Only overlapping intervals merge: (a, b) and (b, c) stay apart, since
+    their shared end b lies in neither.
+    """
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
 @dataclass(frozen=True)
 class Target:
     """Convergence target: a value, a finite union of closed intervals, or +-inf."""
@@ -109,14 +124,7 @@ class Target:
         if self.kind == "value":
             return ((self.value - eps, self.value + eps),)
         if self.kind == "set":
-            merged: list[list[float]] = []
-            for a, b in self.intervals:
-                lo, hi = a - eps, b + eps
-                if merged and lo < merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            return tuple((lo, hi) for lo, hi in merged)
+            return merge_open((a - eps, b + eps) for a, b in self.intervals)
         raise ValueError("infinite targets have no dilation; supply cutoffs instead")
 
     def describe(self) -> str:
@@ -289,7 +297,7 @@ class IndexReport:
     tolerance: float | None = None
     verdict: str | None = None
     cutoffs: tuple[float, ...] | None = None
-    notes: dict = field(default_factory=dict)
+    label: str | None = None  # the cluster's name in its prediction table
 
     def judge(self, predicted: float, tolerance: float, lower_bound: bool = False) -> "IndexReport":
         """Attach a theoretical value and a pass/fail verdict."""

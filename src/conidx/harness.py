@@ -24,6 +24,7 @@ from .density import (
     Target,
     default_checkpoints,
     index_to_target,
+    merge_open,
 )
 from .points import PointSpec
 from .profiles import (
@@ -58,7 +59,7 @@ class Prediction:
     target: Target
     index: float
     lower_bound_only: bool = False
-    label: str = ""
+    label: str | None = None
 
 
 @dataclass
@@ -371,6 +372,10 @@ def _auto_epsilon(table: PredictionTable) -> float:
     return min(gap / 2.0, EPS_CAP)
 
 
+class CrossCheckError(AssertionError):
+    """A window disagrees with the independent evaluation it is checked against."""
+
+
 def _cross_check_window(spec: ExperimentSpec, win: SeqWindow,
                         eval_xy: tuple[float, float]) -> None:
     """Spot-check the product decomposition against the full double sum."""
@@ -382,9 +387,9 @@ def _cross_check_window(spec: ExperimentSpec, win: SeqWindow,
     for n in np.unique(np.geomspace(2, min(spec.window, 200), 5).astype(int)):
         n = int(n)
         direct = fam.eval_2d(h, spec.s, n, n, px, py, True)
-        prod = u[n - 1] * v[n - 1]
+        prod = float(u[n - 1] * v[n - 1])
         if abs(direct - prod) > 1e-9:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"window factor product at n=m={n} is {prod!r}, double sum {direct!r}")
 
 
@@ -394,9 +399,10 @@ def run_index_experiment(spec: ExperimentSpec,
 
     The dilation half-width defaults to half the minimum inter-cluster gap
     (capped); measure-profile cases use explicit interval targets compared
-    against the profile preimage measure.  The residual mass is the window
-    fraction hitting none of the dilated targets at the final checkpoint.
-    A precomputed window (e.g. from the sequence cache) may be supplied.
+    against the profile preimage measure.  For cluster tables the residual
+    mass is the window fraction hitting none of the dilated targets at the
+    final checkpoint.  A precomputed window (e.g. from the sequence cache)
+    may be supplied.
     """
     where, eval_xy = _classify_point(spec)
     table = build_table(spec, where)
@@ -411,45 +417,27 @@ def run_index_experiment(spec: ExperimentSpec,
     if spec.cross_check and win.factors is not None:
         _cross_check_window(spec, win, eval_xy)
     cps = default_checkpoints(spec.window, spec.checkpoint_count)
-    reports: list[IndexReport] = []
     if table.profile is not None:
         eps = spec.epsilon if spec.epsilon is not None else PROFILE_EPS
-        for a, b in spec.targets:
-            target = Target.interval_union([(a, b)])
-            rep = index_to_target(win, target, eps, cps)
-            if isinstance(table.profile, Profile2D):
-                predicted = preimage_measure_2d(table.profile, [(a, b)])
-            else:
-                predicted = preimage_measure_1d(table.profile, [(a, b)])
-            rep.judge(predicted, spec.tolerance)
-            rep.notes["kind"] = "preimage-measure"
-            reports.append(rep)
-        return ExperimentResult(spec=spec, table=table, epsilon=eps,
-                                reports=reports, residual_mass=None, window=win)
-    eps = spec.epsilon if spec.epsilon is not None else _auto_epsilon(table)
-    dilated_union: list[tuple[float, float]] = []
-    for pred in table.predictions:
+        measure = (preimage_measure_2d if isinstance(table.profile, Profile2D)
+                   else preimage_measure_1d)
+        rows = [Prediction(Target.interval_union([iv]), measure(table.profile, [iv]))
+                for iv in spec.targets]
+    else:
+        eps = spec.epsilon if spec.epsilon is not None else _auto_epsilon(table)
+        rows = table.predictions
+    reports: list[IndexReport] = []
+    for pred in rows:
         rep = index_to_target(win, pred.target, eps, cps)
         rep.judge(pred.index, spec.tolerance, lower_bound=pred.lower_bound_only)
-        rep.notes["label"] = pred.label
+        rep.label = pred.label
         reports.append(rep)
-        dilated_union.extend(pred.target.dilated(eps))
-    merged = _merge_intervals(dilated_union)
-    final_count = int(win.hit_counts(merged, [spec.window])[0])
-    residual = 1.0 - final_count / spec.window**win.dim
+    residual = None
+    if table.profile is None:
+        union = merge_open(iv for pred in rows for iv in pred.target.dilated(eps))
+        residual = 1.0 - int(win.hit_counts(union, [spec.window])[0]) / spec.window**win.dim
     return ExperimentResult(spec=spec, table=table, epsilon=eps,
                             reports=reports, residual_mass=residual, window=win)
-
-
-def _merge_intervals(intervals) -> list[tuple[float, float]]:
-    ivs = sorted(intervals)
-    out: list[list[float]] = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +532,7 @@ def check_product_rule(alpha: PointSpec | str, gamma: PointSpec | str,
     a, b = interval
     target = Target.interval_union([(a, b)])
     rep = index_to_target(win, target, RULE_EPS, default_checkpoints(n_max))
-    rep.judge(product_measure(a, b), RULE_TOL)
-    rep.notes["kind"] = "product-rule"
-    return rep
+    return rep.judge(product_measure(a, b), RULE_TOL)
 
 
 def check_uniform_limit_rule(n_max: int) -> IndexReport:
@@ -562,10 +548,7 @@ def check_uniform_limit_rule(n_max: int) -> IndexReport:
     rep_1d = index_to_target(SeqWindow.from_values_1d(y), target, RULE_EPS, cps)
     m = np.arange(1, n_max + 1, dtype=float)
     rep_2d = index_to_target(SeqWindow.from_sum(y, 1.0 / m), target, RULE_EPS, cps)
-    rep_2d.judge(rep_1d.estimate.lower_est, RULE_TOL, lower_bound=True)
-    rep_2d.notes["kind"] = "uniform-limit-rule"
-    rep_2d.notes["index_1d"] = rep_1d.estimate.lower_est
-    return rep_2d
+    return rep_2d.judge(rep_1d.estimate.lower_est, RULE_TOL, lower_bound=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -202,7 +202,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     elif eval_point is not None:
         eval_point = (float(eval_point[0]), float(eval_point[1]))
     cross_check = raw.get("cross_check", False)
-    if not isinstance(cross_check, bool):
+    if "cross_check" in raw and experiment.endswith("1d"):
+        errors.append(f"field 'cross_check' does not apply to {experiment}")
+    elif not isinstance(cross_check, bool):
         errors.append("cross_check must be a boolean")
     out = raw.get("out", {})
     if (not isinstance(out, dict) or set(out) - {"report", "csv"}
@@ -299,8 +301,8 @@ def _target_to_json(report: IndexReport) -> dict:
     }
     if report.predicted_is_lower_bound:
         entry["predicted_is_lower_bound"] = True
-    if "label" in report.notes:
-        entry["label"] = report.notes["label"]
+    if report.label is not None:
+        entry["label"] = report.label
     return entry
 
 
@@ -313,10 +315,6 @@ class RunReport:
     residual_mass: float | None
     runtime_ms: float
     version: str = __version__
-    all_pass: bool = field(init=False)
-
-    def __post_init__(self):
-        self.all_pass = all(t.get("verdict") == "pass" for t in self.targets)
 
     def to_json(self) -> str:
         doc = {

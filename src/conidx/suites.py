@@ -149,7 +149,7 @@ def check_product_rule_and_measure():
 def check_uniform_limit_rule():
     rep = harness.check_uniform_limit_rule(2000)
     return rep.verdict == "pass", (f"2d index {rep.estimate.lower_est:.4f} >= "
-                                   f"1d index {rep.notes['index_1d']:.4f} - 0.02")
+                                   f"1d index {rep.predicted:.4f} - 0.02")
 
 
 PROPERTY_CONFIGS = 100
@@ -233,7 +233,7 @@ def check_lagrange_rational_clusters():
     wit_spec = ExperimentSpec(operator="lagrange1d", spec_x=PointSpec.rational(1, 3),
                               d=1.0, window=2000)
     tails = max(harness.cluster_witness(wit_spec, m).tail_deviation for m in range(3))
-    ests = ", ".join(f"{r.notes['label']}={r.estimate.lower_est:.4f}" for r in result.reports)
+    ests = ", ".join(f"{r.label}={r.estimate.lower_est:.4f}" for r in result.reports)
     return result.all_pass and tails <= 5e-3, f"{ests}; worst tail dev {tails:.1e}"
 
 
@@ -290,7 +290,7 @@ def check_shepard_edge_clusters():
                           spec_y=PointSpec.rational(1, 2), s=2.0, window=1000,
                           tolerance=0.02, eval_point=(0.375, 0.5))
     result = run_index_experiment(spec)
-    return result.all_pass, ", ".join(f"{r.notes['label']}={r.estimate.lower_est:.4f}"
+    return result.all_pass, ", ".join(f"{r.label}={r.estimate.lower_est:.4f}"
                                       for r in result.reports)
 
 

@@ -111,7 +111,7 @@ def test_criterion_04_lagrange_rational_clusters():
     dt = time.perf_counter() - t0
     ok = result.all_pass and max(tails) <= 5e-3 and dt < 10.0
     report("criterion 4 (rational angle clusters)", ok,
-           ", ".join(f"{r.notes['label']}={r.estimate.lower_est:.4f}"
+           ", ".join(f"{r.label}={r.estimate.lower_est:.4f}"
                      for r in result.reports)
            + f"; worst tail {max(tails):.1e}; runtime {dt:.2f}s")
     for rep in result.reports:

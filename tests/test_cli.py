@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conidx import suites
@@ -151,6 +152,15 @@ def test_eval_prints_the_library_value(capsys, argv, printed, library):
     ("shepard2d --x0 1/2 --y0 1/1 --n 10", "--y0: point 1/1 must lie strictly inside"),
     ("lagrange2d --theta 1/3 --gamma 2/4 --n 10", "--gamma: p/q=2/4 not in lowest terms"),
     ("shepard1d --x0 pi --n 10", "--x0: unknown irrational preset 'pi'"),
+    # numpy cannot allocate 10^13 nodes and fails at once; the bound comes first
+    ("lagrange1d --theta 1/3 --n 10000000000000", "--n must be <= 1000000"),
+    ("shepard2d --x0 1/3 --y0 1/2 --n 10000000000000", "--n must be <= 1000000"),
+    ("shepard1d --x0 1/3 --n 1000001", "--n must be <= 1000000"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 10 --m 1000001", "--m must be <= 1000000"),
+    ("lagrange2d --theta 1/3 --gamma 1/2 --n 3001 --cross-check",
+     "--n must be <= 3000 with --cross-check"),
+    ("shepard2d --x0 1/3 --y0 1/2 --n 10 --m 3001 --cross-check",
+     "--m must be <= 3000 with --cross-check"),
 ])
 def test_eval_bad_input_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, "eval", *argv.split())
@@ -172,6 +182,55 @@ def test_index_cross_check_at_node_hits(tmp_path, capsys):
         "gamma": {"rational": [1, 2]}, "window": 100, "cross_check": True}))
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code in (0, 1) and "residual mass" in out
+
+
+@pytest.mark.parametrize("experiment,point", [("lagrange1d", "theta"), ("shepard1d", "x0")])
+def test_index_cross_check_flag_on_a_1d_config_is_usage_error(tmp_path, capsys,
+                                                             experiment, point):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": experiment,
+                                    point: {"rational": [1, 3]}, "window": 100}))
+    code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), "--cross-check")
+    assert code == 2 and out == ""
+    assert f"field 'cross_check' does not apply to {experiment}" in err
+
+
+def test_index_failed_cross_check_exits_one_and_writes_nothing(tmp_path, capsys):
+    """A cached product window whose u factor is off by 0.01 disagrees with
+    the double sum: one line on stderr, exit 1, no report, CSV or traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
+        "gamma": {"rational": [1, 2]}, "window": 100, "cache_dir": str(tmp_path / "cache")}))
+    code, _, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.npz")
+    with np.load(entry) as data:
+        u, v = data["u"], data["v"]
+    np.savez(entry, u=u + 0.01, v=v)
+    report, csv = tmp_path / "r.json", tmp_path / "w.csv"
+    code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), "--cross-check",
+                             "--out", str(report), "--csv", str(csv))
+    assert code == 1 and out == ""
+    assert err.startswith("cross-check FAILED: window factor product at n=m=2 is ")
+    assert err.count("\n") == 1
+    assert not report.exists() and not csv.exists()
+
+
+def test_index_report_labels_only_cluster_targets(tmp_path, capsys):
+    """Cluster targets carry their table label; measure targets carry no label key."""
+    docs = {}
+    for name, cfg in (("clusters", {"experiment": "shepard1d", "x0": {"rational": [1, 3]}}),
+                      ("measure", {"experiment": "shepard1d", "x0": {"irrational": "inv_sqrt2"},
+                                   "targets": [[0.2, 0.4], [0.6, 0.9]]})):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"schema_version": 1, "window": 200, **cfg}))
+        report = tmp_path / f"{name}-report.json"
+        run_cli(capsys, "index", "--config", str(cfg_path), "--out", str(report))
+        docs[name] = json.loads(report.read_text())["targets"]
+    assert [t["label"] for t in docs["clusters"]] == [
+        "profile(0/3)", "profile(1/3)", "profile(2/3)"]
+    assert all("label" not in t for t in docs["measure"]) and len(docs["measure"]) == 2
 
 
 def test_index_pass_and_report(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conidx.density import SeqWindow, Target, default_checkpoints, index_to_target
 from conidx import harness
@@ -177,8 +180,49 @@ def test_lagrange_1d_experiment_passes():
     assert result.all_pass
     assert result.epsilon == pytest.approx(0.05)
     assert result.residual_mass <= 0.01
-    labels = {r.notes["label"] for r in result.reports}
-    assert labels == {"d", "profile(1/3)", "profile(2/3)"}
+    labels = [r.label for r in result.reports]
+    assert labels == [p.label for p in result.table.predictions]
+    assert set(labels) == {"d", "profile(1/3)", "profile(2/3)"}
+
+
+def test_touching_dilations_leave_their_shared_end_in_the_residual():
+    """Dilations are open: (0.75, 1.25) and (0.25, 0.75) touch at 0.75, which
+    lies in neither, so the two values there count in the residual."""
+    spec = ExperimentSpec(operator="shepard1d", spec_x=HALF, s=1.0, window=8, epsilon=0.25)
+    win = SeqWindow.from_values_1d([1, .5, .75, 1, .5, .75, 1, .5])
+    result = run_index_experiment(spec, window=win)
+    assert [r.estimate.ratios[-1] for r in result.reports] == [0.375, 0.375]
+    assert result.residual_mass == 0.25
+
+
+CLUSTER_SPECS = [
+    ExperimentSpec(operator="shepard1d", spec_x=HALF, s=1.0),
+    ExperimentSpec(operator="shepard1d", spec_x=THIRD, s=2.0),
+    ExperimentSpec(operator="shepard1d", spec_x=PointSpec.rational(2, 5), s=3.0),
+    ExperimentSpec(operator="lagrange1d", spec_x=HALF, d=1.0),
+    ExperimentSpec(operator="lagrange1d", spec_x=PointSpec.rational(1, 4), d=0.25),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_residual_and_cluster_counts_partition_the_window(data):
+    """With pairwise disjoint or touching dilations every index counts once:
+    for the one target whose open dilation holds its value, or in the
+    residual, shared ends of touching dilations included."""
+    base = data.draw(st.sampled_from(CLUSTER_SPECS))
+    values = sorted(p.target.value for p in build_table(base).predictions)
+    gap = min(b - a for a, b in zip(values, values[1:]))
+    eps = gap / 2.0 * data.draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0))
+    ends = sorted(end for v in values for end in (v - eps, v + eps))
+    assume(all(b1 <= a2 for b1, a2 in zip(ends[1::2], ends[2::2])))
+    n = data.draw(st.integers(2, 64))
+    pool = st.sampled_from(values + ends) | st.floats(-0.5, 1.5)
+    win = SeqWindow.from_values_1d(data.draw(st.lists(pool, min_size=n, max_size=n)))
+    result = run_index_experiment(dataclasses.replace(base, window=n, epsilon=eps),
+                                  window=win)
+    counts = [round(r.estimate.ratios[-1] * n) for r in result.reports]
+    assert sum(counts) + round(result.residual_mass * n) == n
 
 
 def test_experiment_with_supplied_window_matches_cold_run():
@@ -245,6 +289,7 @@ def test_lagrange_double_irrational_corner_measure():
     want = preimage_measure_2d(result.table.profile, [(0.2, 0.6)])
     assert rep.predicted == pytest.approx(want)
     assert rep.verdict == "pass"
+    assert rep.label is None  # measure targets are not table rows
 
 
 def count_windows(monkeypatch) -> list:

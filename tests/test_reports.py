@@ -305,6 +305,21 @@ def test_parse_rejects_eval_point_in_univariate_configs():
         assert any("eval_point" in err and "does not apply" in err for err in exc.value.errors)
 
 
+def test_parse_rejects_cross_check_in_univariate_configs():
+    """cross_check compares 2-d product windows with the double sum; a 1-d
+    config has nothing to cross-check, so the field is rejected even when false."""
+    for doc in (MINIMAL, {"schema_version": 1, "experiment": "shepard1d",
+                          "x0": {"rational": [1, 3]}, "window": 100}):
+        for value in (True, False):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps({**doc, "cross_check": value}))
+            assert exc.value.errors == [
+                f"field 'cross_check' does not apply to {doc['experiment']}"]
+    cfg = parse_config(make_config(experiment="lagrange2d", gamma={"rational": [1, 2]},
+                                   cross_check=True))
+    assert cfg.spec.cross_check
+
+
 @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04truncated"])
 def test_cache_unreadable_entry_is_a_miss(tmp_path, content):
     spec = parse_config(make_config()).to_experiment_spec()
