@@ -246,7 +246,7 @@ class _Family:
 
     jump: Callable[[float], float]           # point spec value -> jump coordinate
     step: Callable[[float, float], StepFn1D]  # (x0, d) -> step with value d at x0
-    side: float              # +1: the jump cross runs up and right from the corner
+    far: float               # the side of the square the jump cross runs to
     at_jump: Callable        # (point spec, s, n_max, step) -> values at the jump
     at_point: Callable       # (step, s, x, n_max) -> values at x
     eval_1d: Callable        # (step, s, n, x) -> one value
@@ -259,7 +259,7 @@ _FAMILIES = {
     "lagrange": _Family(
         jump=lambda v: math.cos(math.pi * v),
         step=StepFn1D.jump,
-        side=1.0,
+        far=1.0,
         at_jump=lambda point, s, n_max, step: lg.jump_sequence(point, step.at, n_max, step),
         at_point=lambda step, s, x, n_max: lg.step_sequence_at(step, x, n_max),
         eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
@@ -271,7 +271,7 @@ _FAMILIES = {
     "shepard": _Family(
         jump=lambda v: v,
         step=lambda x0, d: StepFn1D.indicator_upto(x0),
-        side=-1.0,
+        far=0.0,
         at_jump=lambda point, s, n_max, step: sh.step_sequence(point, s, n_max, step),
         at_point=lambda step, s, x, n_max: sh.step_sequence_at(step, s, x, n_max),
         eval_1d=lambda step, s, n, x: sh.shepard_eval_1d(step, sh.ShepardParams(s, n), x),
@@ -287,44 +287,69 @@ def _family(spec: ExperimentSpec) -> _Family:
     return _FAMILIES[spec.operator[:-2]]
 
 
-def _jump_xy(spec: ExperimentSpec) -> tuple[float, float | None]:
-    jump = _family(spec).jump
-    return jump(spec.spec_x.value), jump(spec.spec_y.value) if spec.spec_y else None
+def _cross(fam: _Family, jumps: list[float]) -> list[tuple[float, float, float, float]]:
+    """The jump set as axis-parallel segments (ax, ay, bx, by): a univariate
+    jump is a point on the x axis, and the cross of a tensor step runs from
+    the corner to the far sides of the square."""
+    if len(jumps) == 1:
+        return [(jumps[0], 0.0, jumps[0], 0.0)]
+    x0, y0 = jumps
+    return [(x0, y0, x0, fam.far), (x0, y0, fam.far, y0)]
 
 
-def _classify_point(spec: ExperimentSpec) -> tuple[str, tuple[float, float | None]]:
-    """Locate the evaluation point on the jump cross: corner or an edge."""
-    x0, y0 = _jump_xy(spec)
-    if spec.eval_point is None or spec.spec_y is None:
-        return "corner", (x0, y0)
-    px, py = spec.eval_point
-    on_x = abs(px - x0) <= 1e-12
-    on_y = abs(py - y0) <= 1e-12
-    side = _family(spec).side
-    if on_x and on_y:
-        return "corner", (x0, y0)
-    if on_x and side * py > side * y0:
-        return "edge_x", (x0, py)
-    if on_y and side * px > side * x0:
-        return "edge_y", (px, y0)
-    raise ValueError(f"evaluation point {spec.eval_point} does not lie on the jump cross")
+def _rect_distance_to_cross(rect, segs) -> float:
+    """Distance from an axis-aligned rectangle to the jump cross segments.
+
+    The segments are axis-parallel, so each is a degenerate rectangle, and
+    the distance is the hypotenuse of the gaps between the x and y extents.
+    """
+
+    def gap(lo, hi, a, b):
+        return max(lo - max(a, b), min(a, b) - hi, 0.0)
+
+    return min(math.hypot(gap(rect[0], rect[1], ax, bx), gap(rect[2], rect[3], ay, by))
+               for ax, ay, bx, by in segs)
 
 
-def build_table(spec: ExperimentSpec, where: str = "corner") -> PredictionTable:
+@dataclass(frozen=True)
+class _Axis:
+    """One factor: its point spec, jump coordinate, step (value d at the jump
+    for a univariate operator, 1 for a tensor factor) and eval coordinate.
+    It is pinned, and oscillates, when at == jump; off the jump it converges."""
+
+    point: PointSpec
+    jump: float
+    step: StepFn1D
+    at: float
+
+
+def _axes(spec: ExperimentSpec) -> list[_Axis]:
+    """Place the experiment on its jump cross, one axis per factor.  An eval
+    coordinate within 1e-12 of its jump snaps onto it, and the snapped point
+    must lie on the cross, inside the square."""
+    fam = _family(spec)
+    points = [point for point in (spec.spec_x, spec.spec_y) if point is not None]
+    jumps = [fam.jump(point.value) for point in points]
+    at = jumps
+    if spec.eval_point is not None and len(points) == 2:
+        at = [jump if abs(c - jump) <= 1e-12 else c for c, jump in zip(spec.eval_point, jumps)]
+        if _rect_distance_to_cross((at[0], at[0], at[1], at[1]), _cross(fam, jumps)) != 0.0:
+            raise ValueError(f"evaluation point {spec.eval_point} does not lie on the jump cross")
+    height = spec.d if len(points) == 1 else 1.0
+    return [_Axis(point, jump, fam.step(jump, height), c)
+            for point, jump, c in zip(points, jumps, at)]
+
+
+def build_table(spec: ExperimentSpec) -> PredictionTable:
     """Predicted clusters of the experiment's operator on its jump cross.
 
-    where: "corner" (the jump point of a univariate operator), "edge_x"
-    (x = x0, y beyond y0) or "edge_y"; an edge reduces to the table of the
-    factor pinned there.  Rational factors give discrete clusters (for
-    Lagrange in 1-d the node-hit arm tends to the jump value d), irrational
-    ones a measure profile, and Shepard with s = 1 its stated rows.
+    The table is that of the factors pinned at their jumps: both at the
+    corner, one on an edge, where the other factor converges.  Rational
+    factors give discrete clusters (for Lagrange in 1-d the node-hit arm
+    tends to the jump value d), irrational ones a measure profile, and
+    Shepard with s = 1 its stated rows.
     """
-    factors = {"corner": [spec.spec_x, spec.spec_y], "edge_x": [spec.spec_x],
-               "edge_y": [spec.spec_y]}.get(where)
-    if factors is None:
-        raise ValueError(f"unknown case {where!r}")
-    if spec.spec_y is None:
-        factors = [spec.spec_x]
+    factors = [axis.point for axis in _axes(spec) if axis.at == axis.jump]
     for point in factors:
         point.require_interior()
     shepard = spec.operator.startswith("shepard")
@@ -342,19 +367,10 @@ def build_table(spec: ExperimentSpec, where: str = "corner") -> PredictionTable:
 def generate_window(spec: ExperimentSpec) -> SeqWindow:
     """Operator value sequence over the window; product form for bivariate."""
     fam, n_max = _family(spec), spec.window
-    x0, y0 = _jump_xy(spec)
-    if spec.spec_y is None:
-        return SeqWindow.from_values_1d(
-            fam.at_jump(spec.spec_x, spec.s, n_max, fam.step(x0, spec.d)))
-    where, (px, py) = _classify_point(spec)
-
-    def factor(point: PointSpec, jump: float, at: float, on_jump: bool) -> np.ndarray:
-        step = fam.step(jump, 1.0)
-        return (fam.at_jump(point, spec.s, n_max, step) if on_jump
-                else fam.at_point(step, spec.s, at, n_max))
-
-    return SeqWindow.from_product(factor(spec.spec_x, x0, px, where != "edge_y"),
-                                  factor(spec.spec_y, y0, py, where != "edge_x"))
+    factors = [fam.at_jump(axis.point, spec.s, n_max, axis.step) if axis.at == axis.jump
+               else fam.at_point(axis.step, spec.s, axis.at, n_max) for axis in _axes(spec)]
+    return (SeqWindow.from_product(*factors) if len(factors) == 2
+            else SeqWindow.from_values_1d(factors[0]))
 
 
 def _auto_epsilon(table: PredictionTable) -> float:
@@ -376,17 +392,14 @@ class CrossCheckError(AssertionError):
     """A window disagrees with the independent evaluation it is checked against."""
 
 
-def _cross_check_window(spec: ExperimentSpec, win: SeqWindow,
-                        eval_xy: tuple[float, float]) -> None:
+def _cross_check_window(spec: ExperimentSpec, win: SeqWindow) -> None:
     """Spot-check the product decomposition against the full double sum."""
-    fam = _family(spec)
-    x0, y0 = _jump_xy(spec)
-    h = StepFn2D(fam.step(x0, 1.0), fam.step(y0, 1.0))
-    px, py = eval_xy
+    axis_x, axis_y = _axes(spec)
+    h = StepFn2D(axis_x.step, axis_y.step)
     u, v = win.factors
     for n in np.unique(np.geomspace(2, min(spec.window, 200), 5).astype(int)):
         n = int(n)
-        direct = fam.eval_2d(h, spec.s, n, n, px, py, True)
+        direct = _family(spec).eval_2d(h, spec.s, n, n, axis_x.at, axis_y.at, True)
         prod = float(u[n - 1] * v[n - 1])
         if abs(direct - prod) > 1e-9:
             raise CrossCheckError(
@@ -404,8 +417,7 @@ def run_index_experiment(spec: ExperimentSpec,
     final checkpoint.  A precomputed window (e.g. from the sequence cache)
     may be supplied.
     """
-    where, eval_xy = _classify_point(spec)
-    table = build_table(spec, where)
+    table = build_table(spec)
     if table.profile is not None and not spec.targets:
         raise ValueError("irrational case: supply interval targets to measure")
     if table.profile is None and spec.targets:
@@ -415,7 +427,7 @@ def run_index_experiment(spec: ExperimentSpec,
         raise ValueError("supplied window size disagrees with the experiment spec")
     win = window if window is not None else generate_window(spec)
     if spec.cross_check and win.factors is not None:
-        _cross_check_window(spec, win, eval_xy)
+        _cross_check_window(spec, win)
     cps = default_checkpoints(spec.window, spec.checkpoint_count)
     if table.profile is not None:
         eps = spec.epsilon if spec.epsilon is not None else PROFILE_EPS
@@ -448,9 +460,7 @@ def run_index_experiment(spec: ExperimentSpec,
 class WitnessReport:
     """Explicit subsequence realizing one cluster, with its tail behavior."""
 
-    residue: int
     limit: float
-    indices_checked: int
     tail_value: float
     tail_deviation: float
     density_estimate: float
@@ -473,14 +483,12 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
     indices = range(fam.first_index(point.p, q, m), spec.window + 1, q)
     if not indices:
         raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
-    step = fam.step(fam.jump(point.value), spec.d)
-    limit = float(step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
-    values = fam.at_jump(point, spec.s, spec.window, step)
+    (axis,) = _axes(spec)
+    limit = float(axis.step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
+    values = fam.at_jump(point, spec.s, spec.window, axis.step)
     tail_value = float(values[indices[-1] - 1])
     return WitnessReport(
-        residue=m,
         limit=limit,
-        indices_checked=len(indices),
         tail_value=tail_value,
         tail_deviation=abs(tail_value - limit),
         density_estimate=len(indices) / spec.window,
@@ -555,20 +563,6 @@ def check_uniform_limit_rule(n_max: int) -> IndexReport:
 # uniform convergence away from the jump set
 
 
-def _rect_distance_to_cross(rect, segs) -> float:
-    """Distance from an axis-aligned rectangle to the jump cross segments.
-
-    The segments are axis-parallel, so each is a degenerate rectangle, and
-    the distance is the hypotenuse of the gaps between the x and y extents.
-    """
-
-    def gap(lo, hi, a, b):
-        return max(lo - max(a, b), min(a, b) - hi, 0.0)
-
-    return min(math.hypot(gap(rect[0], rect[1], ax, bx), gap(rect[2], rect[3], ay, by))
-               for ax, ay, bx, by in segs)
-
-
 def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list):
     """Sup of |operator - step| over grids on regions avoiding the jump set.
 
@@ -577,27 +571,22 @@ def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list):
     grid.  Returns one row per (region, n) with the sup error; regions
     closer than SCAN_MIN_DISTANCE to the jump set are rejected.
     """
-    fam = _family(spec)
-    x0, y0 = _jump_xy(spec)
-    if spec.spec_y is None:
-        # an interval is a flat rectangle, and the jump a point on its axis
-        steps, size, segs = [fam.step(x0, spec.d)], 2 * SCAN_GRID, [(x0, 0.0, x0, 0.0)]
-    else:
-        # the jump cross runs from the corner to the far sides of the square
-        far = 1.0 if fam.side > 0 else 0.0
-        steps, size = [fam.step(x0, 1.0), fam.step(y0, 1.0)], SCAN_GRID
-        segs = [(x0, y0, x0, far), (x0, y0, far, y0)]
+    fam, axes = _family(spec), _axes(spec)
+    steps = [axis.step for axis in axes]
+    segs = _cross(fam, [axis.jump for axis in axes])
+    size = SCAN_GRID if len(axes) == 2 else 2 * SCAN_GRID
     rows = []
     for region in regions:
+        # an interval is a flat rectangle on the x axis, which holds a 1-d jump
         rect = tuple(region) if len(region) == 4 else (*region, 0.0, 0.0)
         if _rect_distance_to_cross(rect, segs) < SCAN_MIN_DISTANCE:
             raise ValueError(f"region {region} is within {SCAN_MIN_DISTANCE} of the jump set")
-        axes = [np.linspace(lo, hi, size) for lo, hi in zip(region[::2], region[1::2])]
-        exact = reduce(np.multiply.outer, [f(ts) for f, ts in zip(steps, axes)])
+        grids = [np.linspace(lo, hi, size) for lo, hi in zip(region[::2], region[1::2])]
+        exact = reduce(np.multiply.outer, [f(ts) for f, ts in zip(steps, grids)])
         for n in n_list:
             approx = reduce(np.multiply.outer, [
                 np.array([fam.eval_1d(f, spec.s, n, float(t)) for t in ts])
-                for f, ts in zip(steps, axes)])
+                for f, ts in zip(steps, grids)])
             rows.append({"region": tuple(region), "n": int(n),
                          "sup_error": float(np.abs(approx - exact).max())})
     return rows

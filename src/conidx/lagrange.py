@@ -36,7 +36,6 @@ class ChebGrid:
     """Chebyshev nodes of the second type on [-1, 1], endpoints included."""
 
     n: int
-    angles: np.ndarray
     nodes: np.ndarray
 
 
@@ -44,8 +43,14 @@ def cheb_grid(n: int) -> ChebGrid:
     if n < 2:
         raise ValueError("need at least 2 nodes")
     k = np.arange(1, n + 1)
-    angles = (k - 1) * (math.pi / (n - 1))
-    return ChebGrid(n=n, angles=angles, nodes=np.cos(angles))
+    return ChebGrid(n=n, nodes=np.cos((k - 1) * (math.pi / (n - 1))))
+
+
+def _acos(x: float) -> float:
+    """The angle of x on [-1, 1], where the closed trigonometric form holds."""
+    if not -1.0 <= x <= 1.0:
+        raise ValueError("evaluation point must lie in [-1, 1]")
+    return math.acos(x)
 
 
 def _alternating(n: int) -> np.ndarray:
@@ -86,13 +91,13 @@ def _weights(w: np.ndarray, diff: np.ndarray, nodes: np.ndarray, alt: np.ndarray
 
 def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
     """The fundamental polynomial values ell[1..n](x), as one vector."""
-    n = grid.n
+    n, theta = grid.n, _acos(x)
     w, work = np.zeros(n), np.empty(n)
     j = _node_hit(grid.nodes, x, work)
     if j is not None:
         w[j] = 1.0
     else:
-        _weights(w, work, grid.nodes, _alternating(n), x, math.acos(min(1.0, max(-1.0, x))), n)
+        _weights(w, work, grid.nodes, _alternating(n), x, theta, n)
     return w
 
 
@@ -279,7 +284,7 @@ def step_sequence_at(step: StepFn1D, x: float, n_max: int) -> np.ndarray:
     """
     out = np.empty(n_max)
     out[0] = step(1.0)
-    out[1:] = _window(step, x, math.acos(min(1.0, max(-1.0, x))), range(2, n_max + 1))
+    out[1:] = _window(step, x, _acos(x), range(2, n_max + 1))
     return out
 
 

@@ -192,6 +192,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if targets is not None:
         if isinstance(targets, list) and targets and all(map(_finite_pair, targets)):
             targets = [(float(a), float(b)) for a, b in targets]
+            errors.extend(f"target [{a}, {b}] must have lo <= hi" for a, b in targets if a > b)
         else:
             errors.append("targets must be a nonempty list of finite [lo, hi] pairs")
     eval_point = raw.get("eval_point")
@@ -351,6 +352,15 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 KERNEL_REVISION = 2
 
 
+def _digest(arrays: dict[str, np.ndarray]) -> str:
+    """sha256 over the names and float64 bytes of a cache entry's arrays."""
+    h = hashlib.sha256()
+    for name, arr in arrays.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 class SequenceCache:
     """Content-addressed store for computed operator windows.
 
@@ -383,17 +393,21 @@ class SequenceCache:
     def load(self, spec: ExperimentSpec) -> SeqWindow | None:
         """The cached window for spec, or None on a miss.
 
-        An entry that cannot be read, or whose window does not have the
-        spec's dimension and size, counts as a miss; the caller then
-        recomputes the window and overwrites the entry.
+        An entry that cannot be read, whose digest is missing or does not
+        match its arrays, or whose window does not have the spec's
+        dimension and size, counts as a miss; the caller then recomputes
+        the window and overwrites the entry.
         """
         path = self.path_for(spec)
         if not path.exists():
             return None
-        try:
-            with np.load(path) as data:
-                win = (SeqWindow.from_product(data["u"], data["v"]) if "u" in data
-                       else SeqWindow.from_values_1d(data["values"]))
+        try:  # np.load leaves a file it opened itself open when the zip is corrupt
+            with open(path, "rb") as fh, np.load(fh) as data:
+                arrays = {name: data[name] for name in data.files if name != "digest"}
+                if str(data["digest"]) != _digest(arrays):
+                    return None
+                win = (SeqWindow.from_product(arrays["u"], arrays["v"]) if "u" in arrays
+                       else SeqWindow.from_values_1d(arrays["values"]))
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None
         dim = 2 if spec.operator.endswith("2d") else 1
@@ -402,11 +416,10 @@ class SequenceCache:
     def store(self, spec: ExperimentSpec, win: SeqWindow) -> Path:
         if win.op is not np.multiply:
             raise ValueError("the cache holds 1-d and product windows only")
+        arrays = (dict(zip("uv", win.factors)) if win.factors is not None
+                  else {"values": win.values})
         buf = io.BytesIO()
-        if win.factors is not None:
-            np.savez(buf, u=win.factors[0], v=win.factors[1])
-        else:
-            np.savez(buf, values=win.values)
+        np.savez(buf, digest=np.array(_digest(arrays)), **arrays)
         path = self.path_for(spec)
         self.dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, [buf.getvalue()], "wb")

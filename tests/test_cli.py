@@ -7,7 +7,9 @@ import pytest
 from conidx import suites
 from conidx.cli import main
 from conidx.lagrange import jump_value_direct, lagrange_eval_2d
+from conidx.density import SeqWindow
 from conidx.points import IRRATIONAL_VALUES, PointSpec
+from conidx.reports import SequenceCache, parse_config
 from conidx.shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d
 from conidx.stepfn import StepFn1D, StepFn2D
 from conidx.suites import CheckResult
@@ -197,17 +199,19 @@ def test_index_cross_check_flag_on_a_1d_config_is_usage_error(tmp_path, capsys,
 
 def test_index_failed_cross_check_exits_one_and_writes_nothing(tmp_path, capsys):
     """A cached product window whose u factor is off by 0.01 disagrees with
-    the double sum: one line on stderr, exit 1, no report, CSV or traceback."""
+    the double sum: one line on stderr, exit 1, no report, CSV or traceback.
+    Its digest matches, so only the cross-check can catch it."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
         "gamma": {"rational": [1, 2]}, "window": 100, "cache_dir": str(tmp_path / "cache")}))
     code, _, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0
-    (entry,) = (tmp_path / "cache").glob("*.npz")
-    with np.load(entry) as data:
-        u, v = data["u"], data["v"]
-    np.savez(entry, u=u + 0.01, v=v)
+    # a wrong kernel: stored through the cache, so its digest matches
+    cache = SequenceCache(tmp_path / "cache")
+    spec = parse_config(cfg_path.read_text()).spec
+    u, v = cache.load(spec).factors
+    cache.store(spec, SeqWindow.from_product(u + 0.01, v))
     report, csv = tmp_path / "r.json", tmp_path / "w.csv"
     code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), "--cross-check",
                              "--out", str(report), "--csv", str(csv))
@@ -271,6 +275,20 @@ def test_index_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [(), ("--cross-check",)])
+def test_index_eval_point_outside_the_square_exits_two(tmp_path, capsys, extra):
+    """(0.5, 5.0) lies on the line x = cos(pi/3) but beyond the far side of
+    the square, where no Lagrange evaluation is defined: a usage error
+    before any window is built."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
+        "gamma": {"rational": [1, 2]}, "window": 100, "eval_point": [0.5, 5.0]}))
+    code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), *extra)
+    assert code == 2 and out == ""
+    assert err == "error: evaluation point (0.5, 5.0) does not lie on the jump cross\n"
+
+
 def test_index_uses_cache(tmp_path, capsys):
     cfg = {"schema_version": 1, "experiment": "lagrange1d",
            "theta": {"rational": [1, 3]}, "window": 300,
@@ -303,6 +321,36 @@ def test_index_recomputes_a_corrupt_cache_entry(tmp_path, capsys):
     entry.write_text("garbage")
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0 and out == first
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0 and "window loaded from cache" in out
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "lagrange1d", "theta": {"rational": [1, 3]}, "window": 300},
+    {"experiment": "lagrange2d", "theta": {"rational": [1, 3]},
+     "gamma": {"rational": [1, 2]}, "window": 100},
+])
+def test_index_recomputes_a_tampered_cache_entry(tmp_path, capsys, cfg):
+    """An entry whose arrays no longer match their digest is a miss, also
+    without --cross-check: the run recomputes the window, reports what the
+    cold run reported, and overwrites the entry."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, **cfg,
+                                    "cache_dir": str(tmp_path / "cache")}))
+    reports = [tmp_path / "cold.json", tmp_path / "tampered.json"]
+    code, _, _ = run_cli(capsys, "index", "--config", str(cfg_path), "--out", str(reports[0]))
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.npz")
+    with np.load(entry) as data:
+        arrays = {name: data[name] for name in data.files}
+    first = "u" if "u" in arrays else "values"
+    arrays[first] = arrays[first] + 0.01
+    np.savez(entry, **arrays)
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path), "--out", str(reports[1]))
+    assert code == 0 and "window loaded from cache" not in out
+    cold, tampered = (json.loads(path.read_text()) for path in reports)
+    for key in ("targets", "residual_mass"):
+        assert tampered[key] == cold[key]
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0 and "window loaded from cache" in out
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,18 +37,18 @@ def lagrange_1d(spec, d):
     return build_table(ExperimentSpec(operator="lagrange1d", spec_x=spec, d=d))
 
 
-def lagrange_2d(spec_x, spec_y, where="corner"):
-    return build_table(ExperimentSpec(operator="lagrange2d", spec_x=spec_x, spec_y=spec_y),
-                       where)
+def lagrange_2d(spec_x, spec_y, eval_point=None):
+    return build_table(ExperimentSpec(operator="lagrange2d", spec_x=spec_x, spec_y=spec_y,
+                                      eval_point=eval_point))
 
 
 def shepard_1d(s, spec):
     return build_table(ExperimentSpec(operator="shepard1d", spec_x=spec, s=s))
 
 
-def shepard_2d(s, spec_x, spec_y, where="corner"):
+def shepard_2d(s, spec_x, spec_y, eval_point=None):
     return build_table(ExperimentSpec(operator="shepard2d", spec_x=spec_x, spec_y=spec_y,
-                                      s=s), where)
+                                      s=s, eval_point=eval_point))
 
 
 def test_lagrange_1d_table_rational():
@@ -74,7 +75,7 @@ def test_lagrange_1d_table_irrational_carries_profile():
 
 
 def test_lagrange_2d_corner_table():
-    table = lagrange_2d(THIRD, HALF, "corner")
+    table = lagrange_2d(THIRD, HALF)
     assert len(table.predictions) == 6
     assert all(p.index == pytest.approx(1.0 / 6.0) for p in table.predictions)
     total = sum(p.index for p in table.predictions)
@@ -82,14 +83,14 @@ def test_lagrange_2d_corner_table():
 
 
 def test_lagrange_2d_edge_table_has_unit_arm():
-    table = lagrange_2d(THIRD, HALF, "edge_x")
+    table = lagrange_2d(THIRD, HALF, eval_point=(0.5, 0.5))  # on x = cos(pi/3)
     values = sorted(p.target.value for p in table.predictions)
     assert values[-1] == pytest.approx(1.0)   # offset-zero arm: profile(0) = 1
     assert len(values) == 3
 
 
 def test_lagrange_2d_mixed_corner_lower_bounds():
-    table = lagrange_2d(THIRD, IRR, "corner")
+    table = lagrange_2d(THIRD, IRR)
     assert len(table.predictions) == 3
     for pred in table.predictions:
         assert pred.lower_bound_only
@@ -100,7 +101,7 @@ def test_lagrange_2d_mixed_corner_lower_bounds():
 
 
 def test_lagrange_2d_double_irrational_profile():
-    table = lagrange_2d(IRR, PointSpec.irrational("golden_frac"), "corner")
+    table = lagrange_2d(IRR, PointSpec.irrational("golden_frac"))
     assert isinstance(table.profile, Profile2D)
 
 
@@ -108,26 +109,26 @@ def test_shepard_tables_s1():
     edge = shepard_1d(1.0, HALF)
     got = {p.target.value: p.index for p in edge.predictions}
     assert got == {1.0: pytest.approx(0.5), 0.5: pytest.approx(0.5)}
-    corner = shepard_2d(1.0, HALF, HALF, "corner")
+    corner = shepard_2d(1.0, HALF, HALF)
     got = {p.target.value: p.index for p in corner.predictions}
     assert got[0.5] == pytest.approx(0.25)
     assert got[0.25] == pytest.approx(0.75)
-    mixed = shepard_2d(1.0, HALF, IRR, "corner")
+    mixed = shepard_2d(1.0, HALF, IRR)
     got = {p.target.value: p.index for p in mixed.predictions}
     assert got[0.5] == pytest.approx(0.5)
-    both = shepard_2d(1.0, IRR, IRR, "corner")
+    both = shepard_2d(1.0, IRR, IRR)
     assert both.predictions[0].target.value == 0.25
     assert both.predictions[0].index == 1.0
 
 
 def test_shepard_tables_s2_mirror_lagrange_shape():
-    table = shepard_2d(2.0, THIRD, HALF, "corner")
+    table = shepard_2d(2.0, THIRD, HALF)
     assert len(table.predictions) == 6
     assert all(p.index == pytest.approx(1.0 / 6.0) for p in table.predictions)
-    edge = shepard_2d(2.0, THIRD, HALF, "edge_y")
+    edge = shepard_2d(2.0, THIRD, HALF, eval_point=(0.2, 0.5))
     assert {round(p.target.value, 6) for p in edge.predictions} == {0.5, 1.0}
     # an irrational edge coordinate turns the table into a measure profile
-    irr_edge = shepard_2d(2.0, THIRD, IRR, "edge_y")
+    irr_edge = shepard_2d(2.0, THIRD, IRR, eval_point=(0.2, IRR.value))
     assert irr_edge.profile is not None and irr_edge.profile.kind.startswith("shepard")
 
 
@@ -167,10 +168,67 @@ def test_experiment_validation():
 
 
 def test_eval_point_classification_errors():
-    spec = ExperimentSpec(operator="shepard2d", spec_x=HALF, spec_y=HALF, s=2.0,
-                          window=50, eval_point=(0.9, 0.9))
-    with pytest.raises(ValueError, match="jump cross"):
-        run_index_experiment(spec)
+    for point in ((0.9, 0.9), (math.nan, 0.5), (0.5, math.nan)):
+        spec = ExperimentSpec(operator="shepard2d", spec_x=HALF, spec_y=HALF, s=2.0,
+                              window=50, eval_point=point)
+        with pytest.raises(ValueError, match="jump cross"):
+            run_index_experiment(spec)
+
+
+FACTOR_POINTS = st.sampled_from([HALF, THIRD, PointSpec.rational(2, 3),
+                                 PointSpec.rational(1, 4), PointSpec.rational(2, 5),
+                                 IRR, PointSpec.irrational("golden_frac")])
+JUMP = {"lagrange": lambda v: math.cos(math.pi * v), "shepard": lambda v: v}
+FAR = {"lagrange": 1.0, "shepard": 0.0}  # the side of the square the cross runs to
+
+
+def table_rows(table):
+    if table.profile is not None:
+        return table.profile.kind, table.profile.value_at_0, table.profile.limit_at_1
+    return [(p.target, p.index, p.lower_bound_only, p.label) for p in table.predictions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["lagrange", "shepard"]), s=st.sampled_from([1.0, 2.0, 3.0]),
+       points=st.tuples(FACTOR_POINTS, FACTOR_POINTS), pinned=st.sampled_from([0, 1]),
+       along=st.floats(0.01, 1.0), snap=st.sampled_from([0.0, 1e-13, -1e-13]),
+       off=st.floats(1e-9, 0.5))
+def test_edge_experiments_reduce_to_the_pinned_factor(family, s, points, pinned, along,
+                                                      snap, off):
+    """On an edge of the jump cross one factor is pinned at its jump and the
+    other converges: the table is the 1-d table of the pinned factor, and the
+    pinned factor of the window is the corner window's, bit for bit.  Points
+    off the cross raise, beyond the far side of the square too."""
+    jumps = [JUMP[family](point.value) for point in points]
+    corner = ExperimentSpec(operator=f"{family}2d", spec_x=points[0], spec_y=points[1],
+                            s=s, window=40)
+    free = 1 - pinned
+    at = list(jumps)
+    at[pinned] += snap  # within 1e-12 of the jump: snapped onto it
+    at[free] += along * (FAR[family] - jumps[free])
+    edge = dataclasses.replace(corner, eval_point=tuple(at))
+    factor = ExperimentSpec(operator=f"{family}1d", spec_x=points[pinned], s=s)
+    try:
+        want = table_rows(build_table(factor))
+    except ValueError as exc:  # clusters too close: the edge table fails alike
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            build_table(edge)
+    else:
+        got = table_rows(build_table(edge))
+        if family == "lagrange" and points[pinned].is_rational:
+            # the univariate step's node arm is its value d = 1 = profile(0)
+            want = [row[:3] + (f"profile(0/{points[pinned].q})" if row[3] == "d" else row[3],)
+                    for row in want]
+        assert got == want
+    assert np.array_equal(harness.generate_window(edge).factors[pinned],
+                          harness.generate_window(corner).factors[pinned])
+    toward = math.copysign(1.0, FAR[family] - jumps[free])
+    for bad in ((jumps[pinned] + off, at[free]),            # off the pinned line
+                (jumps[pinned], jumps[free] - toward * off),  # behind the corner
+                (jumps[pinned], FAR[family] + toward * off)):  # beyond the square
+        bad = bad if pinned == 0 else bad[::-1]
+        with pytest.raises(ValueError, match="jump cross"):
+            build_table(dataclasses.replace(corner, eval_point=bad))
 
 
 def test_lagrange_1d_experiment_passes():

@@ -86,6 +86,16 @@ def test_eval_constant_reproduced():
             3.25, abs=1e-10)
 
 
+def test_eval_outside_the_interval_raises():
+    """The closed trigonometric form holds only on [-1, 1]: interpolating x^2
+    reproduces it, so 1.5 would give 2.25, but the closed form gives 0.0."""
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        lagrange_eval_1d(lambda x: x**2, 10, 1.5)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        step_sequence_at(StepFn1D.jump(0.5, 1.0), -1.5, 10)
+    assert lagrange_eval_1d(lambda x: x**2, 10, 1.0) == 1.0
+
+
 def test_eval_step_at_node_is_node_value():
     step = StepFn1D.jump(0.4, 0.77)
     g = cheb_grid(12)

@@ -11,6 +11,7 @@ from conidx.points import IRRATIONAL_VALUES
 from conidx.reports import (
     ConfigError,
     SequenceCache,
+    _digest,
     build_run_report,
     emit_csv,
     emit_report,
@@ -91,6 +92,16 @@ def test_parse_round_trip_property(raw):
     except ConfigError:
         return
     assert parse_config(json.dumps(cfg.to_json_dict())) == cfg
+
+
+def test_parse_rejects_reversed_targets():
+    """A reversed target is a config error, reported before any window is built."""
+    doc = {"schema_version": 1, "experiment": "lagrange1d",
+           "theta": {"irrational": "inv_sqrt2"}, "window": 10_000}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({**doc, "targets": [[0.5, 0.3]]}))
+    assert exc.value.errors == ["target [0.5, 0.3] must have lo <= hi"]
+    assert parse_config(json.dumps({**doc, "targets": [[0.3, 0.3]]})).spec.targets == [(0.3, 0.3)]
 
 
 def test_parse_rejects_inapplicable_parameters():
@@ -320,6 +331,26 @@ def test_parse_rejects_cross_check_in_univariate_configs():
     assert cfg.spec.cross_check
 
 
+def test_cache_entry_whose_digest_does_not_match_is_a_miss(tmp_path):
+    """An entry is served only when its arrays match the digest stored with
+    them; a changed array or a missing digest is a miss."""
+    spec = parse_config(make_config()).to_experiment_spec()
+    cache = SequenceCache(tmp_path)
+    values = np.linspace(0.0, 1.0, spec.window)
+    path = cache.store(spec, SeqWindow.from_values_1d(values))
+    np.testing.assert_array_equal(cache.load(spec).values, values)
+    with np.load(path) as data:
+        digest = data["digest"]
+    changed = values.copy()
+    changed[7] += 1e-12
+    np.savez(path, digest=digest, values=changed)
+    assert cache.load(spec) is None
+    np.savez(path, values=values)
+    assert cache.load(spec) is None
+    np.savez(path, digest=digest, values=values)
+    assert cache.load(spec) is not None
+
+
 @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04truncated"])
 def test_cache_unreadable_entry_is_a_miss(tmp_path, content):
     spec = parse_config(make_config()).to_experiment_spec()
@@ -343,5 +374,6 @@ def test_cache_entry_of_the_wrong_shape_is_a_miss(tmp_path):
     # store writes product windows only, so a full matrix is never served
     spec_2d = parse_config(make_config(experiment="lagrange2d",
                                        gamma={"rational": [1, 2]})).to_experiment_spec()
-    np.savez(cache.path_for(spec_2d), values=np.zeros((spec_2d.window, spec_2d.window)))
+    matrix = {"values": np.zeros((spec_2d.window, spec_2d.window))}
+    np.savez(cache.path_for(spec_2d), digest=np.array(_digest(matrix)), **matrix)
     assert cache.load(spec_2d) is None
