@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import tempfile
 import zipfile
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .density import IndexReport, SeqWindow
-from .harness import MAX_WINDOW_1D, ExperimentResult, ExperimentSpec
+from .harness import MAX_WINDOW_1D, ExperimentResult, ExperimentSpec, _axes
 from .points import IRRATIONAL_VALUES, PointSpec
 
 
@@ -249,12 +250,28 @@ def _atomic_write(path: str | Path, chunks: Iterable, mode: str = "w") -> None:
         raise
 
 
+# Row texts a 2-d CSV holds for a later row with the same u value.  The
+# node hits of a rational jump fill the first few; the cap bounds memory.
+_HELD_ROWS = 8
+
+
+def _bit_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x, told apart by their float64 bits (so 0.0
+    and -0.0 stay apart), and the class of each entry."""
+    keys, classes = np.unique(x.view(np.uint64), return_inverse=True)
+    return keys.view(float), classes
+
+
 def _csv_chunks(win: SeqWindow) -> Iterator[str]:
     """The CSV text of a window, one chunk per row of a 2-d window.
 
-    A 2-d row is one %-format call on a template of "%d,m,%.17g" lines;
-    '%.17g' % x and f"{x:.17g}" print the same bytes.  Row n is op(u[n-1], v),
-    rounded as the materialized matrix would be.
+    Row n is op(u[n-1], v), rounded as the materialized matrix would be.
+    Equal bits give equal results, so a 2-d row is formatted once per
+    distinct u value, with NUL standing for n: one %-format call on a
+    template of "NUL,m,%.17g" lines, or, when v repeats values, its distinct
+    values formatted once each and put in column order.  A later row with
+    the same u value reuses the text (at most _HELD_ROWS texts are held).
+    '%.17g' % x and f"{x:.17g}" print the same bytes.
     """
     if win.dim == 1:
         yield "n,value\n"
@@ -262,20 +279,42 @@ def _csv_chunks(win: SeqWindow) -> Iterator[str]:
         return
     yield "n,m,value\n"
     size = win.n_max
-    template = "".join(f"%d,{m},%.17g\n" for m in range(1, size + 1))
-    args: list = [0] * (2 * size)
     u, v = win.factors
-    for n in range(1, size + 1):
-        args[::2] = [n] * size
-        args[1::2] = win.op(u[n - 1], v).tolist()
-        yield template % tuple(args)
+    v_vals, v_classes = _bit_classes(v)
+    if v_vals.size < size:
+        distinct = "%.17g\n" * v_vals.size
+        by_column = operator.itemgetter(*v_classes.tolist())
+        template = "".join(f"\0,{m},%s\n" for m in range(1, size + 1))
+
+        def row(x) -> str:
+            return template % by_column((distinct % tuple(win.op(x, v_vals).tolist())).split("\n"))
+    else:
+        template = "".join(f"\0,{m},%.17g\n" for m in range(1, size + 1))
+
+        def row(x) -> str:
+            return template % tuple(win.op(x, v).tolist())
+    u_vals, u_classes = _bit_classes(u)
+    last_row = np.empty(u_vals.size, dtype=np.int64)
+    last_row[u_classes] = np.arange(1, size + 1)
+    held: dict[int, str] = {}
+    for n, k, last in zip(range(1, size + 1), u_classes.tolist(), last_row[u_classes].tolist()):
+        text = held.get(k)
+        if text is None:
+            text = row(u_vals[k])
+            if n < last and len(held) < _HELD_ROWS:
+                held[k] = text
+        elif n == last:
+            del held[k]
+        yield text.replace("\0", str(n))
 
 
 def emit_csv(win: SeqWindow, path: str | Path) -> None:
     """Write the window values: `n,value` rows, or `n,m,value` row-major.
 
-    The rows are streamed to the file.  The bytes equal those of the
-    earlier one-line-at-a-time writer kept in tests/test_kernels.py.
+    The rows are streamed to the file.  A 2-d row is formatted from the
+    distinct values of v, and a row whose u value came before reuses the
+    text of that row.  The bytes equal those of the earlier
+    one-line-at-a-time writer kept in tests/test_kernels.py.
     """
     _atomic_write(path, _csv_chunks(win))
 
@@ -366,13 +405,17 @@ class SequenceCache:
 
     The key hashes the operator, its point specs and parameters, the window
     size, the tool version and the kernel revision, so stale entries never
-    match.
+    match.  It holds the eval point as the harness places it on the jump
+    cross (None at the jump itself), so specs that run the same window share
+    one entry.
     """
 
     def __init__(self, directory: str | Path):
         self.dir = Path(directory)
 
     def key(self, spec: ExperimentSpec) -> str:
+        axes = _axes(spec)
+        at_jump = all(axis.at == axis.jump for axis in axes)
         payload = {
             "operator": spec.operator,
             "spec_x": spec.spec_x.label(),
@@ -380,7 +423,7 @@ class SequenceCache:
             "d": spec.d,
             "s": spec.s,
             "window": spec.window,
-            "eval_point": list(spec.eval_point) if spec.eval_point else None,
+            "eval_point": None if at_jump else [axis.at for axis in axes],
             "version": __version__,
             "kernel_revision": KERNEL_REVISION,
         }

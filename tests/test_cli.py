@@ -275,18 +275,21 @@ def test_index_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("extra", [(), ("--cross-check",)])
+@pytest.mark.parametrize("extra", [(), ("--cross-check",), ("--cache-dir",)])
 def test_index_eval_point_outside_the_square_exits_two(tmp_path, capsys, extra):
     """(0.5, 5.0) lies on the line x = cos(pi/3) but beyond the far side of
     the square, where no Lagrange evaluation is defined: a usage error
-    before any window is built."""
+    before any window is built or cache entry looked up."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
         "gamma": {"rational": [1, 2]}, "window": 100, "eval_point": [0.5, 5.0]}))
+    if extra == ("--cache-dir",):
+        extra += (str(tmp_path / "cache"),)
     code, out, err = run_cli(capsys, "index", "--config", str(cfg_path), *extra)
     assert code == 2 and out == ""
     assert err == "error: evaluation point (0.5, 5.0) does not lie on the jump cross\n"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_index_uses_cache(tmp_path, capsys):

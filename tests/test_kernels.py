@@ -7,6 +7,7 @@ IEEE doubles and the same bytes, so results are compared with `.tobytes()`
 (a -0.0 prints as `-0` in a CSV, which `array_equal` would not notice).
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conidx import lagrange as lg
+from conidx import reports
 from conidx import shepard as sh
 from conidx.density import SeqWindow
+from conidx.harness import ExperimentSpec, generate_window
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.reports import emit_csv
 from conidx.stepfn import StepFn1D
@@ -273,13 +276,38 @@ def test_sample_sorted_matches_call():
 # ---------------------------------------------------------------------------
 # CSV emission
 
+def rational_window(operator, a, b, s=2.0, window=120):
+    """A product window of the harness at the corner (a, b), each a (p, q)."""
+    spec = ExperimentSpec(operator, PointSpec.rational(*a), PointSpec.rational(*b), s=s,
+                          window=window)
+    return generate_window(spec)
+
+
+RNG = np.random.default_rng(4)
+NO_REPEATS = RNG.random(41) - 0.5
+# 13 values repeated in turn: more classes than the writer holds row texts for
+WITH_REPEATS = np.tile(np.r_[0.25, -1.5, 2.0 / 3.0, RNG.random(10)], 4)[:41]
+SIGNED_ZEROS = np.r_[0.0, -0.0, 1.0, -0.0, 0.5, 0.0, -0.0, 0.0, RNG.random(33)]
 WINDOWS = {
     "1d": SeqWindow.from_values_1d([0.1, -0.0, 1.0, 1e-300, 2.0 / 3.0, 123456789.0]),
     "product": SeqWindow.from_product(np.random.default_rng(0).random(37) - 0.5,
                                       np.r_[-0.0, np.random.default_rng(1).random(36)]),
     "sum": SeqWindow.from_sum(np.random.default_rng(2).random(23) * 1e-7,
                               np.r_[-0.0, -np.random.default_rng(3).random(22) * 1e-7]),
+    "lagrange2d 1/3 x 1/2": rational_window("lagrange2d", (1, 3), (1, 2)),
+    "lagrange2d 1/2 x 1/3": rational_window("lagrange2d", (1, 2), (1, 3)),
+    "shepard2d s=2 1/2 x 2/3": rational_window("shepard2d", (1, 2), (2, 3)),
+    "shepard2d s=1 2/3 x 1/2": rational_window("shepard2d", (2, 3), (1, 2), s=1.0),
+    "sum with repeats": SeqWindow.from_sum(WITH_REPEATS * 1e-7, SIGNED_ZEROS),
+    "signed zeros": SeqWindow.from_product(SIGNED_ZEROS, SIGNED_ZEROS[::-1]),
+    "repeats in u only": SeqWindow.from_product(WITH_REPEATS, NO_REPEATS),
+    "repeats in v only": SeqWindow.from_product(NO_REPEATS, WITH_REPEATS),
+    "no repeats": SeqWindow.from_product(NO_REPEATS, NO_REPEATS[::-1] * 3.0),
 }
+
+
+def repeats(x):
+    return np.unique(x.view(np.uint64)).size < x.size
 
 
 @pytest.mark.parametrize("name", sorted(WINDOWS))
@@ -288,3 +316,79 @@ def test_emit_csv_bytes_match_line_writer(tmp_path, name):
     emit_csv(win, tmp_path / "new.csv")
     ref_emit_csv(win, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_emit_csv_windows_repeat_as_named():
+    """The windows above reach each branch of the writer: repeats in u
+    (shared rows), in v (shared values), both, or neither."""
+    expect = {"lagrange2d 1/3 x 1/2": (True, True), "lagrange2d 1/2 x 1/3": (True, True),
+              "shepard2d s=2 1/2 x 2/3": (True, True), "shepard2d s=1 2/3 x 1/2": (True, True),
+              "sum with repeats": (True, True), "signed zeros": (True, True),
+              "repeats in u only": (True, False), "repeats in v only": (False, True),
+              "no repeats": (False, False), "product": (False, False), "sum": (False, False)}
+    for name, want in expect.items():
+        assert tuple(map(repeats, WINDOWS[name].factors)) == want, name
+    zeros = np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()
+    cells = [x.tobytes() for x in SIGNED_ZEROS]
+    assert all(cells.count(z) > 1 for z in zeros)
+    assert np.unique(WITH_REPEATS).size > reports._HELD_ROWS
+
+
+POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 1.0 / 3.0, -2.0 / 3.0, 1e-300, 123456789.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), size=st.integers(1, 30), op=st.sampled_from(["product", "sum"]))
+def test_emit_csv_bytes_match_line_writer_over_value_pools(tmp_path_factory, data, size, op):
+    """Factors drawn from a small pool, so values repeat in both factors in
+    every pattern, with 0.0 and -0.0 apart."""
+    factor = st.lists(st.sampled_from(POOL), min_size=size, max_size=size)
+    u, v = data.draw(factor), data.draw(factor)
+    win = SeqWindow.from_product(u, v) if op == "product" else SeqWindow.from_sum(u, v)
+    tmp = tmp_path_factory.mktemp("csv")
+    emit_csv(win, tmp / "new.csv")
+    ref_emit_csv(win, tmp / "ref.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def ref_stream_csv_chunks(win, rows=None):
+    """The 2-d rows (all, or those numbered in rows) as the streaming writer
+    formatted them before it shared repeated values: every value through
+    one template."""
+    yield "n,m,value\n"
+    size = win.n_max
+    template = "".join(f"%d,{m},%.17g\n" for m in range(1, size + 1))
+    args = [0] * (2 * size)
+    u, v = win.factors
+    for n in range(1, size + 1) if rows is None else rows:
+        args[::2] = [n] * size
+        args[1::2] = win.op(u[n - 1], v).tolist()
+        yield template % tuple(args)
+
+
+def traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# What holding row texts may add to the peak of the writer above.  On the
+# window below the earlier writer peaks at 0.12 MB and emit_csv at 0.41 MB
+# (CPython 3.11, numpy 2.4.6): 8 held rows of 26 kB and the distinct values.
+CSV_PEAK_SLACK = 400_000
+
+
+def test_emit_csv_memory_stays_near_the_row_writer(tmp_path):
+    """A 1000 x 1000 rational window whose u repeats its values in many
+    classes: the writer holds a few row texts, not one per class."""
+    win = rational_window("shepard2d", (1, 2), (2, 3), window=1000)
+    # the earlier writer holds one row at a time, so its first and last rows
+    # (the longest) give its peak to within 5 kB in a fiftieth of the time
+    rows = [*range(1, 11), *range(991, 1001)]
+    before = traced_peak(lambda: reports._atomic_write(tmp_path / "before.csv",
+                                                       ref_stream_csv_chunks(win, rows)))
+    after = traced_peak(lambda: emit_csv(win, tmp_path / "after.csv"))
+    assert after <= before + CSV_PEAK_SLACK, (before, after)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -306,6 +307,31 @@ def test_cache_product_windows(tmp_path):
     with pytest.raises(ValueError, match="product windows only"):
         cache.store(spec, SeqWindow.from_sum(*result.window.factors))
     assert cache.entries() == []
+
+
+def test_cache_key_holds_the_resolved_eval_point(tmp_path):
+    """Eval points that the harness snaps onto the same corner run the same
+    window, so they share one key and one entry; a point on an edge does not."""
+    doc = {"schema_version": 1, "experiment": "lagrange2d", "theta": {"rational": [1, 3]},
+           "gamma": {"rational": [1, 2]}, "window": 50}
+    corner = [None, [math.cos(math.pi / 3), math.cos(math.pi / 2)], [0.5, 6.123e-17],
+              [0.5, 0.0]]
+    specs = [parse_config(json.dumps({**doc, "eval_point": point})).spec for point in corner]
+    cache = SequenceCache(tmp_path)
+    assert len({cache.key(spec) for spec in specs}) == 1
+    window = run_index_experiment(specs[0]).window
+    cache.store(specs[1], window)
+    for spec in specs:
+        loaded = cache.load(spec)
+        assert loaded is not None
+        for got, want in zip(loaded.factors, run_index_experiment(spec).window.factors):
+            assert got.tobytes() == want.tobytes()
+    assert len(cache.entries()) == 1
+    edge = parse_config(json.dumps({**doc, "eval_point": [0.5, 0.25]})).spec
+    assert cache.key(edge) != cache.key(specs[0]) and cache.load(edge) is None
+    off_cross = parse_config(json.dumps({**doc, "eval_point": [0.25, 0.25]})).spec
+    with pytest.raises(ValueError, match="does not lie on the jump cross"):
+        cache.key(off_cross)
 
 
 def test_parse_rejects_eval_point_in_univariate_configs():
