@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -159,6 +160,13 @@ def cmd_index(args) -> int:
         with _writing(cache.dir):
             cache.store(spec, result.window)
     report = build_run_report(config, result, runtime_ms)
+    # everything goes to disk before the first line, so a closed stdout loses no output
+    if config.out_report:
+        with _writing(config.out_report):
+            emit_report(report, config.out_report)
+    if config.out_csv:
+        with _writing(config.out_csv):
+            emit_csv(result.window, config.out_csv)
     for entry in report.targets:
         tgt = entry["target"]
         label = entry.get("label") or json.dumps(tgt)
@@ -170,12 +178,8 @@ def cmd_index(args) -> int:
     if cached:
         print("window loaded from cache")
     if config.out_report:
-        with _writing(config.out_report):
-            emit_report(report, config.out_report)
         print(f"report written to {config.out_report}")
     if config.out_csv:
-        with _writing(config.out_csv):
-            emit_csv(result.window, config.out_csv)
         print(f"window written to {config.out_csv}")
     return EXIT_PASS if result.all_pass else EXIT_FAIL
 
@@ -186,10 +190,7 @@ def cmd_verify(args) -> int:
         results = run_suites(names)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for res in results:
-        print(res.line)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.out:
         doc = [
             {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -199,6 +200,10 @@ def cmd_verify(args) -> int:
         text = json.dumps({"version": __version__, "checks": doc}, indent=2) + "\n"
         with _writing(args.out):
             _atomic_write(args.out, [text])
+    for res in results:
+        print(res.line)
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if args.out:
         print(f"report written to {args.out}")
     return EXIT_PASS if not failed else EXIT_FAIL
 
@@ -285,7 +290,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # the outputs are on disk; send the rest of stdout, and its flush at
+        # exit, to the null device so no second error follows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,8 @@ and the Hurwitz zeta function, which yields the Shepard jump profile
 
 Both are continuous, strictly decreasing bijections of [0, 1) onto (0, 1],
 which is what makes preimage measures of intervals computable by bisection.
+The series evaluators below decide every bisection step; short
+Euler-Maclaurin kernels for psi and zeta screen the steps far from a root.
 """
 from __future__ import annotations
 
@@ -107,6 +109,63 @@ def hurwitz_zeta(s: float, a):
     return float(out) if out.ndim == 0 else out
 
 
+# Euler-Maclaurin kernels (Johansson, arXiv:1309.2877): shift the argument up
+# by _EM_SHIFT steps of the recurrence, then apply the asymptotic expansion
+# with the Bernoulli numbers B_2, B_4, ..., B_20.  They screen bisection
+# steps only; the series above stay the evaluators.
+_EM_SHIFT = 12
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330)
+
+
+def _psi(x: np.ndarray) -> np.ndarray:
+    """Digamma psi(x) for x > 0: psi(x + M) - sum_{k<M} 1/(x + k), with
+    psi(z) ~ log z - 1/(2z) - sum_j B_2j / (2j z^2j)."""
+    shift = np.zeros_like(x)
+    for k in range(_EM_SHIFT - 1, -1, -1):
+        shift += 1.0 / (x + k)
+    z = x + _EM_SHIFT
+    w = 1.0 / (z * z)
+    tail = np.zeros_like(x)
+    for j in range(len(_BERNOULLI), 0, -1):
+        tail += _BERNOULLI[j - 1] / (2 * j)
+        tail *= w
+    return np.log(z) - 0.5 / z - tail - shift
+
+
+def _zeta(s: float, a: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta(s, a) for s > 1, a > 0: sum_{k<M} (a + k)^-s plus
+    z^(1-s)/(s-1) + z^-s/2 + sum_j B_2j/(2j)! s(s+1)..(s+2j-2) z^(-s-2j+1)
+    at z = a + M."""
+    total = np.zeros_like(a)
+    for k in range(_EM_SHIFT - 1, -1, -1):
+        total += (a + k) ** -s
+    coeffs, rising, factorial = [], s, 2.0
+    for j, b in enumerate(_BERNOULLI, 1):
+        coeffs.append(b / factorial * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    z = a + _EM_SHIFT
+    w = 1.0 / (z * z)
+    tail = np.zeros_like(a)
+    for c in reversed(coeffs):
+        tail *= w
+        tail += c
+    return total + z**-s * (z / (s - 1.0) + 0.5 + tail / z)
+
+
+def _lagrange_screen(x: np.ndarray) -> np.ndarray:
+    """The Lagrange profile on (0, 1) through psi:
+    lerch_j1(x) = [psi((x+1)/2) - psi(x/2)] / 2."""
+    return np.sin(np.pi * x) / np.pi * 0.5 * (_psi(0.5 * (x + 1.0)) - _psi(0.5 * x))
+
+
+def _shepard_screen(s: float, t: np.ndarray) -> np.ndarray:
+    """The Shepard profile on (0, 1) through the Euler-Maclaurin zeta."""
+    num = _zeta(s, t)
+    return num / (num + _zeta(s, 1.0 - t))
+
+
 def shepard_jump_profile(s: float, t):
     """zeta(s,t) / (zeta(s,t) + zeta(s,1-t)) on (0,1), extended by 1 at t = 0."""
     t_arr = np.asarray(t, dtype=float)
@@ -128,12 +187,16 @@ class Profile1D:
 
     value_at_0 and limit_at_1 are the endpoint values in the monotone
     direction; monotonicity is verified on a fixed grid at construction.
+    screen, if given, is a cheaper stand-in for fn on (0, 1) that stays well
+    within invert_monotone's margin of it wherever it is finite; the
+    bisection decides on it away from a root.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     kind: str
     value_at_0: float
     limit_at_1: float
+    screen: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         xs = np.linspace(0.0, 1.0 - 1e-9, _MONOTONE_GRID)
@@ -157,7 +220,8 @@ class Profile1D:
 
     @classmethod
     def lagrange(cls) -> "Profile1D":
-        return cls(fn=lagrange_jump_profile, kind="lagrange", value_at_0=1.0, limit_at_1=0.0)
+        return cls(fn=lagrange_jump_profile, kind="lagrange", value_at_0=1.0, limit_at_1=0.0,
+                   screen=_lagrange_screen)
 
     @classmethod
     def shepard(cls, s: float) -> "Profile1D":
@@ -166,6 +230,7 @@ class Profile1D:
             kind=f"shepard(s={s:g})",
             value_at_0=1.0,
             limit_at_1=0.0,
+            screen=lambda x: _shepard_screen(s, x),
         )
 
     @classmethod
@@ -183,16 +248,27 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     share their first levels, and every out-of-range y follows one clamped
     path.  The profiles compute element by element, so a value does not
     depend on which other points share the call.
+
+    With a screen, each step is decided on the screen value unless it lies
+    within the margin of y or is not finite; only those steps evaluate fn,
+    once per distinct midpoint.  A screen that stays within the margin of fn
+    takes every step the same way fn would, so the roots keep their bits.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     lo = np.zeros_like(y_arr)
     hi = np.full_like(y_arr, 1.0 - 1e-15)
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
     sign = 1.0 if profile.decreasing else -1.0
+    margin = 10.0 * SERIES_TOL  # the screen decides a step only this far from y
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         distinct, slot = np.unique(mid, return_inverse=True)
-        vals = np.asarray(profile.fn(distinct))[slot]
+        vals = np.asarray((profile.screen or profile.fn)(distinct), dtype=float)[slot]
+        if profile.screen is not None:
+            unsure = ~(np.isfinite(vals) & (np.abs(vals - y_arr) > margin))
+            if unsure.any():
+                need, where = np.unique(slot[unsure], return_inverse=True)
+                vals[unsure] = np.asarray(profile.fn(distinct[need]))[where]
         go_right = sign * (vals - y_arr) > 0.0
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)

@@ -5,6 +5,9 @@ that build the whole (points x terms) table at once, a bisection that
 evaluates the profile at every bracket midpoint, and preimage measures that
 bisect each interval end on its own.  The fast paths must give the same IEEE
 doubles, so arrays are compared with `.tobytes()` and measures with `==`.
+The Lagrange and Shepard profiles also carry an Euler-Maclaurin screen that
+decides the bisection steps far from a root; the reference bisection never
+looks at it.
 """
 import math
 
@@ -222,6 +225,57 @@ def test_invert_monotone_bit_identical_sweep(name, fractions, order):
 
 
 # ---------------------------------------------------------------------------
+# the screen: its margin, and the bits of screened bisection
+
+MARGIN = 10.0 * SERIES_TOL
+# every midpoint the bisection can reach: down to (1 - 1e-15) / 2**36 at 0,
+# up to the bracket's end 1 - 1e-15
+SCREEN_GRID = np.unique(np.concatenate([
+    np.geomspace(1.4e-11, 0.5, 20_000), 1.0 - np.geomspace(1e-15, 0.5, 20_000),
+    np.linspace(0.0, 1.0, 20_001)[1:-1]]))
+SCREENED = [None, 1.0001, 1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0]
+
+
+def jump_profile(s):
+    """Profile1D.lagrange() for s None, else Profile1D.shepard(s) for any s > 1.
+
+    From s = 5.5 on, the Shepard profile rounds to 1.0 on the first points of
+    the construction's monotonicity grid, which then rejects it; here the
+    check runs on the grid's two ends only.
+    """
+    if s is None:
+        return Profile1D.lagrange()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(profiles, "_MONOTONE_GRID", 2)
+        return Profile1D.shepard(s)
+
+
+@pytest.mark.parametrize("s", SCREENED, ids=lambda s: "lagrange" if s is None else f"s={s:g}")
+def test_screen_stays_within_a_tenth_of_the_margin(s):
+    prof = jump_profile(s)
+    with np.errstate(all="ignore"):  # large s overflows near both ends
+        exact, screen = prof.fn(SCREEN_GRID), prof.screen(SCREEN_GRID)
+    finite = np.isfinite(exact)
+    assert np.array_equal(finite, np.isfinite(screen))
+    assert np.max(np.abs(exact - screen)[finite]) <= MARGIN / 10.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.one_of(st.none(), st.floats(1.01, 10.0)),
+       xs=st.lists(st.floats(1.4e-11, 1.0 - 1e-15), min_size=1, max_size=16),
+       ulps=st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+       shifts=st.lists(st.floats(-1e-11, 1e-11), min_size=16, max_size=16))
+def test_screened_bisection_bit_identical_near_roots(s, xs, ulps, shifts):
+    """y within a few ulps to 1e-11 of a profile value, so the steps near the
+    root fall inside the margin and go to the series."""
+    prof = jump_profile(s)
+    exact = np.asarray(prof.fn(np.array(xs)))
+    k = len(xs)
+    ys = exact + np.array(ulps[:k]) * np.spacing(exact) + np.array(shifts[:k])
+    assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
+
+
+# ---------------------------------------------------------------------------
 # preimage measures
 
 
@@ -291,3 +345,28 @@ def test_corner_bisection_evaluates_distinct_midpoints_only():
         assert np.unique(level).size == level.size
     old_points = len(TARGETS_CORNER) * 2 * BISECT_STEPS * 4096
     assert sum(level.size for level in calls) <= 0.45 * old_points
+
+
+@pytest.mark.parametrize("operator", ["lagrange2d", "shepard2d"])
+def test_corner_bisection_evaluates_the_series_only_near_a_root(operator):
+    """The inv_sqrt2 x golden_frac corner at the benchmark targets: the series
+    evaluates at most a tenth of the midpoints the screen does."""
+    table = build_table(ExperimentSpec(operator=operator,
+                                       spec_x=PointSpec.irrational("inv_sqrt2"),
+                                       spec_y=PointSpec.irrational("golden_frac")))
+    fy = table.profile.fy
+    counts = {"fn": 0, "screen": 0}
+
+    def counted(name, kernel):
+        def fn(x):
+            counts[name] += np.size(x)
+            return kernel(x)
+        return fn
+
+    prof = Profile2D(table.profile.fx, Profile1D(
+        fn=counted("fn", fy.fn), kind=fy.kind, value_at_0=fy.value_at_0,
+        limit_at_1=fy.limit_at_1, screen=counted("screen", fy.screen)))
+    counts["fn"] = 0  # the monotonicity check at construction
+    for iv in TARGETS_CORNER:
+        assert preimage_measure_2d(prof, [iv]) == preimage_measure_2d(table.profile, [iv])
+    assert 0 < counts["fn"] <= 0.10 * counts["screen"]

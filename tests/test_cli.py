@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conidx
 from conidx import suites
 from conidx.cli import main
 from conidx.lagrange import jump_value_direct, lagrange_eval_2d
@@ -19,6 +24,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_with_closed_stdout(*argv):
+    """Run the CLI in a child process whose stdout is a pipe nobody reads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conidx.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "conidx.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
 
 
 def test_zeta_profile(capsys):
@@ -372,6 +390,28 @@ def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
     path = tmp_path / "x.json"
     code, out, _ = run_cli(capsys, "verify", "lagrange2", "--out", str(path))
     assert code == 0
+    assert json.loads(path.read_text())["checks"][0]["passed"] is True
+
+
+def test_index_with_closed_stdout_writes_every_output_and_exits_two(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
+                                    "theta": {"rational": [1, 3]}, "window": 300}))
+    report, csv, cache_dir = tmp_path / "r.json", tmp_path / "w.csv", tmp_path / "cache"
+    code, err = run_with_closed_stdout("index", "--config", str(cfg_path), "--out", str(report),
+                                       "--csv", str(csv), "--cache-dir", str(cache_dir))
+    assert code == 2
+    assert "cannot write to stdout" in err and "Traceback" not in err
+    assert json.loads(report.read_text())["config"]["experiment"] == "lagrange1d"
+    assert csv.read_text().startswith("n,value\n")
+    assert len(SequenceCache(cache_dir).entries()) == 1
+
+
+def test_verify_with_closed_stdout_writes_the_summary_and_exits_two(tmp_path):
+    path = tmp_path / "verify.json"
+    code, err = run_with_closed_stdout("verify", "lagrange2", "--out", str(path))
+    assert code == 2
+    assert "cannot write to stdout" in err and "Traceback" not in err
     assert json.loads(path.read_text())["checks"][0]["passed"] is True
 
 

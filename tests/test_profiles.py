@@ -101,6 +101,33 @@ def test_hurwitz_zeta_tolerance_stability(monkeypatch):
         assert abs(coarse - fine) <= 1e-8
 
 
+# (0, 1], with 1e-6 and 1, for the Euler-Maclaurin kernels behind the screens
+EM_POINTS = np.concatenate([[1e-6, 1e-4, 1e-2], np.linspace(0.0, 1.0, 301)[1:]])
+
+
+def max_relative_error(got, want):
+    return max(abs((mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want))
+
+
+def test_em_psi_and_lerch_against_mpmath():
+    # lerchphi at 30 digits takes ~0.1 s a point, so it gets every 12th point
+    lerch_points = np.concatenate([EM_POINTS[:3], EM_POINTS[3::12], [1.0]])
+    with mpmath.workdps(30):
+        psi_want = [mpmath.digamma(mpmath.mpf(float(a))) for a in EM_POINTS]
+        lerch_want = [mpmath.lerchphi(-1, 1, mpmath.mpf(float(a))) for a in lerch_points]
+        lerch = 0.5 * (profiles._psi(0.5 * (lerch_points + 1.0))
+                       - profiles._psi(0.5 * lerch_points))
+        assert max_relative_error(profiles._psi(EM_POINTS), psi_want) <= 1e-14
+        assert max_relative_error(lerch, lerch_want) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0, 5.0])
+def test_em_zeta_against_mpmath(s):
+    with mpmath.workdps(30):
+        want = [mpmath.zeta(mpmath.mpf(s), mpmath.mpf(float(a))) for a in EM_POINTS]
+        assert max_relative_error(profiles._zeta(s, EM_POINTS), want) <= 1e-14
+
+
 def test_profile_values():
     assert lagrange_jump_profile(0.5) == pytest.approx(0.5, abs=1e-10)
     assert lagrange_jump_profile(0.0) == 1.0
