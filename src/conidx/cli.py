@@ -9,6 +9,7 @@ failed, 2 usage or config error -- nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,7 +224,10 @@ def cmd_cache(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it, so
+    calls of `main` in one process share it."""
     parser = argparse.ArgumentParser(
         prog="conidx",
         description="Index-of-convergence experiments for interpolation at jumps")

@@ -60,8 +60,8 @@ def complement_identity_check(indicator: SeqWindow, checkpoints) -> bool:
     """
     cps = np.asarray(checkpoints)
     dim = indicator.dim
-    est, est_c = (DensityEstimate.from_counts(cps, indicator.hit_counts([iv], cps), dim)
-                  for iv in ((0.5, 1.5), (-0.5, 0.5)))
+    est, est_c = (DensityEstimate.from_counts(cps, counts, dim)
+                  for counts in indicator.hit_counts([[(0.5, 1.5)], [(-0.5, 0.5)]], cps))
     for cp, r, rc in zip(cps, est.ratios, est_c.ratios):
         total = round(r * cp**dim) + round(rc * cp**dim)
         if total != cp**dim:
@@ -181,28 +181,33 @@ class SeqWindow:
             raise ValueError("window values must be finite")
         return cls(dim=2, n_max=u.size, factors=(u, v), op=op)
 
-    def hit_counts(self, intervals, checkpoints) -> np.ndarray:
-        """Counts of indices with value in the open interval union, per checkpoint.
+    def hit_counts(self, unions, checkpoints) -> np.ndarray:
+        """Counts of indices with value in each open interval union, per checkpoint.
 
-        An interval end may be infinite: (c, inf) counts the values above c.
-        Checkpoints are integral indices in 1..n_max, in any order.
+        `unions` is a sequence of interval unions; the result has one row
+        per union and one column per checkpoint.  An interval end may be
+        infinite: (c, inf) counts the values above c.  Checkpoints are
+        integral indices in 1..n_max, in any order.
         """
         cps = np.asarray(checkpoints)
         if (cps.ndim != 1 or cps.size == 0
                 or not np.all((cps >= 1) & (cps <= self.n_max) & (cps == np.floor(cps)))):
             raise ValueError(f"checkpoints must be one or more indices in 1..{self.n_max}")
         cps = cps.astype(np.int64)
-        if self.dim == 1:
+        if self.dim == 2:
+            return _factor_counts(*self.factors, self.op, unions, cps)
+        counts = np.empty((len(unions), cps.size), dtype=np.int64)
+        for row, intervals in zip(counts, unions):
             mask = np.zeros(self.values.shape, dtype=bool)
             for lo, hi in intervals:
                 mask |= (self.values > lo) & (self.values < hi)
-            return mask.cumsum()[cps - 1]
-        return _factor_counts(*self.factors, self.op, intervals, cps)
+            row[:] = mask.cumsum()[cps - 1]
+        return counts
 
 
-def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, intervals,
+def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, unions,
                    cps: np.ndarray) -> np.ndarray:
-    """Pairs (n,m) <= cp with op(u[n], v[m]) in the open interval union, per checkpoint.
+    """Pairs (n,m) <= cp with op(u[n], v[m]) in each open interval union, per checkpoint.
 
     Never materializes the matrix, and counts the same pairs as its rounded
     entries would, ties at the interval ends included.  A checkpoint's
@@ -210,29 +215,36 @@ def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, intervals,
     m up to it, and by its columns m against the earlier rows.  So every
     index is one query against the other factor (`_strip_counts`; op is
     commutative), and the counts per checkpoint are prefix sums over the
-    indices.
+    indices.  All unions share the queries: their interval ends form one
+    threshold array, and a sign matrix sums the thresholds' counts into
+    each union's.
     """
     levels, slot = np.unique(cps, return_inverse=True)
     size = int(levels[-1])
-    # an open (lo, hi) holds the entries x <= pred(hi) minus those x <= lo
-    ends, signs = [], []
-    for lo, hi in intervals:
-        if lo < hi:
+    # an open (lo, hi) holds the entries x <= pred(hi) minus those x <= lo;
+    # a union's overlapping intervals are merged first, so no pair counts twice
+    rows, ends, signs = [], [], []
+    for row, intervals in enumerate(unions):
+        for lo, hi in merge_open(iv for iv in intervals if iv[0] < iv[1]):
+            rows += [row, row]
             ends += [float(np.nextafter(hi, -np.inf)), float(lo)]
             signs += [1, -1]
-    ends = np.array(ends, dtype=float)[:, None]
-    signs = np.array(signs, dtype=np.int64)
+    ends, col = np.unique(np.array(ends, dtype=float), return_inverse=True)
+    sign_matrix = np.zeros((len(unions), ends.size), dtype=np.int64)
+    np.add.at(sign_matrix, (np.array(rows, dtype=np.intp), col), signs)
+    ends = ends[:, None]
     level = np.searchsorted(levels, np.arange(1, size + 1))
-    per_index = (_strip_counts(u[:size], level, v[:size], level, op, ends, signs)
-                 + _strip_counts(v[:size], level - 1, u[:size], level, op, ends, signs))
-    return np.cumsum(per_index)[levels - 1][slot]
+    # one strip at a time, so one level table is alive at a time
+    per_index = _strip_counts(u[:size], level, v[:size], level, op, ends, sign_matrix)
+    per_index += _strip_counts(v[:size], level - 1, u[:size], level, op, ends, sign_matrix)
+    return np.cumsum(per_index, axis=1)[:, levels - 1][:, slot]
 
 
 def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
                   other_level: np.ndarray, op: np.ufunc, ends: np.ndarray,
                   signs: np.ndarray) -> np.ndarray:
-    """For each query w[i]: sum over r of signs[r] * #{j : other_level[j] <=
-    allowed[i], fl(op(w[i], other[j])) <= ends[r]}.
+    """For each union k and query w[i]: sum over r of signs[k, r] *
+    #{j : other_level[j] <= allowed[i], fl(op(w[i], other[j])) <= ends[r]}.
 
     fl(|w| x) and fl(w + x) are nondecreasing in x, so over the sorted
     `other` the entries at or below a threshold form a prefix (a suffix for
@@ -249,8 +261,10 @@ def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
     n = xs.size
     # table[l + 1, r]: how many of the r smallest entries have level <= l
     top = np.arange(-1, int(other_level.max()) + 1)
+    # built in place: a cumsum into the column slice would buffer a second table
     table = np.zeros((top.size, n + 1), dtype=np.int32)
-    np.cumsum(other_level[order] <= top[:, None], axis=1, out=table[:, 1:])
+    np.less_equal(other_level[order], top[:, None], out=table[:, 1:])
+    np.cumsum(table, axis=1, out=table)
     padded = np.concatenate(([-np.inf], xs, [np.inf]))
     before, at = padded[:-1], padded[1:]
     # a zero product query gets the guess +-inf or nan (0/0), which the
@@ -329,16 +343,17 @@ def index_to_target(
     if target.kind in ("value", "set"):
         if epsilon is None or epsilon <= 0.0:
             raise ValueError("epsilon must be positive for value/set targets")
-        counts = win.hit_counts(target.dilated(epsilon), cps)
+        counts = win.hit_counts([target.dilated(epsilon)], cps)[0]
         est = DensityEstimate.from_counts(cps, counts, win.dim)
         return IndexReport(target=target, epsilon=epsilon, estimate=est)
     if not cutoffs:
         raise ValueError("infinite targets require a cutoff grid")
     above = target.kind == "plus_inf"
+    unions = [[(float(m_cut), np.inf) if above else (-np.inf, float(m_cut))]
+              for m_cut in cutoffs]
     best: DensityEstimate | None = None
-    for m_cut in cutoffs:
-        iv = (float(m_cut), np.inf) if above else (-np.inf, float(m_cut))
-        est = DensityEstimate.from_counts(cps, win.hit_counts([iv], cps), win.dim)
+    for counts in win.hit_counts(unions, cps):
+        est = DensityEstimate.from_counts(cps, counts, win.dim)
         if best is None or est.lower_est < best.lower_est:
             best = est
     return IndexReport(target=target, epsilon=None, estimate=best,
@@ -358,7 +373,7 @@ def sum_rule_check(win: SeqWindow, targets: Sequence[Target], epsilon: float,
     for (_, b1), (a2, _) in zip(flat, flat[1:]):
         if a2 < b1:
             raise ValueError("dilated targets overlap; shrink epsilon")
-    all_counts = [win.hit_counts(d, cps) for d in dilations]
+    all_counts = win.hit_counts(dilations, cps)
     per_cp = np.sum(all_counts, axis=0)
     if np.any(per_cp > cps.astype(np.int64) ** win.dim):
         return False

@@ -19,6 +19,7 @@ import numpy as np
 from . import lagrange as lg
 from . import shepard as sh
 from .density import (
+    DensityEstimate,
     IndexReport,
     SeqWindow,
     Target,
@@ -219,6 +220,8 @@ class ExperimentSpec:
             raise ValueError(f"window must lie in [2, {limit}] for {self.operator}")
         if bivariate and self.spec_y is None:
             raise ValueError(f"{self.operator} needs a second point spec")
+        if self.epsilon is not None and not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
 
 
 @dataclass
@@ -438,16 +441,21 @@ def run_index_experiment(spec: ExperimentSpec,
     else:
         eps = spec.epsilon if spec.epsilon is not None else _auto_epsilon(table)
         rows = table.predictions
+    # every row and the residual's union of all rows are counted in one pass
+    unions = [pred.target.dilated(eps) for pred in rows]
+    if table.profile is None:
+        unions.append(merge_open(iv for union in unions for iv in union))
+    counts = win.hit_counts(unions, cps)
     reports: list[IndexReport] = []
-    for pred in rows:
-        rep = index_to_target(win, pred.target, eps, cps)
+    for pred, row in zip(rows, counts):
+        rep = IndexReport(target=pred.target, epsilon=eps, label=pred.label,
+                          estimate=DensityEstimate.from_counts(cps, row, win.dim))
         rep.judge(pred.index, spec.tolerance, lower_bound=pred.lower_bound_only)
-        rep.label = pred.label
         reports.append(rep)
     residual = None
     if table.profile is None:
-        union = merge_open(iv for pred in rows for iv in pred.target.dilated(eps))
-        residual = 1.0 - int(win.hit_counts(union, [spec.window])[0]) / spec.window**win.dim
+        assert cps[-1] == spec.window, "the residual is read at the window's last checkpoint"
+        residual = 1.0 - int(counts[-1, -1]) / spec.window**win.dim
     return ExperimentResult(spec=spec, table=table, epsilon=eps,
                             reports=reports, residual_mass=residual, window=win)
 

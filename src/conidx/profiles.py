@@ -202,10 +202,16 @@ class Profile1D:
         xs = np.linspace(0.0, 1.0 - 1e-9, _MONOTONE_GRID)
         vals = np.asarray(self.fn(xs), dtype=float)
         diffs = np.diff(vals)
-        if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+        scale = max(1.0, abs(self.value_at_0), abs(self.limit_at_1))
+        # a saturating profile (Shepard at large s) rounds to its endpoint
+        # value, or to within a few ulps of it, on a run of the grid; only
+        # neighbours there may tie
+        near_end = np.minimum(abs(vals[1:] - self.value_at_0),
+                              abs(vals[1:] - self.limit_at_1)) <= 8 * np.spacing(scale)
+        strict = diffs[(diffs != 0.0) | ~near_end]
+        if strict.size == 0 or not (np.all(strict > 0.0) or np.all(strict < 0.0)):
             raise ValueError(f"profile {self.kind!r} is not strictly monotone on the check grid")
         # declared endpoints drive preimage clamping, so they must match fn
-        scale = max(1.0, abs(self.value_at_0), abs(self.limit_at_1))
         if abs(vals[0] - self.value_at_0) > 1e-9 * scale:
             raise ValueError(f"profile {self.kind!r}: value at 0 disagrees with declaration")
         if abs(vals[-1] - self.limit_at_1) > 1e-3 * scale:

@@ -189,8 +189,7 @@ def check_randomized_properties():
         cps = default_checkpoints(4000)
         center = float(rng.random())
         e1, e2 = sorted(rng.uniform(0.01, 0.2, size=2))
-        c1 = rotation.hit_counts([(center - e1, center + e1)], cps)
-        c2 = rotation.hit_counts([(center - e2, center + e2)], cps)
+        c1, c2 = rotation.hit_counts([[(center - e, center + e)] for e in (e1, e2)], cps)
         if np.any(c1 > c2):
             failures.append(f"{trial}: eps-monotonicity violated")
         # complement identity on a random residue set

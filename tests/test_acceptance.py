@@ -220,7 +220,7 @@ def test_criterion_08_shepard_corner_s1():
     estimates = {val: index_to_target(win, Target.point(val), eps, cps).estimate.lower_est
                  for val in values}
     dilated = [iv for val in values for iv in Target.point(val).dilated(eps)]
-    residual = 1.0 - int(win.hit_counts(dilated, [spec.window])[0]) / spec.window**2
+    residual = 1.0 - int(win.hit_counts([dilated], [spec.window])[0, 0]) / spec.window**2
 
     tol = spec.tolerance
     ok = (worst <= 1e-12 and residual <= tol

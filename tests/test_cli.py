@@ -271,6 +271,38 @@ def test_index_pass_and_report(tmp_path, capsys):
     assert csv_path.read_text().startswith("n,value\n")
 
 
+def test_index_calls_in_one_process_share_no_flag_values(tmp_path, capsys):
+    """The parser is built once per process; a flag given to one call must
+    not carry over to the next, which reads the config's defaults."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange2d",
+                                    "theta": {"rational": [1, 3]},
+                                    "gamma": {"rational": [1, 2]}, "window": 200}))
+    docs = []
+    for flags in (("--checkpoints", "32", "--tol", "0.05"), ()):
+        out_path = tmp_path / f"report{len(docs)}.json"
+        code, _, _ = run_cli(capsys, "index", "--config", str(cfg_path),
+                             "--out", str(out_path), *flags)
+        assert code in (0, 1)
+        docs.append(json.loads(out_path.read_text()))
+    assert (docs[0]["config"]["checkpoints"], docs[0]["config"]["tol"]) == (32, 0.05)
+    assert (docs[1]["config"]["checkpoints"], docs[1]["config"]["tol"]) == (16, 0.03)
+    grids = [doc["targets"][0]["estimate"]["checkpoints"] for doc in docs]
+    assert len(grids[0]) > len(grids[1])
+
+
+def test_version_and_usage_errors_exit_as_before_on_repeated_calls(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"conidx {conidx.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["index"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+
 def test_index_failing_verdict_exits_one(tmp_path, capsys):
     cfg = {"schema_version": 1, "experiment": "shepard2d",
            "x0": {"rational": [1, 2]}, "y0": {"rational": [1, 2]},

@@ -33,11 +33,11 @@ def nonzero_window(n_max):
 
 def members(indicator, checkpoints):
     """Prefix counts of the index set on which a 0/1 indicator window is 1."""
-    return indicator.hit_counts([(0.5, 1.5)], checkpoints)
+    return indicator.hit_counts([[(0.5, 1.5)]], checkpoints)[0]
 
 
 def zeros(indicator, checkpoints):
-    return indicator.hit_counts([(-0.5, 0.5)], checkpoints)
+    return indicator.hit_counts([[(-0.5, 0.5)]], checkpoints)[0]
 
 
 def ref_matrix_counts(values, intervals, cps):
@@ -177,7 +177,7 @@ def test_hit_counts_rejects_checkpoints_outside_the_window(checkpoints):
     # would read index -1, the whole 1-d window and 0 in the factor forms
     for win in ten_value_windows():
         with pytest.raises(ValueError, match=r"checkpoints must be .* in 1\.\.10"):
-            win.hit_counts([(-0.5, 0.5)], checkpoints)
+            win.hit_counts([[(-0.5, 0.5)]], checkpoints)
 
 
 @pytest.mark.parametrize("checkpoints", [[2.9], [2.5], [1, 4.5, 7], [np.nan], [np.inf]],
@@ -186,20 +186,20 @@ def test_hit_counts_rejects_non_integral_checkpoints(checkpoints):
     # a cast to int would count the first 2 indices for 2.9 and 2.5
     for win in ten_value_windows():
         with pytest.raises(ValueError, match=r"checkpoints must be .* in 1\.\.10"):
-            win.hit_counts([(-0.5, 0.5)], checkpoints)
+            win.hit_counts([[(-0.5, 0.5)]], checkpoints)
 
 
 def test_hit_counts_accept_integral_checkpoints_of_any_dtype():
     for win in ten_value_windows():
-        want = win.hit_counts([(-0.5, 0.5)], [3, 10])
+        want = win.hit_counts([[(-0.5, 0.5)]], [3, 10])
         for cps in ([3.0, 10.0], np.array([3, 10], dtype=np.int32), np.array([3.0, 10.0])):
-            assert np.array_equal(win.hit_counts([(-0.5, 0.5)], cps), want)
+            assert np.array_equal(win.hit_counts([[(-0.5, 0.5)]], cps), want)
 
 
 def test_hit_counts_take_checkpoints_in_any_order():
     for win in ten_value_windows():
-        ordered = win.hit_counts([(-0.5, 0.5)], [1, 3, 7, 10])
-        assert np.array_equal(win.hit_counts([(-0.5, 0.5)], [10, 3, 7, 3, 1]),
+        ordered = win.hit_counts([[(-0.5, 0.5)]], [1, 3, 7, 10])[0]
+        assert np.array_equal(win.hit_counts([[(-0.5, 0.5)]], [10, 3, 7, 3, 1])[0],
                               ordered[[3, 1, 2, 1, 0]])
 
 
@@ -207,8 +207,8 @@ def test_epsilon_monotonicity():
     win = cos_product_window(800)
     cps = default_checkpoints(800)
     target = Target.point(1.0)
-    small = win.hit_counts(target.dilated(0.05), cps)
-    large = win.hit_counts(target.dilated(0.4), cps)
+    small = win.hit_counts([target.dilated(0.05)], cps)[0]
+    large = win.hit_counts([target.dilated(0.4)], cps)[0]
     assert np.all(small <= large)
 
 
@@ -245,7 +245,7 @@ def test_product_counts_match_materialized_matrix():
     win = SeqWindow.from_product(u, v)
     cps = default_checkpoints(150)
     for lo, hi in [(-0.4, 0.3), (0.0, 2.0), (-3.0, -0.1)]:
-        got = win.hit_counts([(lo, hi)], cps)
+        got = win.hit_counts([[(lo, hi)]], cps)[0]
         assert np.array_equal(got, ref_matrix_counts(u[:, None] * v[None, :], [(lo, hi)], cps))
 
 
@@ -255,7 +255,7 @@ def test_product_counts_handle_zero_factors():
     win = SeqWindow.from_product(u, v)
     cps = np.array([2, 4])
     for iv in [(-0.1, 0.1), (0.4, 0.6), (-2.5, 2.5)]:
-        assert np.array_equal(win.hit_counts([iv], cps),
+        assert np.array_equal(win.hit_counts([[iv]], cps)[0],
                               ref_matrix_counts(u[:, None] * v[None, :], [iv], cps))
 
 
@@ -278,7 +278,7 @@ def test_product_counts_match_materialized_matrix_property(data):
     intervals = list(zip(ends[::2], ends[1::2]))
     win = SeqWindow.from_product(u, v)
     cps = np.arange(1, n + 1)
-    assert np.array_equal(win.hit_counts(intervals, cps),
+    assert np.array_equal(win.hit_counts([intervals], cps)[0],
                           ref_matrix_counts(u[:, None] * v[None, :], intervals, cps))
 
 
@@ -289,11 +289,11 @@ def test_product_counts_at_a_product_tie():
     v = np.array([1.375])
     win = SeqWindow.from_product(u, v)
     ends = (0.0, float(u[0] * v[0]))
-    assert win.hit_counts([ends], [1])[0] == 0
+    assert win.hit_counts([[ends]], [1])[0, 0] == 0
     assert ref_matrix_counts(u[:, None] * v[None, :], [ends], np.array([1]))[0] == 0
     # an empty open interval at a product counts nothing, not minus one
     single = SeqWindow.from_product(np.array([1.0]), np.array([0.5]))
-    assert single.hit_counts([(0.5, 0.5)], [1])[0] == 0
+    assert single.hit_counts([[(0.5, 0.5)]], [1])[0, 0] == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,7 +311,7 @@ def test_sum_counts_match_materialized_matrix_property(data):
     intervals = list(zip(ends[::2], ends[1::2]))
     cps = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6),
                              label="checkpoints"))
-    got = SeqWindow.from_sum(u, v).hit_counts(intervals, cps)
+    got = SeqWindow.from_sum(u, v).hit_counts([intervals], cps)[0]
     assert got.dtype == np.int64
     assert np.array_equal(got, ref_matrix_counts(sums, intervals, cps))
 
@@ -320,7 +320,7 @@ def test_sum_counts_match_materialized_matrix_at_default_checkpoints():
     u, v = np.random.default_rng(11).normal(size=(2, 300))
     cps = default_checkpoints(300)
     for intervals in ([(-0.4, 0.3)], [(-np.inf, -1.0), (0.5, np.inf)], [(2.0, 1.0)]):
-        got = SeqWindow.from_sum(u, v).hit_counts(intervals, cps)
+        got = SeqWindow.from_sum(u, v).hit_counts([intervals], cps)[0]
         assert np.array_equal(got, ref_matrix_counts(u[:, None] + v[None, :], intervals, cps))
 
 
@@ -329,8 +329,71 @@ def test_sum_counts_at_a_sum_tie():
     # the difference alone takes the pair into the open interval above it
     u, v = np.array([2.198]), np.array([0.11])
     ends = (float(u[0] + v[0]), 5.0)
-    assert SeqWindow.from_sum(u, v).hit_counts([ends], [1])[0] == 0
+    assert SeqWindow.from_sum(u, v).hit_counts([[ends]], [1])[0, 0] == 0
     assert ref_matrix_counts(u[:, None] + v[None, :], [ends], np.array([1]))[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), op=st.sampled_from([np.multiply, np.add]))
+def test_batched_counts_match_materialized_matrix_property(data, op):
+    # several unions in one call share the thresholds and the level tables;
+    # intervals are drawn from a small pool of ends, so they overlap, touch
+    # or come out empty (lo >= hi), and the pool holds entries of the
+    # matrix (ties), infinities and the ends of other unions
+    n = data.draw(st.integers(1, 10), label="n")
+    u = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="u"))
+    v = np.array(data.draw(st.lists(FACTOR, min_size=n, max_size=n), label="v"))
+    values = op.outer(u, v)
+    end = st.one_of(st.sampled_from(values.ravel().tolist()), st.floats(-20.0, 20.0), INFINITE)
+    pool = data.draw(st.lists(end, min_size=1, max_size=6), label="pool")
+    interval = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    unions = data.draw(st.lists(st.lists(interval, max_size=4), min_size=1, max_size=5),
+                       label="unions")
+    cps = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6),
+                             label="checkpoints"))
+    win = SeqWindow._from_factors(u, v, op)
+    got = win.hit_counts(unions, cps)
+    assert got.shape == (len(unions), cps.size) and got.dtype == np.int64
+    for row, union in zip(got, unions):
+        assert np.array_equal(row, ref_matrix_counts(values, union, cps))
+
+
+def test_batched_counts_of_a_1d_window_are_one_row_per_union():
+    values = np.linspace(-1.0, 1.0, 21)
+    win = SeqWindow.from_values_1d(values)
+    unions = [[(-0.5, 0.5)], [], [(0.0, np.inf), (-0.2, 0.1)], [(0.3, 0.3)]]
+    cps = [21, 4, 10, 4]
+    got = win.hit_counts(unions, cps)
+    assert got.shape == (4, 4) and got.dtype == np.int64
+    for row, union in zip(got, unions):
+        mask = np.zeros(values.shape, dtype=bool)
+        for lo, hi in union:
+            mask |= (values > lo) & (values < hi)
+        assert np.array_equal(row, [np.count_nonzero(mask[:cp]) for cp in cps])
+
+
+def test_batched_counts_keep_peak_memory_of_one_union():
+    """Five unions counted in one call need no more memory than one: the
+    strips run one after the other, one level table at a time, and the
+    unions share it.  At 10 000 checkpoints every index from 375 to 3000
+    is its own level, so the table (32 MB) is as large as it gets at
+    N = 3000."""
+    import tracemalloc
+
+    u, v = np.random.default_rng(5).normal(size=(2, 3000))
+    win = SeqWindow.from_product(u, v)
+    cps = default_checkpoints(3000, 10_000)
+    peaks = []
+    for unions in ([[(-0.5, 0.5)]], [[(k / 4 - 0.5, k / 4)] for k in range(5)]):
+        tracemalloc.start()
+        try:
+            win.hit_counts(unions, cps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table = (len(cps) + 2) * (3000 + 1) * np.dtype(np.int32).itemsize
+    assert peaks[0] <= 1.5 * table  # one level table alive, and no buffered copy
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_target_validation():

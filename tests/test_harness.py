@@ -165,6 +165,9 @@ def test_experiment_validation():
         ExperimentSpec(operator="lagrange2d", spec_x=THIRD, spec_y=HALF, window=5000)
     with pytest.raises(ValueError):
         ExperimentSpec(operator="shepard2d", spec_x=HALF, window=100)
+    for eps in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ExperimentSpec(operator="lagrange1d", spec_x=THIRD, epsilon=eps)
 
 
 def test_eval_point_classification_errors():
@@ -281,6 +284,25 @@ def test_residual_and_cluster_counts_partition_the_window(data):
                                   window=win)
     counts = [round(r.estimate.ratios[-1] * n) for r in result.reports]
     assert sum(counts) + round(result.residual_mass * n) == n
+
+
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(operator="lagrange2d", spec_x=THIRD, spec_y=HALF, window=120),
+    ExperimentSpec(operator="shepard2d", spec_x=HALF, spec_y=PointSpec.rational(2, 3),
+                   window=120),
+    ExperimentSpec(operator="lagrange1d", spec_x=THIRD, window=300),
+], ids=["lagrange2d", "shepard2d", "lagrange1d"])
+def test_residual_mass_equals_the_materialized_misses_at_the_window(spec):
+    """The residual comes out of the same batched count as the rows; it
+    equals the share of the materialized window outside every dilation."""
+    result = run_index_experiment(spec)
+    win = result.window
+    values = win.values if win.dim == 1 else win.op.outer(*win.factors)
+    hit = np.zeros(values.shape, dtype=bool)
+    for rep in result.reports:
+        for lo, hi in rep.target.dilated(result.epsilon):
+            hit |= (values > lo) & (values < hi)
+    assert result.residual_mass == 1.0 - np.count_nonzero(hit) / spec.window**win.dim
 
 
 def test_experiment_with_supplied_window_matches_cold_run():
@@ -474,7 +496,7 @@ def test_uniform_limit_rule_degenerate_cases():
     matrix = y[:, None] + 1.0 / m[None, :]
     (lo, hi), = target.dilated(0.01)
     mask = (matrix > lo) & (matrix < hi)
-    assert np.array_equal(win.hit_counts([(lo, hi)], cps),
+    assert np.array_equal(win.hit_counts([[(lo, hi)]], cps)[0],
                           [np.count_nonzero(mask[:cp, :cp]) for cp in cps])
     assert rep1.estimate.lower_est == 1.0
     assert rep2.estimate.lower_est >= 0.9

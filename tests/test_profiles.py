@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from scipy.special import psi
 from scipy.special import zeta as scipy_zeta
 
 from conidx import profiles
+from conidx.cli import main
 from conidx.profiles import (
     Profile1D,
     Profile2D,
@@ -174,6 +176,32 @@ def test_profile_monotonicity_guard():
                   value_at_0=0.0, limit_at_1=1.0)
 
 
+@pytest.mark.parametrize("s", [5.5, 6.0, 8.0, 12.0])
+def test_saturating_shepard_profiles_build(s):
+    # the profile rounds to 1.0, or to within an ulp or two of it, on the
+    # first points of the check grid; those ties are saturation
+    xs = np.linspace(0.0, 1.0 - 1e-9, 1024)
+    assert np.any(np.diff(shepard_jump_profile(s, xs)) == 0.0)
+    prof = Profile1D.shepard(s)
+    assert prof.decreasing
+
+
+@pytest.mark.parametrize("start, stop, level", [(0.29, 0.31, 0.7), (0.0, 0.1, 1.0 - 1e-12)],
+                         ids=["middle", "near-endpoint"])
+def test_profile_monotonicity_guard_rejects_an_inner_plateau(start, stop, level):
+    # a nonincreasing profile with a flat run strictly between its endpoint
+    # values is no saturation, even a few thousand ulps below the endpoint 1
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= start) & (x < stop), level, 1.0 - x)
+
+    with pytest.raises(ValueError, match="not strictly monotone"):
+        Profile1D(fn=fn, kind="plateau", value_at_0=1.0, limit_at_1=0.0)
+    with pytest.raises(ValueError, match="not strictly monotone"):
+        Profile1D(fn=lambda x: np.full(np.shape(x), 1.0), kind="flat",
+                  value_at_0=1.0, limit_at_1=1.0)
+
+
 def test_profile_endpoint_declaration_guard():
     with pytest.raises(ValueError, match="value at 0"):
         Profile1D(fn=lambda x: np.asarray(x, dtype=float), kind="ident",
@@ -201,11 +229,29 @@ def test_preimage_1d_examples():
 def test_preimage_1d_grid_oracle():
     # Riemann count on a fine grid, independent of the bisection route
     prof = Profile1D.lagrange()
-    xs = (np.arange(2_000_000) + 0.5) / 2_000_000
-    vals = prof(xs)
     for a, b in [(0.3, 0.6), (0.1, 0.2), (0.55, 0.9)]:
-        grid_measure = float(np.count_nonzero((vals >= a) & (vals <= b))) / xs.size
-        assert preimage_measure_1d(prof, [(a, b)]) == pytest.approx(grid_measure, abs=1e-5)
+        assert preimage_measure_1d(prof, [(a, b)]) == pytest.approx(
+            grid_measure(prof, a, b), abs=1e-5)
+
+
+def grid_measure(prof, a, b, size=2_000_000):
+    """Riemann count of {x in [0, 1) : a <= prof(x) <= b} on a midpoint grid."""
+    vals = prof((np.arange(size) + 0.5) / size)
+    return float(np.count_nonzero((vals >= a) & (vals <= b))) / size
+
+
+def test_index_on_a_saturating_shepard_profile(tmp_path):
+    # s = 6 ties at the start of the check grid; the config is valid, so
+    # the run gives a verdict (exit 0 or 1), not a config error (exit 2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "experiment": "shepard1d",
+                               "x0": {"irrational": "inv_sqrt2"}, "s": 6.0,
+                               "window": 2000, "targets": [[0.3, 0.45]]}))
+    report = tmp_path / "report.json"
+    assert main(["index", "--config", str(cfg), "--out", str(report)]) in (0, 1)
+    (entry,) = json.loads(report.read_text())["targets"]
+    assert entry["predicted"] == pytest.approx(
+        grid_measure(Profile1D.shepard(6.0), 0.3, 0.45), abs=1e-5)
 
 
 def test_preimage_1d_additivity():
