@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import StepFn1D, StepFn2D
+from .stepfn import GridSamples, StepFn1D, StepFn2D
 
 # |x - node| below this times n counts as a node hit (removable singularity)
 NODE_COLLISION = 1e-13
@@ -71,33 +71,35 @@ def _node_hit(nodes: np.ndarray, x: float, dist: np.ndarray) -> int | None:
     return j if dist[j] <= NODE_COLLISION * len(nodes) else None
 
 
-def _weights(w: np.ndarray, diff: np.ndarray, nodes: np.ndarray, alt: np.ndarray,
-             x: float, theta: float, n: int) -> None:
-    """ell[1..K](x) into w for x = cos(theta) off the nodes of the n-node grid,
-    where K = len(nodes) <= n; diff receives x - nodes.
+def _weights(w: np.ndarray, nodes: np.ndarray, x: float, c: float) -> None:
+    """c / (x - nodes) into w, for x off the nodes.
 
-    The numerator is (-1)^k c with c = (1/(n-1)) sin((n-1) theta) sin theta,
-    halved at both endpoints: halving is exact, so every entry rounds as
-    sign / ((n-1) fac) * s does.
+    With c = (1/(n-1)) sin((n-1) theta) sin theta at x = cos(theta) these
+    are the fundamental polynomial values ell[k](x) without their factor
+    (-1)^k and the halving at both ends of the n-node grid.  Both are exact
+    powers of two, so a product with them rounds the same either way.
     """
-    c = (1.0 / (n - 1)) * (math.sin((n - 1) * theta) * math.sin(theta))
-    np.multiply(alt, c, out=w)
-    w[0] *= 0.5
-    if len(w) == n:
-        w[-1] *= 0.5
-    np.subtract(x, nodes, out=diff)
-    np.divide(w, diff, out=w)
+    np.subtract(x, nodes, out=w)
+    np.divide(c, w, out=w)
+
+
+def _numerator(n: int, theta: float) -> float:
+    """c = (1/(n-1)) sin((n-1) theta) sin theta of `_weights`."""
+    return (1.0 / (n - 1)) * (math.sin((n - 1) * theta) * math.sin(theta))
 
 
 def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
     """The fundamental polynomial values ell[1..n](x), as one vector."""
     n, theta = grid.n, _acos(x)
-    w, work = np.zeros(n), np.empty(n)
-    j = _node_hit(grid.nodes, x, work)
+    w = np.zeros(n)
+    j = _node_hit(grid.nodes, x, np.empty(n))
     if j is not None:
         w[j] = 1.0
     else:
-        _weights(w, work, grid.nodes, _alternating(n), x, theta, n)
+        _weights(w, grid.nodes, x, _numerator(n, theta))
+        w *= _alternating(n)
+        w[0] *= 0.5
+        w[-1] *= 0.5
     return w
 
 
@@ -224,47 +226,64 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     With spec, x is the jump point cos(pi * spec.value) and n is a node hit
     exactly when the grid offset is zero; without, a node within
     NODE_COLLISION * n of x is a hit.  A hit returns the step value at x.
-    Otherwise the value is the dot product of the weights with the step
-    values at the nodes, computed in three buffers allocated once.  With
-    spec and step.left == 0, the step is 0 on every node below step.x0, so
-    the nodes, weights and step values are computed only on the head
-    k < K of nodes at or above it, and both vectors are zeroed past it (the
-    buffers may hold nan there, and 0 * nan is nan): the full-length dot
-    product sums the same nonzero terms.  Every value is
-    bit-identical to the per-n evaluation (`lagrange_eval_1d`);
-    tests/test_kernels.py holds the reference loops.
+    Otherwise the value is the full-length dot product of c / (x - node)
+    (`_weights`) with the step values at the nodes times their sign and
+    endpoint factors, which one `GridSamples` vector keeps from one n to
+    the next: only the entries at the step's jump and at the last node
+    change.  With spec and step.left == 0, the step is 0 on every node below
+    step.x0, so the nodes and weights are computed only on the head k < b of
+    nodes at or above it; past the head both vectors hold zeros (the weights
+    are zeroed only where a longer head left values), so the dot product
+    sums the same nonzero terms.  Every value is bit-identical to the per-n
+    evaluation (`lagrange_eval_1d`); tests/test_kernels.py holds the
+    reference loops.
     """
     size = ns.stop - 1
     kf = np.arange(size, dtype=float)
-    alt = _alternating(size)
-    nodes_buf, w_buf, work_buf = np.empty(size), np.empty(size), np.empty(size)
+    nodes, w = np.empty(size), np.zeros(size)
+    head_only = spec is not None and step.left == 0.0
+    # nodes above, at and below the jump, in node order (descending)
+    samples = GridSamples(size, (step.right, step.at, step.left), folded=True)
     out = np.empty(len(ns))
+    x0 = step.x0
     # the jump angle of the step over pi: nodes k <= (n-1) cut lie at or above it
-    cut = math.acos(min(1.0, max(-1.0, step.x0))) / math.pi
+    cut = math.acos(min(1.0, max(-1.0, x0))) / math.pi
     at_x = step(x)
+    # the weights past this index are zero; the head only grows with n as
+    # long as the rounded nodes do, so zeroing is for a head that shrank
+    written = 0
     for i, n in enumerate(ns):
         if spec is not None and grid_offset(spec, n) == 0.0:
             out[i] = at_x
             continue
-        K = n if spec is None or step.left != 0.0 else min(n, int((n - 1) * cut) + 1)
-        while True:  # the estimate is confirmed on the rounded nodes, never trusted
-            head = min(K + 1, n)
-            np.multiply(kf[:head], math.pi / (n - 1), out=work_buf[:head])
-            np.cos(work_buf[:head], out=nodes_buf[:head])
-            if K == n or nodes_buf[K] < step.x0:
+        # b counts the nodes at or above x0: estimated, then confirmed on the
+        # rounded nodes by comparing the last nodes of the head with x0
+        b = min(n, int((n - 1) * cut) + 1)
+        while True:
+            head = min(b + 1, n) if head_only else n
+            np.multiply(kf[:head], math.pi / (n - 1), out=nodes[:head])
+            np.cos(nodes[:head], out=nodes[:head])
+            while b < head and nodes[b] >= x0:
+                b += 1
+            if b < head or b == n:
                 break
-            K += 1
-        nodes, w, work = nodes_buf[:K], w_buf[:K], work_buf[:K]
+        while b > 0 and nodes[b - 1] < x0:
+            b -= 1
+        a = b
+        while a > 0 and nodes[a - 1] == x0:
+            a -= 1
         if spec is None:
-            j = _node_hit(nodes, x, work)
+            j = _node_hit(nodes[:n], x, w[:n])
             if j is not None:
                 out[i] = at_x
                 continue
-        _weights(w, work, nodes, alt[:K], x, theta, n)
-        step.sample_sorted(nodes, work)
-        w_buf[K:n] = 0.0
-        work_buf[K:n] = 0.0
-        out[i] = w_buf[:n] @ work_buf[:n]
+        K = b if head_only else n
+        _weights(w[:K], nodes[:K], x, _numerator(n, theta))
+        if K < written:
+            w[K:written] = 0.0
+        written = K
+        samples.update(n, a, b)
+        out[i] = w[:n] @ samples.buf[:n]
     return out
 
 

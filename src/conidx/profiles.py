@@ -160,10 +160,43 @@ def _lagrange_screen(x: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * x) / np.pi * 0.5 * (_psi(0.5 * (x + 1.0)) - _psi(0.5 * x))
 
 
+def _shepard_scaled(s: float, t: np.ndarray) -> np.ndarray:
+    """The Shepard profile on (0, 1) with t^-s and (1-t)^-s factored out.
+
+    zeta(s, a) = a^-s (1 + a^s zeta(s, a + 1)), and the profile's
+    numerator and denominator are scaled by the larger of t^-s and
+    (1-t)^-s, so only (min/max)^s <= 1 is raised to the power s: nothing
+    overflows.
+    """
+    lo, hi = np.minimum(t, 1.0 - t), np.maximum(t, 1.0 - t)
+    ratio = (lo / hi) ** s
+    zt = 1.0 + t**s * hurwitz_zeta(s, t + 1.0)
+    zu = 1.0 + (1.0 - t) ** s * hurwitz_zeta(s, 2.0 - t)
+    num = np.where(t <= 0.5, zt, ratio * zt)
+    return num / (num + np.where(t <= 0.5, ratio * zu, zu))
+
+
+def _shepard_ratio(s: float, t: np.ndarray,
+                   zeta: Callable[[float, np.ndarray], np.ndarray]) -> np.ndarray:
+    """zeta(s,t) / (zeta(s,t) + zeta(s,1-t)) on (0, 1).
+
+    Where t^-s or (1-t)^-s overflows (large s, t near an end) the value
+    comes from `_shepard_scaled` instead; everywhere else it is the plain
+    ratio.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        num = zeta(s, t)
+        den = np.asarray(num + zeta(s, 1.0 - t))
+        over = ~np.isfinite(den)
+        vals = np.divide(num, den, out=den)
+    if over.any():
+        vals[over] = _shepard_scaled(s, t[over])
+    return vals
+
+
 def _shepard_screen(s: float, t: np.ndarray) -> np.ndarray:
     """The Shepard profile on (0, 1) through the Euler-Maclaurin zeta."""
-    num = _zeta(s, t)
-    return num / (num + _zeta(s, 1.0 - t))
+    return _shepard_ratio(s, t, _zeta)
 
 
 def shepard_jump_profile(s: float, t):
@@ -172,9 +205,7 @@ def shepard_jump_profile(s: float, t):
     if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
         raise ValueError("profile argument must lie in [0, 1)")
     safe = np.where(t_arr == 0.0, 0.5, t_arr)
-    num = hurwitz_zeta(s, safe)
-    den = num + hurwitz_zeta(s, 1.0 - safe)
-    out = np.where(t_arr == 0.0, 1.0, num / den)
+    out = np.where(t_arr == 0.0, 1.0, _shepard_ratio(s, safe, hurwitz_zeta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -205,10 +236,11 @@ class Profile1D:
         scale = max(1.0, abs(self.value_at_0), abs(self.limit_at_1))
         # a saturating profile (Shepard at large s) rounds to its endpoint
         # value, or to within a few ulps of it, on a run of the grid; only
-        # neighbours there may tie
+        # neighbours there may tie or step by up to that many ulps either way
+        band = 8 * np.spacing(scale)
         near_end = np.minimum(abs(vals[1:] - self.value_at_0),
-                              abs(vals[1:] - self.limit_at_1)) <= 8 * np.spacing(scale)
-        strict = diffs[(diffs != 0.0) | ~near_end]
+                              abs(vals[1:] - self.limit_at_1)) <= band
+        strict = diffs[(abs(diffs) > band) | ~near_end]
         if strict.size == 0 or not (np.all(strict > 0.0) or np.all(strict < 0.0)):
             raise ValueError(f"profile {self.kind!r} is not strictly monotone on the check grid")
         # declared endpoints drive preimage clamping, so they must match fn

@@ -9,12 +9,13 @@ by q), because the q-periodic cluster structure hinges on them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import StepFn1D, StepFn2D
+from .stepfn import GridSamples, StepFn1D, StepFn2D
 
 NODE_PROXIMITY = 1e-13
 
@@ -48,22 +49,46 @@ def node_index(spec: PointSpec, n: int) -> int | None:
     return None
 
 
-def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float) -> int | None:
-    """Normalized weights at x into w, or the index of a node within
-    NODE_PROXIMITY of x (w is then left holding distances).
+def _first_node_at_or_above(x: float, n: int) -> int:
+    """The least i in 0..n+1 with i/n >= x (n + 1 if there is none).
 
-    Distances are scaled by the nearest one before exponentiation so large
-    s cannot overflow.
+    Python's i/n rounds as numpy's division of the node grid does, so the
+    answer is the one the grid itself gives; ceil(x*n) is only the guess.
     """
-    np.subtract(x, nodes, out=w)
-    np.abs(w, out=w)
-    j = int(np.argmin(w))
-    if w[j] <= NODE_PROXIMITY:
-        return j
-    np.divide(w[j], w, out=w)
-    w **= s
-    w /= w.sum()
-    return None
+    i = math.ceil(min(max(x, 0.0), 1.0) * n)
+    while i > 0 and (i - 1) / n >= x:
+        i -= 1
+    while i <= n and i / n < x:
+        i += 1
+    return i
+
+
+def _nearest(x: float, n: int) -> tuple[int, int, float]:
+    """(g, j, d) for x in [0, 1]: g = `_first_node_at_or_above`, j the index
+    of the node nearest x (the lower one at a tie, as argmin takes it) and
+    d = |x - j/n|."""
+    g = _first_node_at_or_above(x, n)
+    if g == 0:  # x = 0, node 0
+        return g, 0, 0.0
+    d_lo, d_hi = x - (g - 1) / n, g / n - x
+    return (g, g - 1, d_lo) if d_lo <= d_hi else (g, g, d_hi)
+
+
+def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float, g: int, d: float) -> float:
+    """Weights (d / |x - node|)^s into w, d the distance to the nearest
+    node, and their total; g is `_first_node_at_or_above(x, n)`.
+
+    |x - node| is taken as two one-sided differences, x - node below g and
+    node - x from g on.  Scaling by the nearest distance before
+    exponentiation keeps large s from overflowing; at s = 1 the power is
+    the identity and is skipped.
+    """
+    np.subtract(x, nodes[:g], out=w[:g])
+    np.subtract(nodes[g:], x, out=w[g:])
+    np.divide(d, w, out=w)
+    if s != 1.0:
+        w **= s
+    return w.sum()
 
 
 def shepard_weights_1d(params: ShepardParams, x: float,
@@ -77,7 +102,11 @@ def shepard_weights_1d(params: ShepardParams, x: float,
         raise ValueError("evaluation point must lie in [0, 1]")
     w = np.empty(params.n + 1)
     if hit is None:
-        hit = _weights(w, params.nodes, x, params.s)
+        g, j, d = _nearest(x, params.n)
+        if d <= NODE_PROXIMITY:
+            hit = j
+        else:
+            w /= _weights(w, params.nodes, x, params.s, g, d)
     if hit is not None:
         w[:] = 0.0
         w[hit] = 1.0
@@ -123,30 +152,49 @@ def _window(step: StepFn1D, s: float, x: float, n_max: int,
 
     With spec, n is a node hit exactly when x = spec value is a node; a node
     within NODE_PROXIMITY of x is a hit in either case.  A hit returns the
-    step value there.  Otherwise the value is the dot product of the weights
-    with the step values at the nodes, computed in three buffers allocated
-    once.  Every value is bit-identical to the per-n evaluation
-    (`shepard_eval_1d`); tests/test_kernels.py holds the reference loops.
+    step value there.  Otherwise the value is the full-length dot product
+    of the weights with the step values at the nodes, which one
+    `GridSamples` vector keeps from one n to the next: only the entries at
+    the step's jump and the new last node change.  The weights are divided
+    by their total only where the step value is nonzero; elsewhere the
+    product is +0 either way.  Every value is bit-identical to the per-n
+    evaluation (`shepard_eval_1d`); tests/test_kernels.py holds the
+    reference loops.
     """
     if not s >= 1.0:
         raise ValueError("exponent s must be >= 1")
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")
     kf = np.arange(n_max + 1, dtype=float)
-    nodes_buf, w_buf, vals_buf = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
+    nodes_buf, w_buf = np.empty(n_max + 1), np.empty(n_max + 1)
+    # nodes below, at and above the jump, in node order (ascending)
+    samples = GridSamples(n_max + 1, (step.left, step.at, step.right))
     out = np.empty(n_max)
+    at_x = step(x)
+    x0 = step.x0
+    # the weights are divided by their total on the runs from the first to
+    # the last one whose step value is nonzero
+    first = 0 if step.left != 0.0 else 1 if step.at != 0.0 else 2
+    last = 2 if step.right != 0.0 else 1 if step.at != 0.0 else 0
     for n in range(1, n_max + 1):
         if spec is not None and node_index(spec, n) is not None:
-            out[n - 1] = step(x)
+            out[n - 1] = at_x
             continue
-        nodes, w, vals = nodes_buf[:n + 1], w_buf[:n + 1], vals_buf[:n + 1]
+        g, j, d = _nearest(x, n)
+        if d <= NODE_PROXIMITY:
+            out[n - 1] = step(j / n)
+            continue
+        nodes, w = nodes_buf[:n + 1], w_buf[:n + 1]
         np.divide(kf[:n + 1], n, out=nodes)
-        j = _weights(w, nodes, x, s)
-        if j is not None:
-            out[n - 1] = step(nodes[j])
-            continue
-        step.sample_sorted(nodes, vals)
-        out[n - 1] = w @ vals
+        total = _weights(w, nodes, x, s, g, d)
+        a = g if x0 == x else _first_node_at_or_above(x0, n)
+        b = a + (a <= n and a / n == x0)
+        samples.update(n + 1, a, b)
+        ends = (0, a, b, n + 1)
+        lo, hi = ends[first], ends[last + 1]
+        if lo < hi:
+            np.divide(w[lo:hi], total, out=w[lo:hi])
+        out[n - 1] = w @ samples.buf[:n + 1]
     return out
 
 

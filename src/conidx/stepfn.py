@@ -46,20 +46,48 @@ class StepFn1D:
         out = np.where(x < self.x0, self.left, np.where(x > self.x0, self.right, self.at))
         return float(out) if out.ndim == 0 else out
 
-    def sample_sorted(self, nodes: np.ndarray, out: np.ndarray) -> None:
-        """Write self(nodes) into out for monotone nodes, as three slice fills.
 
-        The two ends of the run of nodes equal to x0 are found by binary
-        search, so the values equal self(nodes) entry for entry.
-        """
-        n = len(nodes)
-        ascending = nodes[::-1] if n > 1 and nodes[0] > nodes[-1] else nodes
-        lo = int(ascending.searchsorted(self.x0, "left"))
-        hi = int(ascending.searchsorted(self.x0, "right"))
-        if ascending is nodes:
-            out[:lo], out[lo:hi], out[hi:] = self.left, self.at, self.right
+class GridSamples:
+    """The values of a step at the nodes of a growing grid, kept in one vector.
+
+    The nodes of each grid are monotone, so its n entries are three runs:
+    vals[0] on the first a nodes, vals[1] on nodes a..b-1 (those equal to
+    the jump), vals[2] on the rest.  The first `update` fills the runs; each
+    later one moves the vector to a larger grid and rewrites, entry by
+    entry, only those that can change: the entries between the old and the
+    new run ends, and those from the old last node on.  With folded=True
+    (grids of n >= 2 nodes) entry k also carries the sign (-1)^(k+1) and is
+    halved at both ends of the grid: the exact power-of-two factors of the
+    Lagrange weights.
+    """
+
+    def __init__(self, size: int, vals: tuple[float, float, float], folded: bool = False):
+        self.buf = np.zeros(size)
+        self.vals = tuple(float(v) for v in vals)
+        self.folded = folded
+        self.n = self.a = self.b = 0
+
+    def update(self, n: int, a: int, b: int) -> None:
+        """Hold the samples of the n-node grid whose runs end at a and b."""
+        buf, vals = self.buf, self.vals
+        if self.n == 0:
+            buf[:a], buf[a:b], buf[b:n] = vals
+            if self.folded:
+                buf[:n:2] *= -1.0
+                buf[0] *= 0.5
+                buf[n - 1] *= 0.5
         else:
-            out[:n - hi], out[n - hi:n - lo], out[n - lo:] = self.right, self.at, self.left
+            # a folded old last node loses its halving
+            for lo, hi in ((min(a, self.a), max(b, self.b)),
+                           (self.n - 1 if self.folded else self.n, n)):
+                for k in range(lo, hi):
+                    v = vals[0] if k < a else vals[1] if k < b else vals[2]
+                    if self.folded:
+                        v = -v if k % 2 == 0 else v
+                        if k == 0 or k == n - 1:
+                            v *= 0.5
+                    buf[k] = v
+        self.n, self.a, self.b = n, a, b
 
 
 @dataclass(frozen=True)

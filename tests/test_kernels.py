@@ -21,7 +21,7 @@ from conidx.density import SeqWindow
 from conidx.harness import ExperimentSpec, generate_window
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.reports import emit_csv
-from conidx.stepfn import StepFn1D
+from conidx.stepfn import GridSamples, StepFn1D
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -90,17 +90,17 @@ def ref_shepard_weights(s, n, x):
     return w / w.sum()
 
 
-def ref_shepard_step_sequence(spec, s, n_max, step=None):
+def ref_shepard_value(spec, s, n, step):
     x0 = spec.value
+    if sh.node_index(spec, n) is not None:
+        return float(step(x0))
+    return float(ref_shepard_weights(s, n, x0) @ step(np.arange(n + 1) / n))
+
+
+def ref_shepard_step_sequence(spec, s, n_max, step=None):
     if step is None:
-        step = StepFn1D.indicator_upto(x0)
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        if sh.node_index(spec, n) is not None:
-            out[n - 1] = step(x0)
-            continue
-        out[n - 1] = float(ref_shepard_weights(s, n, x0) @ step(np.arange(n + 1) / n))
-    return out
+        step = StepFn1D.indicator_upto(spec.value)
+    return np.array([ref_shepard_value(spec, s, n, step) for n in range(1, n_max + 1)])
 
 
 def ref_shepard_step_sequence_at(step, s, x, n_max):
@@ -264,13 +264,144 @@ def test_single_values_bit_identical():
         same_bits(sh.shepard_weights_1d(params, node), ref_shepard_weights(s, n, node))
 
 
-def test_sample_sorted_matches_call():
-    step = StepFn1D.jump(0.25, 0.5)
-    for nodes in (np.array([1.0, 0.5, 0.25, 0.25, 0.0, -1.0]), np.linspace(-1.0, 1.0, 9),
-                  np.array([0.25]), np.array([0.3, 0.2]), np.array([-2.0, 2.0])):
-        out = np.empty_like(nodes)
-        step.sample_sorted(nodes, out)
-        same_bits(out, step(nodes))
+def fresh_samples(n, a, b, vals, folded):
+    """The samples a GridSamples vector holds for the n-node grid, built anew."""
+    out = np.empty(n)
+    out[:a], out[a:b], out[b:] = vals
+    if folded:
+        out *= np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        out[[0, -1]] *= 0.5
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), folded=st.booleans(),
+       vals=st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.25, 2.5])] * 3))
+def test_grid_samples_match_a_fresh_fill(data, folded, vals):
+    """Grids that grow by 1 or by many nodes and run ends that move a little
+    or a lot between updates."""
+    samples = GridSamples(400, vals, folded=folded)
+    n = 1
+    for _ in range(data.draw(st.integers(1, 12))):
+        n = data.draw(st.integers(n + 1, min(400, n + 40)))
+        b = data.draw(st.integers(0, n))
+        a = data.draw(st.integers(0, b))
+        samples.update(n, a, b)
+        same_bits(samples.buf[:n], fresh_samples(n, a, b, vals, folded))
+        if n == 400:
+            break
+
+
+def rational(p, q):
+    p = p % q or 1
+    g = math.gcd(p, q)
+    return PointSpec.rational(p // g, q // g)
+
+
+def check_windows_at_the_jump(spec, orient, s, n_max):
+    """Both operators at the jump of spec, with the step orientation orient."""
+    x0 = math.cos(math.pi * spec.value)
+    step = head_steps(x0)[orient]
+    same_bits(lg.jump_sequence(spec, step.at, n_max, step=step),
+              ref_jump_sequence(spec, step.at, n_max, step=step))
+    step = head_steps(spec.value)[orient]
+    same_bits(sh.step_sequence(spec, s, n_max, step=step),
+              ref_shepard_step_sequence(spec, s, n_max, step=step))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(2, 2000), p=st.integers(1, 1999), orient=st.integers(0, 4),
+       s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(2, 700))
+def test_windows_bit_identical_over_rationals_and_steps(q, p, orient, s, n_max):
+    check_windows_at_the_jump(rational(p, q), orient, s, n_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(SPECS), orient=st.integers(0, 4),
+       s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(2, 700))
+def test_windows_bit_identical_over_presets_and_steps(spec, orient, s, n_max):
+    check_windows_at_the_jump(spec, orient, s, n_max)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)])
+def test_windows_bit_identical_between_node_hits(p, q):
+    """At small q every q-th n (Shepard) or every q-th n - 1 (Lagrange) is a
+    node hit, so the kept samples must move across the skipped grids."""
+    for orient in range(5):
+        for s in (1.0, 2.0, 2.5, 3.0):
+            check_windows_at_the_jump(PointSpec.rational(p, q), orient, s, 300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(st.sampled_from(SPECS),
+                      st.builds(rational, st.integers(1, 1999), st.integers(2, 2000))),
+       d=st.sampled_from([0.0, 0.5, 1.0]), n=st.integers(2, 3000))
+def test_single_n_windows_bit_identical(spec, d, n):
+    theta0 = math.pi * spec.value
+    x0 = math.cos(theta0)
+    got = lg.jump_value_direct(spec, d, n)
+    want = ref_jump_value(StepFn1D.jump(x0, d), x0, theta0, lg.grid_offset(spec, n), n)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 12), m=st.integers(1, 12), jump=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       orient=st.integers(0, 4), s=st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+       n_max=st.integers(1, 300))
+def test_windows_at_general_points_with_node_hits(k, m, jump, orient, s, n_max):
+    """x = k/m (Shepard) or cos(pi k/m) (Lagrange), a node for every n (or
+    n - 1) divisible by m over gcd(k, m), found by proximity; the step jumps
+    at x or at another point."""
+    t = min(k, m) / m
+    x = math.cos(math.pi * t)
+    step = head_steps(x if jump is None else 2.0 * jump - 1.0)[orient]
+    same_bits(lg.step_sequence_at(step, x, n_max), ref_lagrange_step_sequence_at(step, x, n_max))
+    step = head_steps(t if jump is None else jump)[orient]
+    same_bits(sh.step_sequence_at(step, s, t, n_max),
+              ref_shepard_step_sequence_at(step, s, t, n_max))
+
+
+CAP = 10_000
+# the reference at every 11th n and at the last 100: the kept samples have
+# moved through every n below each of them
+CAP_INDICES = np.unique(np.r_[np.arange(2, CAP + 1, 11), np.arange(CAP - 99, CAP + 1)])
+
+
+@pytest.mark.parametrize("spec", [PointSpec.rational(1, 3), PointSpec.irrational("golden_frac")],
+                         ids=lambda spec: spec.label())
+def test_jump_sequence_at_the_cap(spec):
+    theta0 = math.pi * spec.value
+    x0 = math.cos(theta0)
+    step = StepFn1D.jump(x0, 1.0)
+    got = lg.jump_sequence(spec, 1.0, CAP)[CAP_INDICES - 1]
+    want = np.array([ref_jump_value(step, x0, theta0, lg.grid_offset(spec, n), n)
+                     for n in CAP_INDICES])
+    same_bits(got, want)
+
+
+@pytest.mark.parametrize("spec, s", [(PointSpec.rational(1, 3), 2.0),
+                                     (PointSpec.irrational("inv_sqrt2"), 3.0)],
+                         ids=["1/3-s2", "inv_sqrt2-s3"])
+def test_shepard_step_sequence_at_the_cap(spec, s):
+    step = StepFn1D.indicator_upto(spec.value)
+    got = sh.step_sequence(spec, s, CAP)[CAP_INDICES - 1]
+    want = np.array([ref_shepard_value(spec, s, n, step) for n in CAP_INDICES])
+    same_bits(got, want)
+
+
+# A window at the cap holds its output and a few vectors of CAP doubles
+# (80 kB each): the peaks are 0.48 MB (Lagrange) and 0.40 MB (Shepard).
+# Temporaries kept for a block of n would show here.
+WINDOW_PEAK = 1_000_000
+
+
+def test_window_memory_at_the_cap():
+    spec = PointSpec.rational(1, 3)
+    x0 = math.cos(math.pi * spec.value)
+    # a step nonzero below the jump makes the Lagrange window use every node
+    for run in (lambda: lg.jump_sequence(spec, 1.0, CAP, step=StepFn1D.indicator_upto(x0)),
+                lambda: sh.step_sequence(spec, 2.0, CAP)):
+        assert traced_peak(run) < WINDOW_PEAK
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,80 @@ def test_saturating_shepard_profiles_build(s):
     assert prof.decreasing
 
 
+def mpmath_shepard_profile(s, t):
+    with mpmath.workdps(40):
+        num = mpmath.zeta(s, t)
+        return float(num / (num + mpmath.zeta(s, 1 - mpmath.mpf(t))))
+
+
+@pytest.mark.parametrize("s", [14.0, 16.0, 20.0, 40.0])
+def test_large_s_shepard_profiles_build(s):
+    # from s = 14 the check grid steps up by an ulp just below 1, and at
+    # s = 40 (1-t)^-s overflows on it; pytest turns a RuntimeWarning into an error
+    xs = np.linspace(0.0, 1.0 - 1e-9, 1024)
+    vals = shepard_jump_profile(s, xs)
+    if s < 40.0:
+        assert np.any(np.diff(vals) > 0.0)
+    else:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            hurwitz_zeta(s, 1e-9)
+    prof = Profile1D.shepard(s)
+    assert prof.decreasing
+    for t in (1e-12, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9):
+        assert shepard_jump_profile(s, t) == pytest.approx(mpmath_shepard_profile(s, t),
+                                                           rel=1e-13, abs=1e-300)
+    assert preimage_measure_1d(prof, [(0.2, 0.5)]) == pytest.approx(
+        grid_measure(prof, 0.2, 0.5, size=400_000), abs=1e-5)
+
+
+def test_shepard_profile_is_the_plain_ratio_where_it_is_finite():
+    """The overflow fallback leaves every finite value of the plain ratio as
+    it was, bit for bit (the pools use s = 1, 2 and 3)."""
+    ts = np.r_[np.linspace(1e-3, 1.0 - 1e-9, 1024), np.geomspace(1.4e-11, 0.5, 200),
+               1.0 - np.geomspace(1e-15, 0.5, 200)]
+    for s in (1.5, 2.0, 2.5, 3.0, 6.0, 12.0):
+        num = hurwitz_zeta(s, ts)
+        plain = num / (num + hurwitz_zeta(s, 1.0 - ts))
+        assert shepard_jump_profile(s, ts).tobytes() == plain.tobytes()
+
+
+def test_shepard_index_at_s_40(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "experiment": "shepard1d",
+                               "x0": {"irrational": "golden_frac"}, "s": 40.0,
+                               "window": 500, "targets": [[0.2, 0.5]]}))
+    report = tmp_path / "report.json"
+    assert main(["index", "--config", str(cfg), "--out", str(report)]) in (0, 1)
+    (entry,) = json.loads(report.read_text())["targets"]
+    assert entry["predicted"] == pytest.approx(
+        grid_measure(Profile1D.shepard(40.0), 0.2, 0.5, size=400_000), abs=1e-5)
+
+
+CHECK_GRID = np.linspace(0.0, 1.0 - 1e-9, profiles._MONOTONE_GRID)
+
+
+def one_minus_x_except(points):
+    """1 - x, except at the given points of the monotonicity check grid."""
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = 1.0 - x
+        for k, value in points.items():
+            out = np.where(x == CHECK_GRID[k], value, out)
+        return out
+    return fn
+
+
+def test_profile_monotonicity_guard_ulp_steps():
+    # a step of an ulp or two against the direction is saturation within
+    # 8 ulps of an endpoint value, and a fault anywhere else
+    eps = np.spacing(1.0)
+    Profile1D(fn=one_minus_x_except({1: 1.0 - 2.0 * eps, 2: 1.0 - eps}), kind="saturated",
+              value_at_0=1.0, limit_at_1=0.0)
+    with pytest.raises(ValueError, match="not strictly monotone"):
+        Profile1D(fn=one_minus_x_except({300: 1.0 - CHECK_GRID[299] + eps}), kind="bump",
+                  value_at_0=1.0, limit_at_1=0.0)
+
+
 @pytest.mark.parametrize("start, stop, level", [(0.29, 0.31, 0.7), (0.0, 0.1, 1.0 - 1e-12)],
                          ids=["middle", "near-endpoint"])
 def test_profile_monotonicity_guard_rejects_an_inner_plateau(start, stop, level):
