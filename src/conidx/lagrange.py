@@ -25,9 +25,11 @@ from typing import Iterator
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import GridSamples, StepFn1D, StepFn2D
+from .stepfn import GridSamples, StepFn1D, StepFn2D, tensor_value
 
-# |x - node| below this times n counts as a node hit (removable singularity)
+# |x - node| at or below this is a node hit (removable singularity): exact
+# hits round to within 4.4e-16, other nodes stay about 1e-12 or more away
+# (presets, p/q with q <= 2000, n <= 10**6)
 NODE_COLLISION = 1e-13
 
 
@@ -53,22 +55,21 @@ def _acos(x: float) -> float:
     return math.acos(x)
 
 
-def _alternating(n: int) -> np.ndarray:
-    """The barycentric signs (-1)^k for k = 1..n."""
-    alt = np.ones(n)
-    alt[::2] = -1.0
-    return alt
+def _node_hit(n: int, x: float, theta: float) -> int | None:
+    """Index of the node of the n-node grid nearest x = cos(theta) if it lies
+    within NODE_COLLISION of x, else None.
 
-
-def _node_hit(nodes: np.ndarray, x: float, dist: np.ndarray) -> int | None:
-    """Index of the node nearest x if it lies within NODE_COLLISION * n of x.
-
-    dist receives |x - nodes|.
+    The angle of x lies between those of the nodes j and j + 1,
+    j = floor((n-1) theta / pi), up to rounding, so the nearest node is
+    among j - 1 .. j + 2; only those four are computed, each as
+    cos(k pi/(n-1)) like `cheb_grid`.  The gap between the distances of
+    hits and of other nodes and NODE_COLLISION absorbs any last-bit
+    difference between this cosine and the vector one.
     """
-    np.subtract(x, nodes, out=dist)
-    np.abs(dist, out=dist)
-    j = int(np.argmin(dist))
-    return j if dist[j] <= NODE_COLLISION * len(nodes) else None
+    h = math.pi / (n - 1)
+    j = int((n - 1) * theta / math.pi)
+    k = min(range(max(j - 1, 0), min(j + 3, n)), key=lambda k: abs(x - math.cos(k * h)))
+    return k if abs(x - math.cos(k * h)) <= NODE_COLLISION else None
 
 
 def _weights(w: np.ndarray, nodes: np.ndarray, x: float, c: float) -> None:
@@ -92,12 +93,12 @@ def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
     """The fundamental polynomial values ell[1..n](x), as one vector."""
     n, theta = grid.n, _acos(x)
     w = np.zeros(n)
-    j = _node_hit(grid.nodes, x, np.empty(n))
+    j = _node_hit(n, x, theta)
     if j is not None:
         w[j] = 1.0
     else:
         _weights(w, grid.nodes, x, _numerator(n, theta))
-        w *= _alternating(n)
+        w[::2] *= -1.0
         w[0] *= 0.5
         w[-1] *= 0.5
     return w
@@ -114,7 +115,7 @@ def _node_samples(f, grid: ChebGrid, x: float) -> np.ndarray:
             raise ValueError("sample array length must equal the node count")
         return f
     samples = np.array(f(grid.nodes), dtype=float)
-    j = _node_hit(grid.nodes, x, np.empty(grid.n))
+    j = _node_hit(grid.n, x, _acos(x))
     if j is not None:
         samples[j] = f(x)
     return samples
@@ -128,22 +129,12 @@ def lagrange_eval_1d(f, n: int, x: float) -> float:
 
 def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
                      cross_check: bool = False) -> float:
-    """L_{n,m} h(x, y) for a tensor step, via the product decomposition.
-
-    With cross_check=True the full double sum over the node grid is also
-    evaluated and must agree to 1e-9.
-    """
+    """L_{n,m} h(x, y) for a tensor step, via the product decomposition; with
+    cross_check=True the full double sum must agree to 1e-9."""
     gx, gy = cheb_grid(n), cheb_grid(m)
-    wx, wy = fundamental_weights(gx, x), fundamental_weights(gy, y)
-    sx, sy = _node_samples(h.fx, gx, x), _node_samples(h.fy, gy, y)
-    out = float(wx @ sx) * float(wy @ sy)
-    if cross_check:
-        direct = float(wx @ (sx[:, None] * sy[None, :]) @ wy)
-        if abs(direct - out) > 1e-9:
-            raise AssertionError(
-                f"product decomposition {out!r} disagrees with double sum {direct!r}"
-            )
-    return out
+    return tensor_value(fundamental_weights(gx, x), _node_samples(h.fx, gx, x),
+                        fundamental_weights(gy, y), _node_samples(h.fy, gy, y),
+                        1e-9, cross_check)
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +212,28 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
 
 def _window(step: StepFn1D, x: float, theta: float, ns: range,
             spec: PointSpec | None = None) -> np.ndarray:
-    """Values L_n(step)(x) for the n in ns (all >= 2), with x = cos(theta).
+    """Values L_n(step)(x) for the n in ns, with x = cos(theta).
 
-    With spec, x is the jump point cos(pi * spec.value) and n is a node hit
-    exactly when the grid offset is zero; without, a node within
-    NODE_COLLISION * n of x is a hit.  A hit returns the step value at x.
-    Otherwise the value is the full-length dot product of c / (x - node)
-    (`_weights`) with the step values at the nodes times their sign and
-    endpoint factors, which one `GridSamples` vector keeps from one n to
-    the next: only the entries at the step's jump and at the last node
-    change.  With spec and step.left == 0, the step is 0 on every node below
+    n = 1 is the one-node grid {+1}, whose interpolant is the constant
+    step(+1).  With spec, x is the jump point cos(pi * spec.value) and n is
+    a node hit exactly when the grid offset is zero; without, when a node
+    lies within NODE_COLLISION of x (`_node_hit`).  A hit returns the step
+    value at x.  Otherwise the value is the full-length dot product of
+    c / (x - node) (`_weights`) with the step values at the nodes times
+    their sign and endpoint factors, which one `GridSamples` vector keeps
+    from one n to the next: only the entries at the step's jump and at the
+    last node change.  With step.left == 0 the step is 0 on every node below
     step.x0, so the nodes and weights are computed only on the head k < b of
-    nodes at or above it; past the head both vectors hold zeros (the weights
-    are zeroed only where a longer head left values), so the dot product
-    sums the same nonzero terms.  Every value is bit-identical to the per-n
-    evaluation (`lagrange_eval_1d`); tests/test_kernels.py holds the
-    reference loops.
+    nodes at or above it; past the head both vectors hold zeros (the
+    weights are zeroed only where a longer head left values), so the dot
+    product sums the same nonzero terms.  Every value is bit-identical to
+    the per-n evaluation (`lagrange_eval_1d`); tests/test_kernels.py holds
+    the reference loops.
     """
     size = ns.stop - 1
     kf = np.arange(size, dtype=float)
     nodes, w = np.empty(size), np.zeros(size)
-    head_only = spec is not None and step.left == 0.0
+    head_only = step.left == 0.0
     # nodes above, at and below the jump, in node order (descending)
     samples = GridSamples(size, (step.right, step.at, step.left), folded=True)
     out = np.empty(len(ns))
@@ -253,7 +245,11 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     # long as the rounded nodes do, so zeroing is for a head that shrank
     written = 0
     for i, n in enumerate(ns):
-        if spec is not None and grid_offset(spec, n) == 0.0:
+        if n == 1:
+            out[i] = step(1.0)
+            continue
+        if (grid_offset(spec, n) == 0.0 if spec is not None
+                else _node_hit(n, x, theta) is not None):
             out[i] = at_x
             continue
         # b counts the nodes at or above x0: estimated, then confirmed on the
@@ -272,11 +268,6 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
         a = b
         while a > 0 and nodes[a - 1] == x0:
             a -= 1
-        if spec is None:
-            j = _node_hit(nodes[:n], x, w[:n])
-            if j is not None:
-                out[i] = at_x
-                continue
         K = b if head_only else n
         _weights(w[:K], nodes[:K], x, _numerator(n, theta))
         if K < written:
@@ -297,14 +288,11 @@ def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
 def step_sequence_at(step: StepFn1D, x: float, n_max: int) -> np.ndarray:
     """Values L_n(step)(x) for n = 1..n_max at a general point x.
 
-    Node collisions are resolved by the proximity short-circuit; the n = 1
+    Node hits are the n with a node within NODE_COLLISION of x; the n = 1
     entry is the one-node constant interpolant step(+1).  Bit-identical to
     `lagrange_eval_1d` at every n (tests/test_kernels.py).
     """
-    out = np.empty(n_max)
-    out[0] = step(1.0)
-    out[1:] = _window(step, x, _acos(x), range(2, n_max + 1))
-    return out
+    return _window(step, x, _acos(x), range(1, n_max + 1))
 
 
 def jump_sequence(spec: PointSpec, d: float, n_max: int,
@@ -321,7 +309,4 @@ def jump_sequence(spec: PointSpec, d: float, n_max: int,
     x0 = math.cos(theta0)
     if step is None:
         step = StepFn1D.jump(x0, d)
-    out = np.empty(n_max)
-    out[0] = step(1.0)
-    out[1:] = _window(step, x0, theta0, range(2, n_max + 1), spec)
-    return out
+    return _window(step, x0, theta0, range(1, n_max + 1), spec)

@@ -388,7 +388,7 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 # Bump when a change to a window kernel (lagrange._window, shepard._window
 # and what they call) changes the bits of a window, so that the sequence
 # cache cannot serve windows the old kernel computed.
-KERNEL_REVISION = 2
+KERNEL_REVISION = 3
 
 
 def _digest(arrays: dict[str, np.ndarray]) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import GridSamples, StepFn1D, StepFn2D
+from .stepfn import GridSamples, StepFn1D, StepFn2D, tensor_value
 
 NODE_PROXIMITY = 1e-13
 
@@ -130,20 +130,11 @@ def shepard_eval_1d(f, params: ShepardParams, x: float,
 
 def shepard_eval_2d(h: StepFn2D, params_x: ShepardParams, params_y: ShepardParams,
                     x: float, y: float, cross_check: bool = False) -> float:
-    """S_{n,m} h(x, y) for a tensor step, via the product decomposition."""
-    vx = shepard_eval_1d(h.fx, params_x, x)
-    vy = shepard_eval_1d(h.fy, params_y, y)
-    out = vx * vy
-    if cross_check:
-        wx = shepard_weights_1d(params_x, x)
-        wy = shepard_weights_1d(params_y, y)
-        hmat = h.fx(params_x.nodes)[:, None] * h.fy(params_y.nodes)[None, :]
-        direct = float(wx @ hmat @ wy)
-        if abs(direct - out) > 1e-10:
-            raise AssertionError(
-                f"product decomposition {out!r} disagrees with double sum {direct!r}"
-            )
-    return out
+    """S_{n,m} h(x, y) for a tensor step, via the product decomposition; with
+    cross_check=True the full double sum must agree to 1e-10."""
+    return tensor_value(shepard_weights_1d(params_x, x), h.fx(params_x.nodes),
+                        shepard_weights_1d(params_y, y), h.fy(params_y.nodes),
+                        1e-10, cross_check)
 
 
 def _window(step: StepFn1D, s: float, x: float, n_max: int,

@@ -109,3 +109,21 @@ class StepFn2D:
 
     def __call__(self, x, y):
         return self.fx(x) * self.fy(y)
+
+
+def tensor_value(wx: np.ndarray, sx: np.ndarray, wy: np.ndarray, sy: np.ndarray,
+                 tol: float, cross_check: bool) -> float:
+    """A tensor-product operator at one point, (wx . sx)(wy . sy), from each
+    factor's weights and node samples.
+
+    With cross_check the full double sum over the node grid is also
+    evaluated and must agree to tol.
+    """
+    out = float(wx @ sx) * float(wy @ sy)
+    if cross_check:
+        direct = float(wx @ (sx[:, None] * sy[None, :]) @ wy)
+        if abs(direct - out) > tol:
+            raise AssertionError(
+                f"product decomposition {out!r} disagrees with double sum {direct!r}"
+            )
+    return out

@@ -106,6 +106,15 @@ def test_eval_lagrange2d_at_a_node_hit(capsys):
     assert float(out) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_eval_lagrange2d_off_the_nodes_at_large_n(capsys):
+    # no node of n = 999000 is within rounding of cos(pi/50): the x factor
+    # is the jump value, 0.01419..., not the step's value at the jump
+    code, out, _ = run_cli(capsys, "eval", "lagrange2d", "--theta", "1/50",
+                           "--gamma", "1/2", "--n", "999000")
+    assert code == 0
+    assert float(out) == pytest.approx(0.0070951031, abs=1e-9)
+
+
 def _cos_pi(text):
     return math.cos(math.pi * PointSpec.parse(text).value)
 

@@ -18,7 +18,7 @@ from conidx import lagrange as lg
 from conidx import reports
 from conidx import shepard as sh
 from conidx.density import SeqWindow
-from conidx.harness import ExperimentSpec, generate_window
+from conidx.harness import MAX_WINDOW_2D, ExperimentSpec, generate_window
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.reports import emit_csv
 from conidx.stepfn import GridSamples, StepFn1D
@@ -31,7 +31,7 @@ def ref_lagrange_weights(n, x):
     nodes = np.cos((np.arange(1, n + 1) - 1) * (math.pi / (n - 1)))
     dist = np.abs(x - nodes)
     j = int(np.argmin(dist))
-    if dist[j] <= lg.NODE_COLLISION * n:
+    if dist[j] <= lg.NODE_COLLISION:
         out = np.zeros(n)
         out[j] = 1.0
         return out
@@ -67,14 +67,18 @@ def ref_jump_sequence(spec, d, n_max, step=None):
     return out
 
 
+def ref_lagrange_step_value(step, x, n):
+    nodes = np.cos((np.arange(1, n + 1) - 1) * (math.pi / (n - 1)))
+    # a node hit samples the step at x itself, not at the rounded node
+    nodes = np.where(np.abs(x - nodes) <= lg.NODE_COLLISION, x, nodes)
+    return float(ref_lagrange_weights(n, x) @ np.asarray(step(nodes), dtype=float))
+
+
 def ref_lagrange_step_sequence_at(step, x, n_max):
     out = np.empty(n_max)
     out[0] = step(1.0)
     for n in range(2, n_max + 1):
-        nodes = np.cos((np.arange(1, n + 1) - 1) * (math.pi / (n - 1)))
-        # a node hit samples the step at x itself, not at the rounded node
-        nodes = np.where(np.abs(x - nodes) <= lg.NODE_COLLISION * n, x, nodes)
-        out[n - 1] = float(ref_lagrange_weights(n, x) @ np.asarray(step(nodes), dtype=float))
+        out[n - 1] = ref_lagrange_step_value(step, x, n)
     return out
 
 
@@ -361,10 +365,14 @@ def test_windows_at_general_points_with_node_hits(k, m, jump, orient, s, n_max):
               ref_shepard_step_sequence_at(step, s, t, n_max))
 
 
+def cap_indices(cap):
+    """The reference at every 11th n and at the last 100: the kept samples
+    have moved through every n below each of them."""
+    return np.unique(np.r_[np.arange(2, cap + 1, 11), np.arange(cap - 99, cap + 1)])
+
+
 CAP = 10_000
-# the reference at every 11th n and at the last 100: the kept samples have
-# moved through every n below each of them
-CAP_INDICES = np.unique(np.r_[np.arange(2, CAP + 1, 11), np.arange(CAP - 99, CAP + 1)])
+CAP_INDICES = cap_indices(CAP)
 
 
 @pytest.mark.parametrize("spec", [PointSpec.rational(1, 3), PointSpec.irrational("golden_frac")],
@@ -389,8 +397,22 @@ def test_shepard_step_sequence_at_the_cap(spec, s):
     same_bits(got, want)
 
 
+@pytest.mark.parametrize("spec", [PointSpec.rational(1, 3), PointSpec.irrational("inv_sqrt2")],
+                         ids=lambda spec: spec.label())
+def test_step_sequence_at_the_2d_cap(spec):
+    """The converging factor of an edge window: general points near and far
+    from the jump on both sides, with left = 0 (head only) and left != 0
+    (every node)."""
+    x0 = math.cos(math.pi * spec.value)
+    ns = cap_indices(MAX_WINDOW_2D)
+    for x in (x0 + dx for dx in (1e-9, -1e-9, 1e-4, -1e-4, 0.25, -0.25)):
+        for step in (StepFn1D.jump(x0, 0.5), StepFn1D.indicator_upto(x0)):
+            got = lg.step_sequence_at(step, x, MAX_WINDOW_2D)[ns - 1]
+            same_bits(got, np.array([ref_lagrange_step_value(step, x, n) for n in ns]))
+
+
 # A window at the cap holds its output and a few vectors of CAP doubles
-# (80 kB each): the peaks are 0.48 MB (Lagrange) and 0.40 MB (Shepard).
+# (80 kB each): the peaks are 0.40 MB (Lagrange and Shepard).
 # Temporaries kept for a block of n would show here.
 WINDOW_PEAK = 1_000_000
 
@@ -400,6 +422,7 @@ def test_window_memory_at_the_cap():
     x0 = math.cos(math.pi * spec.value)
     # a step nonzero below the jump makes the Lagrange window use every node
     for run in (lambda: lg.jump_sequence(spec, 1.0, CAP, step=StepFn1D.indicator_upto(x0)),
+                lambda: lg.step_sequence_at(StepFn1D.indicator_upto(x0), x0 + 0.25, CAP),
                 lambda: sh.step_sequence(spec, 2.0, CAP)):
         assert traced_peak(run) < WINDOW_PEAK
 

@@ -4,12 +4,14 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from conidx import lagrange as lg
 from conidx.lagrange import (
     cheb_grid,
     eval_jump_decomposed,
     fundamental_weights,
     grid_offset,
     jump_sequence,
+    jump_value_direct,
     lagrange_eval_1d,
     lagrange_eval_2d,
     offset_subsequence,
@@ -201,6 +203,22 @@ def test_node_hit_samples_the_step_at_the_jump():
         assert lagrange_eval_1d(h.fx, n, x0) == u[n - 1] == at_x0[n - 1]
         assert lagrange_eval_2d(h, n, n, x0, y0, cross_check=True) == u[n - 1] * v[n - 1]
     assert lagrange_eval_2d(h, 100, 100, x0, y0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_no_false_node_hits_at_large_n():
+    """Near n = 10**6 the nodes closest to cos(pi/50) lie 4e-9 or more from
+    it unless the grid offset is zero; a hit must mean that offset."""
+    spec = PointSpec.rational(1, 50)
+    theta0 = math.pi * spec.value
+    x0 = math.cos(theta0)
+    step = StepFn1D.indicator_from(x0)
+    want = eval_jump_decomposed(spec, 1.0, 999_000)
+    assert want == pytest.approx(0.014190206, abs=1e-9)
+    assert lagrange_eval_1d(step, 999_000, x0) == pytest.approx(want, abs=1e-9)
+    assert jump_value_direct(spec, 1.0, 999_000) == pytest.approx(want, abs=1e-9)
+    assert lagrange_eval_1d(step, 999_001, x0) == 1.0
+    for n in range(999_000, 1_000_001):
+        assert (lg._node_hit(n, x0, theta0) is not None) == (grid_offset(spec, n) == 0.0), n
 
 
 def test_cplus_h_polynomial_reproduction():
