@@ -157,7 +157,8 @@ def _corner_table(profile: _JumpProfile, spec_x: PointSpec,
     rational = [spec for spec in (spec_x, spec_y) if spec.is_rational]
     name = profile.corner_name
     if not rational:
-        return PredictionTable(profile=Profile2D(profile.make(), profile.make()))
+        factor = profile.make()
+        return PredictionTable(profile=Profile2D(factor, factor))
     if len(rational) == 1:
         q = rational[0].q
         return PredictionTable(predictions=[

@@ -167,17 +167,35 @@ def offset_subsequence(p: int, q: int, m: int) -> Iterator[int]:
         n += 1
 
 
-def _correction_term(theta0: float, n: int, k0: int, sigma: float, m: np.ndarray) -> np.ndarray:
-    """g_{t0}(t[k0-m]) = sin t0 / (cos t[k0-m] - cos t0) - (n-1)/(pi (sigma+m)).
+def _correction_term(theta0: float, n: int, k0: int, m: np.ndarray,
+                     sigma_m: np.ndarray) -> np.ndarray:
+    """g_{t0}(t[k0-m]) = sin t0 / (cos t[k0-m] - cos t0) - (n-1)/(pi (sigma+m)),
+    given sigma_m = sigma + m.
 
     cos t - cos t0 is expanded as a product of sines, with the half-gap
     (t0 - t)/2 = pi (sigma+m) / (2(n-1)) formed without subtraction; the
     direct difference cancels catastrophically when the node is close.
     """
     t_node = (k0 - m - 1) * math.pi / (n - 1)
-    half_gap = math.pi * (sigma + m) / (2.0 * (n - 1))
+    half_gap = math.pi * sigma_m / (2.0 * (n - 1))
     denom = 2.0 * np.sin((theta0 + t_node) / 2.0) * np.sin(half_gap)
-    return math.sin(theta0) / denom - (n - 1) / (math.pi * (sigma + m))
+    return math.sin(theta0) / denom - (n - 1) / (math.pi * sigma_m)
+
+
+# +1, -1, +1, ...: the signs of the rewrite's sums are slices of it.  It is
+# read-only and only ever replaced by a longer copy, so a slice keeps its values.
+_ALTERNATING = np.empty(0)
+
+
+def _alternating(k: int) -> np.ndarray:
+    """The first k entries of +1, -1, +1, ..., read-only."""
+    global _ALTERNATING
+    alt = _ALTERNATING
+    if alt.size < k:
+        alt = np.resize([1.0, -1.0], 2 * k)
+        alt.flags.writeable = False
+        _ALTERNATING = alt
+    return alt[:k]
 
 
 def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
@@ -204,9 +222,11 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
         / (2.0 * (n - 1) * (math.cos(theta0) - 1.0))
     )
     m = np.arange(k0, dtype=float)
-    alt = np.where(np.arange(k0) % 2 == 0, 1.0, -1.0)
-    series = sin_pi_sigma / math.pi * float((alt / (sigma + m)).sum())
-    corr = sin_pi_sigma / (n - 1) * float((alt * _correction_term(theta0, n, k0, sigma, m)).sum())
+    sigma_m = sigma + m
+    alt = _alternating(k0)
+    series = sin_pi_sigma / math.pi * float((alt / sigma_m).sum())
+    corr = sin_pi_sigma / (n - 1) * float(
+        (alt * _correction_term(theta0, n, k0, m, sigma_m)).sum())
     return boundary + series + corr
 
 
@@ -244,21 +264,29 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     # the weights past this index are zero; the head only grows with n as
     # long as the rounded nodes do, so zeroing is for a head that shrank
     written = 0
+    # inline copies of `grid_offset`, `_numerator` and `_weights` below: their
+    # values must round as the functions' do (tests/test_kernels.py)
+    offset = spec.multiple_mod1 if spec is not None else None
+    sin_theta = math.sin(theta)
+    multiply, cos, subtract, divide = np.multiply, np.cos, np.subtract, np.divide
+    update, buf = samples.update, samples.buf
     for i, n in enumerate(ns):
         if n == 1:
             out[i] = step(1.0)
             continue
-        if (grid_offset(spec, n) == 0.0 if spec is not None
+        if (offset(n - 1) == 0.0 if offset is not None
                 else _node_hit(n, x, theta) is not None):
             out[i] = at_x
             continue
+        h = math.pi / (n - 1)
         # b counts the nodes at or above x0: estimated, then confirmed on the
         # rounded nodes by comparing the last nodes of the head with x0
         b = min(n, int((n - 1) * cut) + 1)
         while True:
             head = min(b + 1, n) if head_only else n
-            np.multiply(kf[:head], math.pi / (n - 1), out=nodes[:head])
-            np.cos(nodes[:head], out=nodes[:head])
+            angles = nodes[:head]
+            multiply(kf[:head], h, out=angles)
+            cos(angles, out=angles)
             while b < head and nodes[b] >= x0:
                 b += 1
             if b < head or b == n:
@@ -269,12 +297,14 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
         while a > 0 and nodes[a - 1] == x0:
             a -= 1
         K = b if head_only else n
-        _weights(w[:K], nodes[:K], x, _numerator(n, theta))
+        wk = w[:K]
+        subtract(x, nodes[:K], out=wk)
+        divide((1.0 / (n - 1)) * (math.sin((n - 1) * theta) * sin_theta), wk, out=wk)
         if K < written:
             w[K:written] = 0.0
         written = K
-        samples.update(n, a, b)
-        out[i] = w[:n] @ samples.buf[:n]
+        update(n, a, b)
+        out[i] = w[:n] @ buf[:n]
     return out
 
 

@@ -17,7 +17,7 @@ Euler-Maclaurin kernels for psi and zeta screen the steps far from a root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -281,37 +281,60 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     """Solve profile(x) = y on [0, 1) by bisection, vectorized over y.
 
     Values outside the profile range clamp to the matching endpoint, so
-    interval preimages come out right without special-casing.  Each level
-    evaluates the profile once per distinct bracket midpoint: nearby roots
-    share their first levels, and every out-of-range y follows one clamped
-    path.  The profiles compute element by element, so a value does not
-    depend on which other points share the call.
+    interval preimages come out right without special-casing.  The targets
+    are sorted once per call, and each level evaluates the profile once per
+    run of equal bracket midpoints in y order: nearby roots share their
+    first levels, and every out-of-range y follows one clamped path.  Points
+    in one bracket split at some y (those below it go one way, the rest the
+    other), and the halves of a bracket do not overlap, so in y order the
+    midpoints of a level are monotone and equal ones are adjacent; were they
+    not, a midpoint would only be evaluated more than once.  The profiles
+    compute element by element, so a value does not depend on which other
+    points share the call.
 
     With a screen, each step is decided on the screen value unless it lies
     within the margin of y or is not finite; only those steps evaluate fn,
-    once per distinct midpoint.  A screen that stays within the margin of fn
-    takes every step the same way fn would, so the roots keep their bits.
+    once per run that holds one.  A screen that stays within the margin of
+    fn takes every step the same way fn would, so the roots keep their bits.
     """
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    lo = np.zeros_like(y_arr)
-    hi = np.full_like(y_arr, 1.0 - 1e-15)
+    y_in = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    order = np.argsort(y_in, kind="stable")
+    y_arr = y_in[order]
+    size = y_arr.size
+    lo, hi = np.zeros(size), np.full(size, 1.0 - 1e-15)
+    mid = np.empty(size)
+    new = np.empty(size, dtype=bool)  # new[i]: a run of equal midpoints starts at i
+    new[:1] = True
+    go_right = np.empty(size, dtype=bool)
+    # profile(mid) > y sends a root right (< y if increasing): the same test
+    # as profile(mid) - y > 0, since a difference rounds to 0 only when equal
+    right = np.greater if profile.decreasing else np.less
+    screen, fn = profile.screen, profile.fn
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
-    sign = 1.0 if profile.decreasing else -1.0
     margin = 10.0 * SERIES_TOL  # the screen decides a step only this far from y
     for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        distinct, slot = np.unique(mid, return_inverse=True)
-        vals = np.asarray((profile.screen or profile.fn)(distinct), dtype=float)[slot]
-        if profile.screen is not None:
-            unsure = ~(np.isfinite(vals) & (np.abs(vals - y_arr) > margin))
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.not_equal(mid[1:], mid[:-1], out=new[1:])
+        distinct = mid[new]
+        vals = np.asarray((screen or fn)(distinct), dtype=float)
+        slot = np.cumsum(new) - 1  # the index of each point's run
+        at_mid = vals[slot]
+        if screen is not None:
+            unsure = ~(np.isfinite(at_mid) & (np.abs(at_mid - y_arr) > margin))
             if unsure.any():
-                need, where = np.unique(slot[unsure], return_inverse=True)
-                vals[unsure] = np.asarray(profile.fn(distinct[need]))[where]
-        go_right = sign * (vals - y_arr) > 0.0
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if np.ndim(y) == 0 else out
+                need = np.zeros(vals.shape, dtype=bool)
+                need[slot[unsure]] = True
+                vals[need] = fn(distinct[need])
+                at_mid[unsure] = vals[slot[unsure]]
+        right(at_mid, y_arr, out=go_right)
+        del slot, at_mid  # before the next level's profile call, which peaks in memory
+        np.copyto(lo, mid, where=go_right)
+        np.logical_not(go_right, out=go_right)
+        np.copyto(hi, mid, where=go_right)
+    out = np.empty(size)
+    out[order] = 0.5 * (lo + hi)
+    return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 
 def _normalize_intervals(intervals) -> np.ndarray:
@@ -347,13 +370,31 @@ def preimage_measure_1d(profile: Profile1D, intervals, tol: float = BISECT_TOL) 
 
 @dataclass(frozen=True)
 class Profile2D:
-    """Product profile value(x, y) = fx(x) * fy(y)."""
+    """Product profile value(x, y) = fx(x) * fy(y).
+
+    It keeps fx on every slice grid `slice_values` was asked for, so the
+    targets of one experiment evaluate it once per grid; a new Profile2D
+    starts with none.
+    """
 
     fx: Profile1D
     fy: Profile1D
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value(self, x, y):
         return np.asarray(self.fx(x)) * np.asarray(self.fy(y))
+
+    def slice_values(self, slices: int) -> np.ndarray:
+        """fx at the midpoints (i + 1/2)/slices of a uniform grid, read-only."""
+        cx = self._slices.get(slices)
+        if cx is None:
+            xs = (np.arange(slices) + 0.5) / slices
+            cx = np.array(self.fx(xs), dtype=float)
+            if np.any(cx <= 0.0):
+                raise ValueError("x-factor must be positive on (0,1) for slicing")
+            cx.flags.writeable = False
+            self._slices[slices] = cx
+        return cx
 
 
 def preimage_measure_2d(profile: Profile2D, intervals, tol: float = BISECT_TOL,
@@ -362,13 +403,13 @@ def preimage_measure_2d(profile: Profile2D, intervals, tol: float = BISECT_TOL,
 
     For each midpoint x of a uniform grid the y-section is an interval
     (both factors are monotone and positive), found by bisection on fy;
-    section lengths are integrated with the midpoint rule.
+    section lengths are integrated with the midpoint rule.  The values of
+    fx on the grid come from `Profile2D.slice_values`, so calls on one
+    profile share them; both ends of every interval, at every slice, go
+    through one `invert_monotone` call.
     """
     bounds = _normalize_intervals(intervals)
-    xs = (np.arange(slices) + 0.5) / slices
-    cx = np.asarray(profile.fx(xs), dtype=float)
-    if np.any(cx <= 0.0):
-        raise ValueError("x-factor must be positive on (0,1) for slicing")
+    cx = profile.slice_values(slices)
     total = 0.0
     for y_lo, y_hi in _interval_roots(profile.fy, bounds[:, :, None] / cx, tol):
         total += float(np.maximum(0.0, y_hi - y_lo).sum()) / slices

@@ -275,6 +275,49 @@ def test_screened_bisection_bit_identical_near_roots(s, xs, ulps, shifts):
     assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
 
 
+def recording(profile, log):
+    """profile with its fn and screen appending (name, points) to log per call."""
+
+    def record(name, kernel):
+        def fn(x):
+            log.append((name, np.array(x, dtype=float)))
+            return kernel(x)
+        return fn
+
+    rec = Profile1D(fn=record("fn", profile.fn), kind=profile.kind,
+                    value_at_0=profile.value_at_0, limit_at_1=profile.limit_at_1,
+                    screen=profile.screen and record("screen", profile.screen))
+    log.clear()  # the monotonicity check at construction
+    return rec
+
+
+def corner_traffic(fac):
+    """The y values one corner target sends to the bisection: both ends of
+    [0.3, 0.45] over the factor on the 4096-slice grid, then every 97th of
+    them again and the infinities."""
+    cx = fac((np.arange(4096) + 0.5) / 4096)
+    ys = (np.array([0.3, 0.45])[:, None] / cx).ravel()
+    return np.concatenate([ys, ys[::97], [np.inf, -np.inf, np.inf]])
+
+
+@pytest.mark.parametrize("s", [None, 2.0], ids=["lagrange", "shepard2"])
+def test_corner_traffic_bisects_in_runs_bit_identical(s):
+    """Clamped runs (y > 1 where the factor is below 0.45), exact duplicates
+    away from their first copies and both infinities: the roots keep their
+    bits, and no level evaluates a midpoint twice, on the screen or the
+    series."""
+    fac = jump_profile(s)
+    ys = corner_traffic(fac)
+    assert np.sum(ys > 1.0) > 1000 and np.unique(ys).size < ys.size
+    log = []
+    got = invert_monotone(recording(fac, log), ys)
+    assert same_bits(got, ref_invert_monotone(fac, ys))
+    assert sum(name == "screen" for name, _ in log) == BISECT_STEPS
+    assert any(name == "fn" for name, _ in log)
+    for _, level in log:
+        assert np.unique(level).size == level.size
+
+
 # ---------------------------------------------------------------------------
 # preimage measures
 
@@ -298,6 +341,26 @@ def test_preimage_measure_2d_mixed_factors_bit_identical():
         for ivs in ([(0.0, 0.5)], [(-1.0, 0.2), (0.4, 3.0)], TARGETS_CORNER):
             assert preimage_measure_2d(p, ivs, slices=256) == ref_preimage_measure_2d(
                 p, ivs, slices=256)
+
+
+def test_preimage_measure_2d_evaluates_fx_once_per_profile_and_grid():
+    """Three targets at two slice counts evaluate fx once per grid; a new
+    Profile2D evaluates it again, and one with another fx gets its own."""
+    log = []
+    fx = recording(Profile1D.lagrange(), log)
+    fy = Profile1D.lagrange()
+    prof = Profile2D(fx, fy)
+    want = {}
+    for slices in (4096, 512, 4096, 512):
+        want[slices] = [preimage_measure_2d(prof, [iv], slices=slices) for iv in TARGETS_CORNER]
+    fx_calls = [level.size for name, level in log if name == "fn"]
+    assert fx_calls == [4096, 512]
+    assert preimage_measure_2d(Profile2D(fx, fy), [TARGETS_CORNER[1]], slices=512) == \
+        want[512][1]
+    assert [level.size for name, level in log if name == "fn"] == [4096, 512, 512]
+    other = Profile2D(Profile1D.shepard(2.0), fy)
+    assert preimage_measure_2d(other, [TARGETS_CORNER[1]], slices=512) == \
+        ref_preimage_measure_2d(other, [TARGETS_CORNER[1]], slices=512)
 
 
 @pytest.mark.parametrize("name", PROFILES)
