@@ -223,6 +223,10 @@ class ExperimentSpec:
             raise ValueError(f"{self.operator} needs a second point spec")
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
+        if not 2 <= self.checkpoint_count <= MAX_WINDOW_1D:
+            raise ValueError(f"checkpoint_count must lie in [2, {MAX_WINDOW_1D}]")
+        if not self.tolerance > 0.0:  # NaN fails too
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -251,8 +255,8 @@ class _Family:
     jump: Callable[[float], float]           # point spec value -> jump coordinate
     step: Callable[[float, float], StepFn1D]  # (x0, d) -> step with value d at x0
     far: float               # the side of the square the jump cross runs to
-    at_jump: Callable        # (point spec, s, n_max, step) -> values at the jump
-    at_point: Callable       # (step, s, x, n_max) -> values at x
+    at_jump: Callable        # (point spec, s, n_max, d) -> values of step(jump, d) there
+    at_point: Callable       # (jump, s, x, n_max) -> values of step(jump, 1) at x
     eval_1d: Callable        # (step, s, n, x) -> one value
     eval_2d: Callable        # (h, s, n, m, x, y, cross_check) -> one value
     first_index: Callable[[int, int, int], int]  # (p, q, m) -> first n of arm m/q
@@ -264,8 +268,8 @@ _FAMILIES = {
         jump=lambda v: math.cos(math.pi * v),
         step=StepFn1D.jump,
         far=1.0,
-        at_jump=lambda point, s, n_max, step: lg.jump_sequence(point, step.at, n_max, step),
-        at_point=lambda step, s, x, n_max: lg.step_sequence_at(step, x, n_max),
+        at_jump=lambda point, s, n_max, d: lg.jump_sequence(point, d, n_max),
+        at_point=lambda jump, s, x, n_max: lg.step_sequence_at(jump, x, n_max),
         eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
         eval_2d=lambda h, s, n, m, x, y, cross_check: lg.lagrange_eval_2d(
             h, n, m, x, y, cross_check=cross_check),
@@ -276,8 +280,8 @@ _FAMILIES = {
         jump=lambda v: v,
         step=lambda x0, d: StepFn1D.indicator_upto(x0),
         far=0.0,
-        at_jump=lambda point, s, n_max, step: sh.step_sequence(point, s, n_max, step),
-        at_point=lambda step, s, x, n_max: sh.step_sequence_at(step, s, x, n_max),
+        at_jump=lambda point, s, n_max, d: sh.step_sequence(point, s, n_max),
+        at_point=lambda jump, s, x, n_max: sh.step_sequence_at(jump, s, x, n_max),
         eval_1d=lambda step, s, n, x: sh.shepard_eval_1d(step, sh.ShepardParams(s, n), x),
         eval_2d=lambda h, s, n, m, x, y, cross_check: sh.shepard_eval_2d(
             h, sh.ShepardParams(s, n), sh.ShepardParams(s, m), x, y, cross_check=cross_check),
@@ -371,8 +375,8 @@ def build_table(spec: ExperimentSpec) -> PredictionTable:
 def generate_window(spec: ExperimentSpec) -> SeqWindow:
     """Operator value sequence over the window; product form for bivariate."""
     fam, n_max = _family(spec), spec.window
-    factors = [fam.at_jump(axis.point, spec.s, n_max, axis.step) if axis.at == axis.jump
-               else fam.at_point(axis.step, spec.s, axis.at, n_max) for axis in _axes(spec)]
+    factors = [fam.at_jump(axis.point, spec.s, n_max, axis.step.at) if axis.at == axis.jump
+               else fam.at_point(axis.jump, spec.s, axis.at, n_max) for axis in _axes(spec)]
     return (SeqWindow.from_product(*factors) if len(factors) == 2
             else SeqWindow.from_values_1d(factors[0]))
 
@@ -494,7 +498,7 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
         raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
     (axis,) = _axes(spec)
     limit = float(axis.step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
-    values = fam.at_jump(point, spec.s, spec.window, axis.step)
+    values = fam.at_jump(point, spec.s, spec.window, axis.step.at)
     tail_value = float(values[indices[-1] - 1])
     return WitnessReport(
         limit=limit,

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import GridSamples, StepFn1D, StepFn2D, tensor_value
+from .stepfn import StepFn1D, StepFn2D, tensor_value
 
 # |x - node| at or below this is a node hit (removable singularity): exact
 # hits round to within 4.4e-16, other nodes stay about 1e-12 or more away
@@ -230,35 +230,33 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
     return boundary + series + corr
 
 
-def _window(step: StepFn1D, x: float, theta: float, ns: range,
+def _window(x0: float, d: float, x: float, theta: float, ns: range,
             spec: PointSpec | None = None) -> np.ndarray:
-    """Values L_n(step)(x) for the n in ns, with x = cos(theta).
+    """Values L_n h(x) of the jump h = `StepFn1D.jump(x0, d)` for the n in ns,
+    with x = cos(theta).
 
     n = 1 is the one-node grid {+1}, whose interpolant is the constant
-    step(+1).  With spec, x is the jump point cos(pi * spec.value) and n is
+    h(+1).  With spec, x is the jump point cos(pi * spec.value) and n is
     a node hit exactly when the grid offset is zero; without, when a node
-    lies within NODE_COLLISION of x (`_node_hit`).  A hit returns the step
-    value at x.  Otherwise the value is the full-length dot product of
-    c / (x - node) (`_weights`) with the step values at the nodes times
-    their sign and endpoint factors, which one `GridSamples` vector keeps
-    from one n to the next: only the entries at the step's jump and at the
-    last node change.  With step.left == 0 the step is 0 on every node below
-    step.x0, so the nodes and weights are computed only on the head k < b of
-    nodes at or above it; past the head both vectors hold zeros (the
-    weights are zeroed only where a longer head left values), so the dot
-    product sums the same nonzero terms.  Every value is bit-identical to
-    the per-n evaluation (`lagrange_eval_1d`); tests/test_kernels.py holds
-    the reference loops.
+    lies within NODE_COLLISION of x (`_node_hit`).  A hit returns h(x).
+    Otherwise the value is the full-length dot product of c / (x - node)
+    (`_weights`) with h at the nodes times their sign and endpoint factors.
+    h is 0 below x0, so the weights are nonzero only on the head k < b of
+    nodes at or above it, where h is 1: the samples are the first n signs,
+    the first node halved, patched in a copy where a node equals x0 without
+    a hit (to d) or the head reaches the last node (halved).  Every value
+    is bit-identical to the per-n evaluation (`lagrange_eval_1d`);
+    tests/test_kernels.py holds the reference loops.
     """
     size = ns.stop - 1
     kf = np.arange(size, dtype=float)
     nodes, w = np.empty(size), np.zeros(size)
-    head_only = step.left == 0.0
-    # nodes above, at and below the jump, in node order (descending)
-    samples = GridSamples(size, (step.right, step.at, step.left), folded=True)
+    signs = np.ones(size)
+    signs[::2] = -1.0
+    signs[:1] = -0.5
     out = np.empty(len(ns))
-    x0 = step.x0
-    # the jump angle of the step over pi: nodes k <= (n-1) cut lie at or above it
+    step = StepFn1D.jump(x0, d)
+    # the jump angle over pi: nodes k <= (n-1) cut lie at or above x0
     cut = math.acos(min(1.0, max(-1.0, x0))) / math.pi
     at_x = step(x)
     # the weights past this index are zero; the head only grows with n as
@@ -269,7 +267,6 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
     offset = spec.multiple_mod1 if spec is not None else None
     sin_theta = math.sin(theta)
     multiply, cos, subtract, divide = np.multiply, np.cos, np.subtract, np.divide
-    update, buf = samples.update, samples.buf
     for i, n in enumerate(ns):
         if n == 1:
             out[i] = step(1.0)
@@ -283,7 +280,7 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
         # rounded nodes by comparing the last nodes of the head with x0
         b = min(n, int((n - 1) * cut) + 1)
         while True:
-            head = min(b + 1, n) if head_only else n
+            head = min(b + 1, n)
             angles = nodes[:head]
             multiply(kf[:head], h, out=angles)
             cos(angles, out=angles)
@@ -296,15 +293,19 @@ def _window(step: StepFn1D, x: float, theta: float, ns: range,
         a = b
         while a > 0 and nodes[a - 1] == x0:
             a -= 1
-        K = b if head_only else n
-        wk = w[:K]
-        subtract(x, nodes[:K], out=wk)
+        wk = w[:b]
+        subtract(x, nodes[:b], out=wk)
         divide((1.0 / (n - 1)) * (math.sin((n - 1) * theta) * sin_theta), wk, out=wk)
-        if K < written:
-            w[K:written] = 0.0
-        written = K
-        update(n, a, b)
-        out[i] = w[:n] @ buf[:n]
+        if b < written:
+            w[b:written] = 0.0
+        written = b
+        samples = signs[:n]
+        if a < b or b == n:
+            samples = samples.copy()
+            samples[a:b] *= d
+            if b == n:
+                samples[-1] *= 0.5
+        out[i] = w[:n] @ samples
     return out
 
 
@@ -312,31 +313,29 @@ def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
     """L_n h(x0) by direct summation of the fundamental polynomials."""
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    return float(_window(StepFn1D.jump(x0, d), x0, theta0, range(n, n + 1), spec)[0])
+    return float(_window(x0, d, x0, theta0, range(n, n + 1), spec)[0])
 
 
-def step_sequence_at(step: StepFn1D, x: float, n_max: int) -> np.ndarray:
-    """Values L_n(step)(x) for n = 1..n_max at a general point x.
+def step_sequence_at(x0: float, x: float, n_max: int) -> np.ndarray:
+    """Values L_n h(x) for n = 1..n_max at a general point x, where h is the
+    jump `StepFn1D.jump(x0, 1)` of a tensor factor.
 
     Node hits are the n with a node within NODE_COLLISION of x; the n = 1
-    entry is the one-node constant interpolant step(+1).  Bit-identical to
+    entry is the one-node constant interpolant h(+1).  Bit-identical to
     `lagrange_eval_1d` at every n (tests/test_kernels.py).
     """
-    return _window(step, x, _acos(x), range(1, n_max + 1))
+    return _window(x0, 1.0, x, _acos(x), range(1, n_max + 1))
 
 
-def jump_sequence(spec: PointSpec, d: float, n_max: int,
-                  step: StepFn1D | None = None) -> np.ndarray:
-    """Values L_n(step)(x0) for n = 1..n_max by direct evaluation.
+def jump_sequence(spec: PointSpec, d: float, n_max: int) -> np.ndarray:
+    """Values L_n h(x0) for n = 1..n_max by direct evaluation, where h is the
+    basic jump `StepFn1D.jump(x0, d)`.
 
     The n = 1 entry uses the one-node convention: interpolation on the
-    single node +1 is the constant step(+1).  step defaults to the basic
-    jump function with value d at x0.  Node hits are the n with zero grid
-    offset.  Every value is bit-identical to the earlier per-n loop kept in
-    tests/test_kernels.py.
+    single node +1 is the constant h(+1).  Node hits are the n with zero
+    grid offset.  Every value is bit-identical to the earlier per-n loop
+    kept in tests/test_kernels.py.
     """
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    if step is None:
-        step = StepFn1D.jump(x0, d)
-    return _window(step, x0, theta0, range(1, n_max + 1), spec)
+    return _window(x0, d, x0, theta0, range(1, n_max + 1), spec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import GridSamples, StepFn1D, StepFn2D, tensor_value
+from .stepfn import StepFn1D, StepFn2D, tensor_value
 
 NODE_PROXIMITY = 1e-13
 
@@ -137,20 +137,19 @@ def shepard_eval_2d(h: StepFn2D, params_x: ShepardParams, params_y: ShepardParam
                         1e-10, cross_check)
 
 
-def _window(step: StepFn1D, s: float, x: float, n_max: int,
+def _window(x0: float, s: float, x: float, n_max: int,
             spec: PointSpec | None = None) -> np.ndarray:
-    """Values S_n(step)(x) for n = 1..n_max.
+    """Values S_n h(x) of the closed left indicator h =
+    `StepFn1D.indicator_upto(x0)` for n = 1..n_max.
 
     With spec, n is a node hit exactly when x = spec value is a node; a node
-    within NODE_PROXIMITY of x is a hit in either case.  A hit returns the
-    step value there.  Otherwise the value is the full-length dot product
-    of the weights with the step values at the nodes, which one
-    `GridSamples` vector keeps from one n to the next: only the entries at
-    the step's jump and the new last node change.  The weights are divided
-    by their total only where the step value is nonzero; elsewhere the
-    product is +0 either way.  Every value is bit-identical to the per-n
-    evaluation (`shepard_eval_1d`); tests/test_kernels.py holds the
-    reference loops.
+    within NODE_PROXIMITY of x is a hit in either case.  A hit returns h
+    there.  Otherwise the value is the full-length dot product of the
+    weights, divided by their total only where h is nonzero (elsewhere the
+    product is +0 either way), with h at the nodes: a view of one vector of
+    n_max + 1 ones and n_max + 1 zeros that puts the ones on the b nodes at
+    or below x0.  Every value is bit-identical to the per-n evaluation
+    (`shepard_eval_1d`); tests/test_kernels.py holds the reference loops.
     """
     if not s >= 1.0:
         raise ValueError("exponent s must be >= 1")
@@ -158,15 +157,10 @@ def _window(step: StepFn1D, s: float, x: float, n_max: int,
         raise ValueError("evaluation point must lie in [0, 1]")
     kf = np.arange(n_max + 1, dtype=float)
     nodes_buf, w_buf = np.empty(n_max + 1), np.empty(n_max + 1)
-    # nodes below, at and above the jump, in node order (ascending)
-    samples = GridSamples(n_max + 1, (step.left, step.at, step.right))
+    steps = np.repeat([1.0, 0.0], n_max + 1)
     out = np.empty(n_max)
+    step = StepFn1D.indicator_upto(x0)
     at_x = step(x)
-    x0 = step.x0
-    # the weights are divided by their total on the runs from the first to
-    # the last one whose step value is nonzero
-    first = 0 if step.left != 0.0 else 1 if step.at != 0.0 else 2
-    last = 2 if step.right != 0.0 else 1 if step.at != 0.0 else 0
     for n in range(1, n_max + 1):
         if spec is not None and node_index(spec, n) is not None:
             out[n - 1] = at_x
@@ -180,32 +174,25 @@ def _window(step: StepFn1D, s: float, x: float, n_max: int,
         total = _weights(w, nodes, x, s, g, d)
         a = g if x0 == x else _first_node_at_or_above(x0, n)
         b = a + (a <= n and a / n == x0)
-        samples.update(n + 1, a, b)
-        ends = (0, a, b, n + 1)
-        lo, hi = ends[first], ends[last + 1]
-        if lo < hi:
-            np.divide(w[lo:hi], total, out=w[lo:hi])
-        out[n - 1] = w @ samples.buf[:n + 1]
+        np.divide(w[:b], total, out=w[:b])
+        out[n - 1] = w @ steps[n_max + 1 - b:n_max + 2 - b + n]
     return out
 
 
-def step_sequence_at(step: StepFn1D, s: float, x: float, n_max: int) -> np.ndarray:
-    """Values S_n(step)(x) for n = 1..n_max at a general point x.
+def step_sequence_at(x0: float, s: float, x: float, n_max: int) -> np.ndarray:
+    """Values S_n h(x) for n = 1..n_max at a general point x, where h is the
+    closed left indicator `StepFn1D.indicator_upto(x0)`.
 
     Bit-identical to `shepard_eval_1d` at every n (tests/test_kernels.py).
     """
-    return _window(step, s, x, n_max)
+    return _window(x0, s, x, n_max)
 
 
-def step_sequence(spec: PointSpec, s: float, n_max: int,
-                  step: StepFn1D | None = None) -> np.ndarray:
-    """Values S_n(step)(x0) for n = 1..n_max at the jump point x0 = spec value.
+def step_sequence(spec: PointSpec, s: float, n_max: int) -> np.ndarray:
+    """Values S_n h(x0) for n = 1..n_max at the jump point x0 = spec value,
+    where h is the closed left indicator `StepFn1D.indicator_upto(x0)`.
 
-    step defaults to the closed left indicator (1 on [0, x0]); node hits
-    are resolved exactly for rational specs.  Every value is bit-identical
-    to the earlier per-n loop kept in tests/test_kernels.py.
+    Node hits are resolved exactly for rational specs.  Every value is
+    bit-identical to the earlier per-n loop kept in tests/test_kernels.py.
     """
-    x0 = spec.value
-    if step is None:
-        step = StepFn1D.indicator_upto(x0)
-    return _window(step, s, x0, n_max, spec)
+    return _window(spec.value, s, spec.value, n_max, spec)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conidx.density import SeqWindow, Target, default_checkpoints, index_to_target
 from conidx import harness
+from conidx import lagrange as lg
+from conidx import shepard as sh
+from conidx.density import SeqWindow, Target, default_checkpoints, index_to_target
 from conidx.harness import (
     ExperimentSpec,
     build_table,
@@ -23,6 +25,7 @@ from conidx.harness import (
 )
 from conidx.points import PointSpec
 from conidx.profiles import Profile2D, lagrange_jump_profile, preimage_measure_2d
+from conidx.stepfn import StepFn1D
 
 THIRD = PointSpec.rational(1, 3)
 HALF = PointSpec.rational(1, 2)
@@ -170,6 +173,24 @@ def test_experiment_validation():
             ExperimentSpec(operator="lagrange1d", spec_x=THIRD, epsilon=eps)
 
 
+@pytest.mark.parametrize("count", [1, -3, 0, 10_001])
+def test_experiment_rejects_checkpoint_counts_outside_the_config_range(count):
+    """The range `parse_config` allows; 1 used to fail an assertion at the
+    residual and -3 inside numpy."""
+    with pytest.raises(ValueError, match=r"checkpoint_count must lie in \[2, 10000\]"):
+        ExperimentSpec("lagrange1d", PointSpec.rational(1, 3), window=100,
+                       checkpoint_count=count)
+    for ok in (2, 10_000):
+        ExperimentSpec("lagrange1d", PointSpec.rational(1, 3), window=100, checkpoint_count=ok)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_experiment_rejects_tolerances_that_are_not_positive(tol):
+    """A NaN or negative tolerance used to run and fail every verdict."""
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        ExperimentSpec("lagrange1d", PointSpec.rational(1, 3), window=100, tolerance=tol)
+
+
 def test_eval_point_classification_errors():
     for point in ((0.9, 0.9), (math.nan, 0.5), (0.5, math.nan)):
         spec = ExperimentSpec(operator="shepard2d", spec_x=HALF, spec_y=HALF, s=2.0,
@@ -232,6 +253,40 @@ def test_edge_experiments_reduce_to_the_pinned_factor(family, s, points, pinned,
         bad = bad if pinned == 0 else bad[::-1]
         with pytest.raises(ValueError, match="jump cross"):
             build_table(dataclasses.replace(corner, eval_point=bad))
+
+
+def lagrange_at(x0, d, x):
+    """n -> L_n of the jump `StepFn1D.jump(x0, d)` at x, one n at a time."""
+    return lambda n: lg.lagrange_eval_1d(StepFn1D.jump(x0, d), n, x)
+
+
+def shepard_at(x0, x, spec=None):
+    """n -> S_n of `StepFn1D.indicator_upto(x0)` at x, s = 2, one n at a time."""
+    return lambda n: sh.shepard_eval_1d(StepFn1D.indicator_upto(x0), sh.ShepardParams(2.0, n),
+                                        x, spec=spec)
+
+
+@pytest.mark.parametrize("spec, evaluators", [
+    (ExperimentSpec("lagrange1d", PointSpec.rational(2, 5), d=0.5, window=400),
+     [lagrange_at(math.cos(0.4 * math.pi), 0.5, math.cos(0.4 * math.pi))]),
+    (ExperimentSpec("lagrange2d", THIRD, HALF, window=400, eval_point=(0.75, 0.0)),
+     [lagrange_at(math.cos(math.pi / 3), 1.0, 0.75),
+      lagrange_at(math.cos(math.pi / 2), 1.0, math.cos(math.pi / 2))]),
+    (ExperimentSpec("shepard2d", PointSpec.rational(3, 4), HALF, window=400,
+                    eval_point=(0.375, 0.5)),
+     [shepard_at(0.75, 0.375), shepard_at(0.5, 0.5, HALF)]),
+], ids=["lagrange1d d=0.5", "lagrange2d edge", "shepard2d edge"])
+def test_generate_window_wires_each_factor_to_its_step(spec, evaluators):
+    """Each factor of the window is the family's step with the jump value d
+    (Lagrange 1-d) or 1 at its axis's jump coordinate, evaluated at the
+    axis's coordinate of the eval point.  n = 11, 51 and 301 are node hits
+    of 2/5, where the window returns d."""
+    win = harness.generate_window(spec)
+    factors = win.factors if win.factors is not None else [win.values]
+    assert len(factors) == len(evaluators)
+    for factor, evaluate in zip(factors, evaluators):
+        for n in (2, 3, 4, 5, 7, 11, 51, 120, 301, 400):
+            assert factor[n - 1] == evaluate(n), n
 
 
 def test_lagrange_1d_experiment_passes():

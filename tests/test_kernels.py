@@ -21,7 +21,7 @@ from conidx.density import SeqWindow
 from conidx.harness import MAX_WINDOW_2D, ExperimentSpec, generate_window
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.reports import emit_csv
-from conidx.stepfn import GridSamples, StepFn1D
+from conidx.stepfn import StepFn1D
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -148,26 +148,19 @@ def same_bits(got, want):
                     f"{got[bad[0]]!r} != {want[bad[0]]!r}")
 
 
+# the jump values of the Lagrange step `StepFn1D.jump(x0, d)`; d = 0 zeroes
+# the value at a node hit too
+JUMP_VALUES = (0.0, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_jump_sequence_bit_identical(spec):
-    for d in (0.5, 1.0):
-        same_bits(lg.jump_sequence(spec, d, 2000), ref_jump_sequence(spec, d, 2000))
-    x0 = math.cos(math.pi * spec.value)
-    for step in (StepFn1D.indicator_from(x0), StepFn1D.indicator_upto(x0)):
-        same_bits(lg.jump_sequence(spec, 1.0, 700, step=step),
-                  ref_jump_sequence(spec, 1.0, 700, step=step))
-
-
-def head_steps(x0):
-    """The step orientations through `lagrange._window`: left = 0 (head only)
-    and left != 0 (every node)."""
-    return (StepFn1D.jump(x0, 0.5), StepFn1D.indicator_from(x0), StepFn1D.indicator_upto(x0),
-            StepFn1D(x0=x0, left=0.0, at=-0.3, right=2.5),
-            StepFn1D(x0=x0, left=-1.25, at=0.0, right=0.75))
+    for d, n_max in ((0.0, 700), (0.5, 2000), (1.0, 2000)):
+        same_bits(lg.jump_sequence(spec, d, n_max), ref_jump_sequence(spec, d, n_max))
 
 
 @settings(max_examples=25, deadline=None)
-@given(q=st.integers(2, 2000), p=st.integers(1, 1999), d=st.sampled_from([0.0, 0.5, 1.0]),
+@given(q=st.integers(2, 2000), p=st.integers(1, 1999), d=st.sampled_from(JUMP_VALUES),
        n_max=st.integers(2, 2000))
 def test_jump_sequence_head_bit_identical_over_rationals(q, p, d, n_max):
     """Large q puts the jump within 1/q of a node; d = 0 zeroes the jump value too."""
@@ -180,13 +173,12 @@ def test_jump_sequence_head_bit_identical_over_rationals(q, p, d, n_max):
 @pytest.mark.parametrize("p", [1, 996])
 def test_jump_sequence_head_edges(p):
     """At 1/997 the head holds one node up to n = 997 and two up to 1994; at
-    996/997 it holds all but the last node, and left != 0 makes it all."""
+    996/997 it holds all but the last node."""
     spec = PointSpec.rational(p, 997)
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    for step in head_steps(x0):
-        same_bits(lg.jump_sequence(spec, step.at, 2000, step=step),
-                  ref_jump_sequence(spec, step.at, 2000, step=step))
+    for d in JUMP_VALUES:
+        same_bits(lg.jump_sequence(spec, d, 2000), ref_jump_sequence(spec, d, 2000))
     for n in (2, 3, 997, 998, 1994, 1995):
         got = lg.jump_value_direct(spec, 0.5, n)
         want = ref_jump_value(StepFn1D.jump(x0, 0.5), x0, theta0, lg.grid_offset(spec, n), n)
@@ -194,42 +186,46 @@ def test_jump_sequence_head_edges(p):
 
 
 def test_jump_sequence_head_at_rounded_nodes():
-    """Steps whose jump is a rounded node, or the end -1, where the estimated
-    head falls short of the nodes at or above the jump and has to grow."""
+    """Jumps at a rounded node, or at the end -1, where the estimated head
+    falls short of the nodes at or above the jump and has to grow.  The node
+    equals x0 without a node hit at x, so its sample is patched to +-d; at
+    -1 the head reaches the last node, whose sample is patched to its
+    halving."""
     n, k = 7, 1
     node = float(np.cos(k * (math.pi / (n - 1))))
     assert int((n - 1) * math.acos(node) / math.pi) + 1 <= k
     spec = PointSpec.rational(2, 7)
+    theta = math.pi * spec.value
+    x = math.cos(theta)
     for x0 in (node, -1.0):
-        for step in head_steps(x0):
-            same_bits(lg.jump_sequence(spec, 1.0, 600, step=step),
-                      ref_jump_sequence(spec, 1.0, 600, step=step))
+        same_bits(lg.step_sequence_at(x0, x, 600),
+                  ref_lagrange_step_sequence_at(StepFn1D.jump(x0, 1.0), x, 600))
+        # no public window has a jump value d != 1 off its jump point
+        for d in JUMP_VALUES:
+            same_bits(lg._window(x0, d, x, theta, range(1, 601), spec),
+                      ref_jump_sequence(spec, 1.0, 600, step=StepFn1D.jump(x0, d)))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_shepard_step_sequence_bit_identical(spec):
     for s in (1.0, 2.0, 2.5, 3.0):
         same_bits(sh.step_sequence(spec, s, 2000), ref_shepard_step_sequence(spec, s, 2000))
-    step = StepFn1D.indicator_from(spec.value)
-    same_bits(sh.step_sequence(spec, 2.0, 700, step=step),
-              ref_shepard_step_sequence(spec, 2.0, 700, step=step))
 
 
 def test_lagrange_step_sequence_at_bit_identical():
     x0 = math.cos(math.pi / 3)
     # 0.5 = x0 is a node whenever 3 divides n - 1: the proximity rule decides it
     for x in (0.9, -0.4, 0.5, math.cos(math.pi / 4), 0.0):
-        for step in (StepFn1D.indicator_from(x0), StepFn1D.indicator_upto(x0)):
-            same_bits(lg.step_sequence_at(step, x, 600),
-                      ref_lagrange_step_sequence_at(step, x, 600))
+        same_bits(lg.step_sequence_at(x0, x, 600),
+                  ref_lagrange_step_sequence_at(StepFn1D.jump(x0, 1.0), x, 600))
 
 
 def test_shepard_step_sequence_at_bit_identical():
     for s in (1.0, 2.0, 2.5, 3.0):
         for x in (0.3, 0.5, 0.95, 0.0, 1.0, IRRATIONAL_VALUES["golden_frac"]):
-            for step in (StepFn1D.indicator_from(0.5), StepFn1D.indicator_upto(1 / 3)):
-                same_bits(sh.step_sequence_at(step, s, x, 400),
-                          ref_shepard_step_sequence_at(step, s, x, 400))
+            for x0 in (0.5, 1 / 3):
+                same_bits(sh.step_sequence_at(x0, s, x, 400),
+                          ref_shepard_step_sequence_at(StepFn1D.indicator_upto(x0), s, x, 400))
 
 
 @settings(max_examples=30, deadline=None)
@@ -268,78 +264,45 @@ def test_single_values_bit_identical():
         same_bits(sh.shepard_weights_1d(params, node), ref_shepard_weights(s, n, node))
 
 
-def fresh_samples(n, a, b, vals, folded):
-    """The samples a GridSamples vector holds for the n-node grid, built anew."""
-    out = np.empty(n)
-    out[:a], out[a:b], out[b:] = vals
-    if folded:
-        out *= np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
-        out[[0, -1]] *= 0.5
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), folded=st.booleans(),
-       vals=st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.25, 2.5])] * 3))
-def test_grid_samples_match_a_fresh_fill(data, folded, vals):
-    """Grids that grow by 1 or by many nodes and run ends that move a little
-    or a lot between updates."""
-    samples = GridSamples(400, vals, folded=folded)
-    n = 1
-    for _ in range(data.draw(st.integers(1, 12))):
-        n = data.draw(st.integers(n + 1, min(400, n + 40)))
-        b = data.draw(st.integers(0, n))
-        a = data.draw(st.integers(0, b))
-        samples.update(n, a, b)
-        same_bits(samples.buf[:n], fresh_samples(n, a, b, vals, folded))
-        if n == 400:
-            break
-
-
 def rational(p, q):
     p = p % q or 1
     g = math.gcd(p, q)
     return PointSpec.rational(p // g, q // g)
 
 
-def check_windows_at_the_jump(spec, orient, s, n_max):
-    """Both operators at the jump of spec, with the step orientation orient."""
-    x0 = math.cos(math.pi * spec.value)
-    step = head_steps(x0)[orient]
-    same_bits(lg.jump_sequence(spec, step.at, n_max, step=step),
-              ref_jump_sequence(spec, step.at, n_max, step=step))
-    step = head_steps(spec.value)[orient]
-    same_bits(sh.step_sequence(spec, s, n_max, step=step),
-              ref_shepard_step_sequence(spec, s, n_max, step=step))
+def check_windows_at_the_jump(spec, d, s, n_max):
+    """Both operators at the jump of spec: Lagrange with jump value d."""
+    same_bits(lg.jump_sequence(spec, d, n_max), ref_jump_sequence(spec, d, n_max))
+    same_bits(sh.step_sequence(spec, s, n_max), ref_shepard_step_sequence(spec, s, n_max))
 
 
 @settings(max_examples=40, deadline=None)
-@given(q=st.integers(2, 2000), p=st.integers(1, 1999), orient=st.integers(0, 4),
+@given(q=st.integers(2, 2000), p=st.integers(1, 1999), d=st.sampled_from(JUMP_VALUES),
        s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(2, 700))
-def test_windows_bit_identical_over_rationals_and_steps(q, p, orient, s, n_max):
-    check_windows_at_the_jump(rational(p, q), orient, s, n_max)
+def test_windows_bit_identical_over_rationals_and_steps(q, p, d, s, n_max):
+    check_windows_at_the_jump(rational(p, q), d, s, n_max)
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=st.sampled_from(SPECS), orient=st.integers(0, 4),
+@given(spec=st.sampled_from(SPECS), d=st.sampled_from(JUMP_VALUES),
        s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(2, 700))
-def test_windows_bit_identical_over_presets_and_steps(spec, orient, s, n_max):
-    check_windows_at_the_jump(spec, orient, s, n_max)
+def test_windows_bit_identical_over_presets_and_steps(spec, d, s, n_max):
+    check_windows_at_the_jump(spec, d, s, n_max)
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4)])
 def test_windows_bit_identical_between_node_hits(p, q):
     """At small q every q-th n (Shepard) or every q-th n - 1 (Lagrange) is a
-    node hit, so the kept samples must move across the skipped grids."""
-    for orient in range(5):
+    node hit, so the weights must move across the skipped grids."""
+    for d in JUMP_VALUES:
         for s in (1.0, 2.0, 2.5, 3.0):
-            check_windows_at_the_jump(PointSpec.rational(p, q), orient, s, 300)
+            check_windows_at_the_jump(PointSpec.rational(p, q), d, s, 300)
 
 
 @settings(max_examples=60, deadline=None)
 @given(spec=st.one_of(st.sampled_from(SPECS),
                       st.builds(rational, st.integers(1, 1999), st.integers(2, 2000))),
-       d=st.sampled_from([0.0, 0.5, 1.0]), n=st.integers(2, 3000))
+       d=st.sampled_from(JUMP_VALUES), n=st.integers(2, 3000))
 def test_single_n_windows_bit_identical(spec, d, n):
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
@@ -350,24 +313,24 @@ def test_single_n_windows_bit_identical(spec, d, n):
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, 12), m=st.integers(1, 12), jump=st.one_of(st.none(), st.floats(0.0, 1.0)),
-       orient=st.integers(0, 4), s=st.sampled_from([1.0, 2.0, 2.5, 3.0]),
-       n_max=st.integers(1, 300))
-def test_windows_at_general_points_with_node_hits(k, m, jump, orient, s, n_max):
+       s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(1, 300))
+def test_windows_at_general_points_with_node_hits(k, m, jump, s, n_max):
     """x = k/m (Shepard) or cos(pi k/m) (Lagrange), a node for every n (or
     n - 1) divisible by m over gcd(k, m), found by proximity; the step jumps
     at x or at another point."""
     t = min(k, m) / m
     x = math.cos(math.pi * t)
-    step = head_steps(x if jump is None else 2.0 * jump - 1.0)[orient]
-    same_bits(lg.step_sequence_at(step, x, n_max), ref_lagrange_step_sequence_at(step, x, n_max))
-    step = head_steps(t if jump is None else jump)[orient]
-    same_bits(sh.step_sequence_at(step, s, t, n_max),
-              ref_shepard_step_sequence_at(step, s, t, n_max))
+    x0 = x if jump is None else 2.0 * jump - 1.0
+    same_bits(lg.step_sequence_at(x0, x, n_max),
+              ref_lagrange_step_sequence_at(StepFn1D.jump(x0, 1.0), x, n_max))
+    t0 = t if jump is None else jump
+    same_bits(sh.step_sequence_at(t0, s, t, n_max),
+              ref_shepard_step_sequence_at(StepFn1D.indicator_upto(t0), s, t, n_max))
 
 
 def cap_indices(cap):
-    """The reference at every 11th n and at the last 100: the kept samples
-    have moved through every n below each of them."""
+    """The reference at every 11th n and at the last 100: the weights have
+    moved through every n below each of them."""
     return np.unique(np.r_[np.arange(2, cap + 1, 11), np.arange(cap - 99, cap + 1)])
 
 
@@ -401,18 +364,19 @@ def test_shepard_step_sequence_at_the_cap(spec, s):
                          ids=lambda spec: spec.label())
 def test_step_sequence_at_the_2d_cap(spec):
     """The converging factor of an edge window: general points near and far
-    from the jump on both sides, with left = 0 (head only) and left != 0
-    (every node)."""
+    from the jump on both sides."""
     x0 = math.cos(math.pi * spec.value)
+    step = StepFn1D.jump(x0, 1.0)
     ns = cap_indices(MAX_WINDOW_2D)
     for x in (x0 + dx for dx in (1e-9, -1e-9, 1e-4, -1e-4, 0.25, -0.25)):
-        for step in (StepFn1D.jump(x0, 0.5), StepFn1D.indicator_upto(x0)):
-            got = lg.step_sequence_at(step, x, MAX_WINDOW_2D)[ns - 1]
-            same_bits(got, np.array([ref_lagrange_step_value(step, x, n) for n in ns]))
+        got = lg.step_sequence_at(x0, x, MAX_WINDOW_2D)[ns - 1]
+        same_bits(got, np.array([ref_lagrange_step_value(step, x, n) for n in ns]))
 
 
 # A window at the cap holds its output and a few vectors of CAP doubles
-# (80 kB each): the peaks are 0.40 MB (Lagrange and Shepard).
+# (80 kB each): the peaks are 0.40 MB (Lagrange at its jump) and 0.48 MB
+# (Lagrange with its jump at -1, whose head is every node and whose samples
+# are copied at every n, and Shepard, whose step vector holds 2 CAP doubles).
 # Temporaries kept for a block of n would show here.
 WINDOW_PEAK = 1_000_000
 
@@ -420,9 +384,8 @@ WINDOW_PEAK = 1_000_000
 def test_window_memory_at_the_cap():
     spec = PointSpec.rational(1, 3)
     x0 = math.cos(math.pi * spec.value)
-    # a step nonzero below the jump makes the Lagrange window use every node
-    for run in (lambda: lg.jump_sequence(spec, 1.0, CAP, step=StepFn1D.indicator_upto(x0)),
-                lambda: lg.step_sequence_at(StepFn1D.indicator_upto(x0), x0 + 0.25, CAP),
+    for run in (lambda: lg.jump_sequence(spec, 1.0, CAP),
+                lambda: lg.step_sequence_at(-1.0, x0, CAP),
                 lambda: sh.step_sequence(spec, 2.0, CAP)):
         assert traced_peak(run) < WINDOW_PEAK
 

@@ -94,7 +94,7 @@ def test_eval_outside_the_interval_raises():
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         lagrange_eval_1d(lambda x: x**2, 10, 1.5)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        step_sequence_at(StepFn1D.jump(0.5, 1.0), -1.5, 10)
+        step_sequence_at(0.5, -1.5, 10)
     assert lagrange_eval_1d(lambda x: x**2, 10, 1.0) == 1.0
 
 
@@ -196,9 +196,9 @@ def test_node_hit_samples_the_step_at_the_jump():
     spec_x, spec_y = PointSpec.rational(1, 3), PointSpec.rational(1, 2)
     x0, y0 = math.cos(math.pi / 3.0), math.cos(math.pi / 2.0)
     h = StepFn2D.upper_right(x0, y0)
-    u = jump_sequence(spec_x, 1.0, 200, step=h.fx)
-    v = jump_sequence(spec_y, 1.0, 200, step=h.fy)
-    at_x0 = step_sequence_at(h.fx, x0, 200)
+    u = jump_sequence(spec_x, 1.0, 200)
+    v = jump_sequence(spec_y, 1.0, 200)
+    at_x0 = step_sequence_at(x0, x0, 200)
     for n in range(2, 201):
         assert lagrange_eval_1d(h.fx, n, x0) == u[n - 1] == at_x0[n - 1]
         assert lagrange_eval_2d(h, n, n, x0, y0, cross_check=True) == u[n - 1] * v[n - 1]
@@ -256,8 +256,7 @@ def test_uniform_boundedness_at_jump():
 
 
 def test_step_sequence_at_away_from_jump_converges():
-    step = StepFn1D.indicator_from(0.5)
-    vals = step_sequence_at(step, 0.9, 400)
+    vals = step_sequence_at(0.5, 0.9, 400)
     assert abs(vals[-1] - 1.0) <= 0.01
-    vals_lo = step_sequence_at(step, -0.4, 400)
+    vals_lo = step_sequence_at(0.5, -0.4, 400)
     assert abs(vals_lo[-1]) <= 0.01

@@ -135,9 +135,12 @@ SHEPARD_IRRATIONAL = ('{"schema_version": 1, "experiment": "shepard1d", '
     ('"tol": 1e400', ["tol must be positive"]),
     ('"epsilon": 1' + "0" * 400, ["epsilon must be positive"]),
     ('"targets": [[false, true]]', ["targets must be"]),
+    ('"checkpoints": Infinity', ["checkpoints must be an integer"]),
 ])
 def test_parse_rejects_non_finite_and_boolean_numbers(fields, needles):
-    """json reads NaN, Infinity and 1e400 as non-finite floats and true as 1."""
+    """json reads NaN, Infinity and 1e400 as non-finite floats and true as 1.
+    ExperimentSpec checks tol and checkpoints too, but it gets the defaults
+    in their place, so each violation is listed once."""
     with pytest.raises(ConfigError) as err:
         parse_config(SHEPARD_IRRATIONAL % fields)
     errors = err.value.errors

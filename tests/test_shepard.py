@@ -125,8 +125,7 @@ def test_eval_2d_s1_corner_odd_odd_quarter():
 
 
 def test_step_sequence_at_converges_off_jump():
-    step = StepFn1D.indicator_upto(0.75)
-    vals = step_sequence_at(step, 2.0, 0.3, 500)
+    vals = step_sequence_at(0.75, 2.0, 0.3, 500)
     assert abs(vals[-1] - 1.0) <= 0.01
-    vals_hi = step_sequence_at(step, 2.0, 0.95, 500)
+    vals_hi = step_sequence_at(0.75, 2.0, 0.95, 500)
     assert abs(vals_hi[-1]) <= 0.02
