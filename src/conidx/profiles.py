@@ -12,12 +12,14 @@ and the Hurwitz zeta function, which yields the Shepard jump profile
 Both are continuous, strictly decreasing bijections of [0, 1) onto (0, 1],
 which is what makes preimage measures of intervals computable by bisection.
 The series evaluators below decide every bisection step; short
-Euler-Maclaurin kernels for psi and zeta screen the steps far from a root.
+Euler-Maclaurin kernels for psi and zeta screen the steps far from a root,
+and certify the many steps that need no value at all.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,11 +27,16 @@ import numpy as np
 
 SERIES_TOL = 1e-12        # absolute-error budget of the series evaluators
 BISECT_TOL = 1e-10
+# The screens never step the wrong way by more than this between two points
+# of (0, 1): measured on a dense grid, the largest such step is 1.1e-16.
+SCREEN_ETA = 1e-13
 # Entries of the (points x terms) table that the series kernels build at a
 # time: 120 KB of doubles, so the table stays in cache however many points a
 # call evaluates, and below the 128 KB from which malloc maps fresh pages for
 # every temporary.
 _TABLE_BLOCK = 15 * 1024
+# Targets whose screen guards invert_monotone finds at a time
+_GUARD_BLOCK = 2048
 
 
 def _row_sums(a_arr: np.ndarray, n_terms: int,
@@ -219,8 +226,10 @@ class Profile1D:
     value_at_0 and limit_at_1 are the endpoint values in the monotone
     direction; monotonicity is verified on a fixed grid at construction.
     screen, if given, is a cheaper stand-in for fn on (0, 1) that stays well
-    within invert_monotone's margin of it wherever it is finite; the
-    bisection decides on it away from a root.
+    within invert_monotone's margin of it wherever it is finite, and that is
+    monotone in fn's direction up to SCREEN_ETA: it never steps the wrong way
+    by more than that between two points.  The bisection decides on it away
+    from a root, and certifies from it which midpoints lie away from one.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -256,6 +265,18 @@ class Profile1D:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
+    @cached_property
+    def _screen_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, u): the screen on an increasing grid of (0, 1), negated if
+        the profile decreases and made nondecreasing, so that roots can be
+        looked up.  The grid has steps of 2**-10, and within 2**-10 of either
+        end, where the profiles are least smooth, 256 points from 2**-50 to
+        2**-11 away from it in geometric steps."""
+        ends = 0.5 ** np.linspace(11.0, 50.0, 256)
+        x = np.concatenate([ends[::-1], np.linspace(0.0, 1.0, 1025)[1:-1], 1.0 - ends])
+        u = np.asarray(self.screen(x), dtype=float)
+        return x, np.maximum.accumulate(-u if self.decreasing else u)
+
     @classmethod
     def lagrange(cls) -> "Profile1D":
         return cls(fn=lagrange_jump_profile, kind="lagrange", value_at_0=1.0, limit_at_1=0.0,
@@ -277,6 +298,150 @@ class Profile1D:
                    value_at_0=0.0, limit_at_1=1.0)
 
 
+def _runs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, slot) for points whose equal values are adjacent: first[i]
+    holds where a run of equal points starts, slot[i] the index of i's run."""
+    first = np.empty(points.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(points[1:], points[:-1], out=first[1:])
+    return first, np.cumsum(first) - 1
+
+
+def _chord(x0, u0, x1, u1, t, lo, hi):
+    """Where the chord through (x0, u0) and (x1, u1) meets height t, kept in
+    [lo, hi] (at lo where it is undefined)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = x0 + (t - u0) / (u1 - u0) * (x1 - x0)
+    return np.fmin(np.fmax(x, lo), hi)
+
+
+def _table_root(x_tab: np.ndarray, u_tab: np.ndarray, cell: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    """Where u = t in the table cell [x_tab[cell], x_tab[cell + 1]]: the
+    cubic in u through the four table points around the cell, or the chord
+    across the cell where that cubic leaves it."""
+    first = np.clip(cell - 1, 0, x_tab.size - 4)
+    us = [u_tab[first + k] for k in range(4)]
+    root = np.zeros(t.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # tied table values
+        for k in range(4):
+            term = x_tab[first + k]
+            for m in range(4):
+                if m != k:
+                    term *= (t - us[m]) / (us[k] - us[m])
+            root += term
+    a, b = x_tab[cell], x_tab[cell + 1]
+    off = ~((root >= a) & (root <= b))
+    root[off] = _chord(a[off], u_tab[cell[off]], b[off], u_tab[cell[off] + 1], t[off],
+                       a[off], b[off])
+    return root
+
+
+def _screen_guards(profile: Profile1D, y: np.ndarray, reach: tuple[float, float],
+                   margin: float):
+    """Guards (g_lo, g_hi) of the screen's root for every target in y, found
+    _GUARD_BLOCK targets at a time so that their temporaries stay small."""
+    g_lo, g_hi = np.empty(y.size), np.empty(y.size)
+    for start in range(0, y.size, _GUARD_BLOCK):
+        part = slice(start, start + _GUARD_BLOCK)
+        g_lo[part], g_hi[part] = _guard_block(profile, y[part], reach, margin)
+    return g_lo, g_hi
+
+
+def _guard_block(profile: Profile1D, y: np.ndarray, reach: tuple[float, float],
+                 margin: float):
+    """Guards (g_lo, g_hi) of the screen's root for every target in y.
+
+    A guard holds when the screen there clears y by more than margin +
+    SCREEN_ETA, on its own side: on the side of value_at_0 at g_lo, of
+    limit_at_1 at g_hi.  The screen steps the wrong way by at most
+    SCREEN_ETA, so it then clears y by more than the margin at every point
+    up to g_lo and from g_hi on.  There the screened bisection would decide
+    on the screen alone, and the root lies right of a midpoint at or below
+    g_lo and left of one at or above g_hi.  A guard that does not hold is 0
+    (g_lo) or 1 (g_hi), which no midpoint reaches.
+
+    The root comes from the profile's screen table and one chord step on
+    the screen.  The guards sit a little more than the margin's width in x
+    from it, within reach, the span of the bisection's midpoints, and move
+    out twice if they fail.  A root beyond the table is beyond reach too (at
+    any tol above 1e-15); its one guard sits at that end of reach and, if it
+    holds, decides every level.
+    """
+    x_tab, u_tab = profile._screen_table
+    sign = -1.0 if profile.decreasing else 1.0
+    t = sign * y  # roots of u = t, with u = sign * screen increasing
+    clear = margin + SCREEN_ETA
+
+    def u(x):  # once per distinct point
+        order = np.argsort(x, kind="stable")
+        first, slot = _runs(x[order])
+        distinct = x[order[first]]
+        out = np.empty(x.size)
+        out[order] = np.asarray(profile.screen(distinct), dtype=float)[slot]
+        return sign * out
+
+    cell = np.searchsorted(u_tab, t, side="right") - 1  # NaN sorts past the end
+    left, right = cell < 0, cell >= x_tab.size - 1
+    root = np.where(left, reach[0], reach[1])
+    width = np.zeros(y.size)
+    inner = np.flatnonzero(~(left | right))
+    if inner.size:
+        ti, ci = t[inner], cell[inner]
+        guess = _table_root(x_tab, u_tab, ci, ti)
+        at_guess = u(guess)
+        # a chord step to the end of the cell on the root's other side
+        end = ci + (at_guess < ti)
+        x_end, u_end = x_tab[end], u_tab[end]
+        root[inner] = _chord(x_end, u_end, guess, at_guess, ti, np.minimum(x_end, guess),
+                             np.maximum(x_end, guess))
+        with np.errstate(divide="ignore", invalid="ignore"):  # clear over the chord's slope
+            width[inner] = 1.25 * clear * (x_end - guess) / (u_end - at_guess)
+        del ti, ci, guess, at_guess, end, x_end, u_end
+    g_lo, g_hi = np.zeros(y.size), np.ones(y.size)
+    for side, guard, beyond in ((-1.0, g_lo, left), (1.0, g_hi, right)):
+        pick = np.flatnonzero(~beyond)  # no lower guard left of the table, no upper right of it
+        for widen in (1.0, 16.0, 256.0):
+            at = np.fmin(np.fmax(root[pick] + side * widen * width[pick], reach[0]), reach[1])
+            held = side * (u(at) - t[pick]) > clear
+            guard[pick[held]] = at[held]
+            pick = pick[~held & (width[pick] > 0.0)]
+            if not pick.size:
+                break
+    return g_lo, g_hi
+
+
+def _goes_right(profile: Profile1D, mid: np.ndarray, ask: np.ndarray, y: np.ndarray,
+                margin: float):
+    """Whether the root of profile = y lies right of mid, where ask holds,
+    for midpoints in which equal values are adjacent; the profile is
+    evaluated once per run.
+
+    With a screen the step is decided on the screen value unless it lies
+    within the margin of y or is not finite; only those steps evaluate fn.
+    """
+    screen, fn = profile.screen, profile.fn
+    # the profile calls peak in memory, so arrays are dropped once unused
+    at = mid[ask]
+    first, slot = _runs(at)
+    distinct = at[first]
+    del at, first
+    vals = np.asarray((screen or fn)(distinct), dtype=float)
+    at_mid = vals[slot]
+    y = y[ask]
+    if screen is not None:
+        unsure = ~(np.isfinite(at_mid) & (np.abs(at_mid - y) > margin))
+        if unsure.any():
+            need = np.zeros(vals.shape, dtype=bool)
+            need[slot[unsure]] = True
+            distinct = distinct[need]
+            vals[need] = fn(distinct)
+            at_mid[unsure] = vals[slot[unsure]]
+    # profile(mid) > y sends a root right (< y if increasing): the same test
+    # as profile(mid) - y > 0, since a difference rounds to 0 only when equal
+    return (np.greater if profile.decreasing else np.less)(at_mid, y)
+
+
 def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     """Solve profile(x) = y on [0, 1) by bisection, vectorized over y.
 
@@ -296,45 +461,58 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     within the margin of y or is not finite; only those steps evaluate fn,
     once per run that holds one.  A screen that stays within the margin of
     fn takes every step the same way fn would, so the roots keep their bits.
+    Most steps need no value at all: `_screen_guards` certifies an interval
+    (g_lo, g_hi) around each root, outside of which the screen is at least
+    the margin away from y because it is monotone up to SCREEN_ETA.  A
+    midpoint at or below g_lo goes right, one at or above g_hi goes left,
+    exactly as the screen would send it, and only the midpoints in between
+    are evaluated.
     """
     y_in = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     order = np.argsort(y_in, kind="stable")
     y_arr = y_in[order]
     size = y_arr.size
-    lo, hi = np.zeros(size), np.full(size, 1.0 - 1e-15)
-    mid = np.empty(size)
-    new = np.empty(size, dtype=bool)  # new[i]: a run of equal midpoints starts at i
-    new[:1] = True
-    go_right = np.empty(size, dtype=bool)
-    # profile(mid) > y sends a root right (< y if increasing): the same test
-    # as profile(mid) - y > 0, since a difference rounds to 0 only when equal
-    right = np.greater if profile.decreasing else np.less
-    screen, fn = profile.screen, profile.fn
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
     margin = 10.0 * SERIES_TOL  # the screen decides a step only this far from y
+    top = 1.0 - 1e-15  # every midpoint lies in (0, 1), and in [top * 2**-steps, top]
+    reach = (top * 0.5**steps, top)
+    g_lo, g_hi, settled = 0.0, 1.0, ()
+    if profile.screen is not None and size:
+        g_lo, g_hi = _screen_guards(profile, y_arr, reach, margin)
+        # a guard at an end of reach sends every midpoint the same way
+        all_left, all_right = g_hi <= reach[0], g_lo >= reach[1]
+        settled = ((order[all_left], False), (order[all_right], True))
+        live = ~(all_left | all_right)
+        g_lo, g_hi, y_arr, order = g_lo[live], g_hi[live], y_arr[live], order[live]
+        del all_left, all_right, live
+    lo, hi = np.zeros(y_arr.size), np.full(y_arr.size, top)
+    mid = np.empty(y_arr.size)
+    go_right = np.empty(y_arr.size, dtype=bool)
     for _ in range(steps):
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        np.not_equal(mid[1:], mid[:-1], out=new[1:])
-        distinct = mid[new]
-        vals = np.asarray((screen or fn)(distinct), dtype=float)
-        slot = np.cumsum(new) - 1  # the index of each point's run
-        at_mid = vals[slot]
-        if screen is not None:
-            unsure = ~(np.isfinite(at_mid) & (np.abs(at_mid - y_arr) > margin))
-            if unsure.any():
-                need = np.zeros(vals.shape, dtype=bool)
-                need[slot[unsure]] = True
-                vals[need] = fn(distinct[need])
-                at_mid[unsure] = vals[slot[unsure]]
-        right(at_mid, y_arr, out=go_right)
-        del slot, at_mid  # before the next level's profile call, which peaks in memory
+        np.less_equal(mid, g_lo, out=go_right)
+        ask = (mid > g_lo) & (mid < g_hi)
+        if ask.any():
+            go_right[ask] = _goes_right(profile, mid, ask, y_arr, margin)
         np.copyto(lo, mid, where=go_right)
         np.logical_not(go_right, out=go_right)
         np.copyto(hi, mid, where=go_right)
     out = np.empty(size)
     out[order] = 0.5 * (lo + hi)
+    for where, rightward in settled:
+        out[where] = _edge_root(top, steps, rightward)
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+
+
+def _edge_root(top: float, steps: int, go_right: bool) -> float:
+    """invert_monotone's answer for a root that goes right (or left) at
+    every level: the same arithmetic as its loop, on one bracket."""
+    lo, hi = 0.0, top
+    for _ in range(steps):
+        mid = (lo + hi) * 0.5
+        lo, hi = (mid, hi) if go_right else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _normalize_intervals(intervals) -> np.ndarray:

@@ -7,7 +7,9 @@ bisect each interval end on its own.  The fast paths must give the same IEEE
 doubles, so arrays are compared with `.tobytes()` and measures with `==`.
 The Lagrange and Shepard profiles also carry an Euler-Maclaurin screen that
 decides the bisection steps far from a root; the reference bisection never
-looks at it.
+looks at it.  The bisection certifies guards around each root from the screen
+and evaluates only the midpoints between them; `runs_invert_monotone` is the
+screened bisection before that, which evaluates the screen at every level.
 """
 import math
 
@@ -21,6 +23,7 @@ from conidx.harness import ExperimentSpec, build_table
 from conidx.points import PointSpec
 from conidx.profiles import (
     BISECT_TOL,
+    SCREEN_ETA,
     SERIES_TOL,
     Profile1D,
     Profile2D,
@@ -80,6 +83,37 @@ def ref_invert_monotone(profile, y, tol=BISECT_TOL):
         hi = np.where(go_right, hi, mid)
     out = 0.5 * (lo + hi)
     return float(out[0]) if np.ndim(y) == 0 else out
+
+
+def runs_invert_monotone(profile, y, tol=BISECT_TOL):
+    """The screened bisection without guards: each level evaluates the screen
+    once per run of equal midpoints in y order, and the series on the runs
+    whose screen value lies within the margin of a y or is not finite."""
+    y_in = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    order = np.argsort(y_in, kind="stable")
+    y_arr = y_in[order]
+    lo, hi = np.zeros(y_arr.size), np.full(y_arr.size, 1.0 - 1e-15)
+    right = np.greater if profile.decreasing else np.less
+    margin = 10.0 * SERIES_TOL
+    for _ in range(int(math.ceil(math.log2(1.0 / tol))) + 2):
+        mid = 0.5 * (lo + hi)
+        new = np.concatenate([[True], mid[1:] != mid[:-1]])
+        distinct = mid[new]
+        vals = np.asarray(profile.screen(distinct), dtype=float)
+        slot = np.cumsum(new) - 1
+        at_mid = vals[slot]
+        unsure = ~(np.isfinite(at_mid) & (np.abs(at_mid - y_arr) > margin))
+        if unsure.any():
+            need = np.zeros(vals.shape, dtype=bool)
+            need[slot[unsure]] = True
+            vals[need] = profile.fn(distinct[need])
+            at_mid[unsure] = vals[slot[unsure]]
+        go_right = right(at_mid, y_arr)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    out = np.empty(y_arr.size)
+    out[order] = 0.5 * (lo + hi)
+    return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 
 def ref_preimage_measure_1d(profile, intervals, tol=BISECT_TOL):
@@ -237,27 +271,27 @@ SCREENED = [None, 1.0001, 1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0]
 
 
 def jump_profile(s):
-    """Profile1D.lagrange() for s None, else Profile1D.shepard(s) for any s > 1.
-
-    From s = 5.5 on, the Shepard profile rounds to 1.0 on the first points of
-    the construction's monotonicity grid, which then rejects it; here the
-    check runs on the grid's two ends only.
-    """
-    if s is None:
-        return Profile1D.lagrange()
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
-        mp.setattr(profiles, "_MONOTONE_GRID", 2)
-        return Profile1D.shepard(s)
+    """Profile1D.lagrange() for s None, else Profile1D.shepard(s)."""
+    return Profile1D.lagrange() if s is None else Profile1D.shepard(s)
 
 
 @pytest.mark.parametrize("s", SCREENED, ids=lambda s: "lagrange" if s is None else f"s={s:g}")
 def test_screen_stays_within_a_tenth_of_the_margin(s):
     prof = jump_profile(s)
-    with np.errstate(all="ignore"):  # large s overflows near both ends
-        exact, screen = prof.fn(SCREEN_GRID), prof.screen(SCREEN_GRID)
+    exact, screen = prof.fn(SCREEN_GRID), prof.screen(SCREEN_GRID)
     finite = np.isfinite(exact)
     assert np.array_equal(finite, np.isfinite(screen))
     assert np.max(np.abs(exact - screen)[finite]) <= MARGIN / 10.0
+
+
+@pytest.mark.parametrize("s", SCREENED, ids=lambda s: "lagrange" if s is None else f"s={s:g}")
+def test_screen_never_steps_the_wrong_way_by_more_than_eta(s):
+    """The guards' premise: the profiles decrease, and the screen at no grid
+    point exceeds its value at any point left of it by more than SCREEN_ETA
+    (at most 1.1e-16 here)."""
+    screen = jump_profile(s).screen(SCREEN_GRID)
+    lowest_so_far = np.minimum.accumulate(screen)
+    assert np.max(screen[1:] - lowest_so_far[:-1]) <= SCREEN_ETA
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,6 +306,53 @@ def test_screened_bisection_bit_identical_near_roots(s, xs, ulps, shifts):
     exact = np.asarray(prof.fn(np.array(xs)))
     k = len(xs)
     ys = exact + np.array(ulps[:k]) * np.spacing(exact) + np.array(shifts[:k])
+    assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
+
+
+def screened_affine(left, right):
+    """affine_profile(left, right) with the Lagrange screen under the same map,
+    so a screened profile that increases when right < left."""
+    prof = affine_profile(left, right)
+    return Profile1D(fn=prof.fn, kind=f"screened {prof.kind}", value_at_0=right,
+                     limit_at_1=left,
+                     screen=lambda x: left + (right - left) * profiles._lagrange_screen(x))
+
+
+CERTIFIED = {
+    "lagrange": PROFILES["lagrange"],
+    "affine-up": PROFILES["affine-up"],
+    "affine-down": PROFILES["affine-down"],
+    "identity": PROFILES["identity"],
+    "screened-affine-up": screened_affine(1.0, -1.0),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.one_of(st.sampled_from(sorted(CERTIFIED)), st.floats(1.01, 100.0)),
+       seed=st.integers(0, 2**32 - 1),
+       slices=st.integers(64, 1024),
+       ends=st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=2),
+       order=st.sampled_from(["shuffled", "ascending", "descending"]))
+def test_certified_bisection_bit_identical(name, seed, slices, ends, order):
+    """The guarded bisection against the series-only reference on corner
+    traffic (both ends of an interval over the Lagrange factor on a random
+    slice grid: thousands of targets, so the guards are certified), targets
+    a few ulps up to 1e-11 from a profile value, clamped targets, the
+    infinities and duplicates, in any order.  A float name is a Shepard s."""
+    prof = CERTIFIED[name] if isinstance(name, str) else Profile1D.shepard(name)
+    rng = np.random.default_rng(seed)
+    lo, hi = endpoints(prof)
+    cx = lagrange_jump_profile(rng.uniform(0.0, 1.0, slices))
+    traffic = ((lo + (hi - lo) * np.array(ends))[:, None] / cx).ravel()
+    exact = np.asarray(prof.fn(rng.uniform(1.4e-11, 1.0 - 1e-15, 24)))
+    near = np.concatenate([
+        exact[:12] + rng.integers(-4, 5, 12) * np.spacing(exact[:12]),
+        exact[12:] + rng.choice([-1.0, 1.0], 12) * 10.0 ** rng.uniform(-16.0, -11.0, 12)])
+    clamped = [lo - 1.0, lo - 1e-11, lo - 1e-12, lo, hi, hi + 1e-12, hi + 1e-11, hi + 1.0]
+    ys = np.concatenate([traffic, near, clamped, [np.inf, -np.inf]])
+    ys = np.concatenate([ys, ys[rng.integers(0, ys.size, 32)]])
+    ys = {"shuffled": rng.permutation(ys), "ascending": np.sort(ys),
+          "descending": np.sort(ys)[::-1]}[order]
     assert same_bits(invert_monotone(prof, ys), ref_invert_monotone(prof, ys))
 
 
@@ -300,22 +381,36 @@ def corner_traffic(fac):
     return np.concatenate([ys, ys[::97], [np.inf, -np.inf, np.inf]])
 
 
+def check_guarded_calls(log, runs_log, screen_share=0.40):
+    """The calls of the guarded bisection against those of the unguarded
+    one: the same series calls at the same midpoints, at most screen_share
+    of its screen points, and no point twice in any call."""
+    series = [pts for name, pts in log if name == "fn"]
+    runs_series = [pts for name, pts in runs_log if name == "fn"]
+    assert series and len(series) == len(runs_series)
+    assert all(same_bits(a, b) for a, b in zip(series, runs_series))
+    screen = sum(pts.size for name, pts in log if name == "screen")
+    assert 0 < screen <= screen_share * sum(pts.size for name, pts in runs_log
+                                            if name == "screen")
+    for _, pts in log:
+        assert np.unique(pts).size == pts.size
+
+
 @pytest.mark.parametrize("s", [None, 2.0], ids=["lagrange", "shepard2"])
 def test_corner_traffic_bisects_in_runs_bit_identical(s):
     """Clamped runs (y > 1 where the factor is below 0.45), exact duplicates
     away from their first copies and both infinities: the roots keep their
-    bits, and no level evaluates a midpoint twice, on the screen or the
-    series."""
+    bits, the series sees the midpoints the unguarded bisection gives it,
+    the screen at most 40% of its points, and no call a point twice."""
     fac = jump_profile(s)
     ys = corner_traffic(fac)
     assert np.sum(ys > 1.0) > 1000 and np.unique(ys).size < ys.size
-    log = []
+    log, runs_log = [], []
     got = invert_monotone(recording(fac, log), ys)
     assert same_bits(got, ref_invert_monotone(fac, ys))
-    assert sum(name == "screen" for name, _ in log) == BISECT_STEPS
-    assert any(name == "fn" for name, _ in log)
-    for _, level in log:
-        assert np.unique(level).size == level.size
+    assert same_bits(got, runs_invert_monotone(recording(fac, runs_log), ys))
+    assert sum(name == "screen" for name, _ in runs_log) == BISECT_STEPS
+    check_guarded_calls(log, runs_log)
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +506,20 @@ def test_corner_bisection_evaluates_distinct_midpoints_only():
 
 
 @pytest.mark.parametrize("operator", ["lagrange2d", "shepard2d"])
-def test_corner_bisection_evaluates_the_series_only_near_a_root(operator):
-    """The inv_sqrt2 x golden_frac corner at the benchmark targets: the series
-    evaluates at most a tenth of the midpoints the screen does."""
+def test_corner_bisection_evaluates_the_series_only_near_a_root(operator, monkeypatch):
+    """The inv_sqrt2 x golden_frac corner at the benchmark targets, against
+    the unguarded bisection: the same measures, the series at the same
+    midpoints (at most a tenth as many as that bisection's screen points),
+    the screen at under 40% of its points, and no call a point twice."""
     table = build_table(ExperimentSpec(operator=operator,
                                        spec_x=PointSpec.irrational("inv_sqrt2"),
                                        spec_y=PointSpec.irrational("golden_frac")))
-    fy = table.profile.fy
-    counts = {"fn": 0, "screen": 0}
-
-    def counted(name, kernel):
-        def fn(x):
-            counts[name] += np.size(x)
-            return kernel(x)
-        return fn
-
-    prof = Profile2D(table.profile.fx, Profile1D(
-        fn=counted("fn", fy.fn), kind=fy.kind, value_at_0=fy.value_at_0,
-        limit_at_1=fy.limit_at_1, screen=counted("screen", fy.screen)))
-    counts["fn"] = 0  # the monotonicity check at construction
-    for iv in TARGETS_CORNER:
-        assert preimage_measure_2d(prof, [iv]) == preimage_measure_2d(table.profile, [iv])
-    assert 0 < counts["fn"] <= 0.10 * counts["screen"]
+    fx, fy = table.profile.fx, table.profile.fy
+    log, runs_log = [], []
+    prof, runs_prof = Profile2D(fx, recording(fy, log)), Profile2D(fx, recording(fy, runs_log))
+    got = [preimage_measure_2d(prof, [iv]) for iv in TARGETS_CORNER]
+    monkeypatch.setattr(profiles, "invert_monotone", runs_invert_monotone)
+    assert got == [preimage_measure_2d(runs_prof, [iv]) for iv in TARGETS_CORNER]
+    check_guarded_calls(log, runs_log)
+    assert sum(pts.size for name, pts in log if name == "fn") <= 0.10 * sum(
+        pts.size for name, pts in runs_log if name == "screen")
