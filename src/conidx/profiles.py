@@ -228,8 +228,9 @@ class Profile1D:
     screen, if given, is a cheaper stand-in for fn on (0, 1) that stays well
     within invert_monotone's margin of it wherever it is finite, and that is
     monotone in fn's direction up to SCREEN_ETA: it never steps the wrong way
-    by more than that between two points.  The bisection decides on it away
-    from a root, and certifies from it which midpoints lie away from one.
+    by more than that between two points (checked on `_screen_table`'s grid,
+    with ValueError).  The bisection decides on it away from a root, and
+    certifies from it which midpoints lie away from one.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -271,11 +272,20 @@ class Profile1D:
         the profile decreases and made nondecreasing, so that roots can be
         looked up.  The grid has steps of 2**-10, and within 2**-10 of either
         end, where the profiles are least smooth, 256 points from 2**-50 to
-        2**-11 away from it in geometric steps."""
+        2**-11 away from it in geometric steps.  Raises ValueError where the
+        screen steps the wrong way by more than SCREEN_ETA on this grid."""
         ends = 0.5 ** np.linspace(11.0, 50.0, 256)
         x = np.concatenate([ends[::-1], np.linspace(0.0, 1.0, 1025)[1:-1], 1.0 - ends])
         u = np.asarray(self.screen(x), dtype=float)
-        return x, np.maximum.accumulate(-u if self.decreasing else u)
+        if self.decreasing:
+            u = -u
+        top = np.maximum.accumulate(u)
+        with np.errstate(invalid="ignore"):  # a non-finite screen value is not a step
+            wrong_way = np.max(top[:-1] - u[1:])
+        if wrong_way > SCREEN_ETA:
+            raise ValueError(f"profile {self.kind!r}: screen steps the wrong way by "
+                             f"{wrong_way:.3g} > SCREEN_ETA")
+        return x, top
 
     @classmethod
     def lagrange(cls) -> "Profile1D":
@@ -476,18 +486,12 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     margin = 10.0 * SERIES_TOL  # the screen decides a step only this far from y
     top = 1.0 - 1e-15  # every midpoint lies in (0, 1), and in [top * 2**-steps, top]
     reach = (top * 0.5**steps, top)
-    g_lo, g_hi, settled = 0.0, 1.0, ()
+    g_lo, g_hi = 0.0, 1.0
     if profile.screen is not None and size:
         g_lo, g_hi = _screen_guards(profile, y_arr, reach, margin)
-        # a guard at an end of reach sends every midpoint the same way
-        all_left, all_right = g_hi <= reach[0], g_lo >= reach[1]
-        settled = ((order[all_left], False), (order[all_right], True))
-        live = ~(all_left | all_right)
-        g_lo, g_hi, y_arr, order = g_lo[live], g_hi[live], y_arr[live], order[live]
-        del all_left, all_right, live
-    lo, hi = np.zeros(y_arr.size), np.full(y_arr.size, top)
-    mid = np.empty(y_arr.size)
-    go_right = np.empty(y_arr.size, dtype=bool)
+    lo, hi = np.zeros(size), np.full(size, top)
+    mid = np.empty(size)
+    go_right = np.empty(size, dtype=bool)
     for _ in range(steps):
         np.add(lo, hi, out=mid)
         mid *= 0.5
@@ -500,19 +504,7 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
         np.copyto(hi, mid, where=go_right)
     out = np.empty(size)
     out[order] = 0.5 * (lo + hi)
-    for where, rightward in settled:
-        out[where] = _edge_root(top, steps, rightward)
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
-
-
-def _edge_root(top: float, steps: int, go_right: bool) -> float:
-    """invert_monotone's answer for a root that goes right (or left) at
-    every level: the same arithmetic as its loop, on one bracket."""
-    lo, hi = 0.0, top
-    for _ in range(steps):
-        mid = (lo + hi) * 0.5
-        lo, hi = (mid, hi) if go_right else (lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def _normalize_intervals(intervals) -> np.ndarray:

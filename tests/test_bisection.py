@@ -11,6 +11,7 @@ looks at it.  The bisection certifies guards around each root from the screen
 and evaluates only the midpoints between them; `runs_invert_monotone` is the
 screened bisection before that, which evaluates the screen at every level.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,21 @@ def test_screen_never_steps_the_wrong_way_by_more_than_eta(s):
     screen = jump_profile(s).screen(SCREEN_GRID)
     lowest_so_far = np.minimum.accumulate(screen)
     assert np.max(screen[1:] - lowest_so_far[:-1]) <= SCREEN_ETA
+
+
+@pytest.mark.parametrize("bump", [5e-13, 5e-14])
+def test_screen_that_steps_the_wrong_way_is_rejected(bump):
+    """A screen within the margin of fn that rises by more than SCREEN_ETA
+    on the saturated run of Shepard s = 100 would give wrong guards:
+    invert_monotone refuses it, and keeps the series-only roots below."""
+    base = Profile1D.shepard(100.0)
+    prof = dataclasses.replace(base, screen=lambda x: base.screen(x) + bump * (x > 0.01))
+    y = np.linspace(-0.1, 1.1, 257)
+    if bump > SCREEN_ETA:
+        with pytest.raises(ValueError, match="wrong way"):
+            invert_monotone(prof, y)
+    else:
+        assert invert_monotone(prof, y).tobytes() == ref_invert_monotone(base, y).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
