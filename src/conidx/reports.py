@@ -8,13 +8,11 @@ a re-run produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import operator
 import os
 import tempfile
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -391,15 +389,6 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 KERNEL_REVISION = 3
 
 
-def _digest(arrays: dict[str, np.ndarray]) -> str:
-    """sha256 over the names and float64 bytes of a cache entry's arrays."""
-    h = hashlib.sha256()
-    for name, arr in arrays.items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-    return h.hexdigest()
-
-
 class SequenceCache:
     """Content-addressed store for computed operator windows.
 
@@ -407,7 +396,9 @@ class SequenceCache:
     size, the tool version and the kernel revision, so stale entries never
     match.  It holds the eval point as the harness places it on the jump
     cross (None at the jump itself), so specs that run the same window share
-    one entry.
+    one entry.  An entry is the sha256 of its rows (32 bytes), then the rows
+    as little-endian float64: the values of a 1-d window, or u then v of a
+    product window.
     """
 
     def __init__(self, directory: str | Path):
@@ -431,47 +422,51 @@ class SequenceCache:
         return hashlib.sha256(blob).hexdigest()[:24]
 
     def path_for(self, spec: ExperimentSpec) -> Path:
-        return self.dir / f"{self.key(spec)}.npz"
+        return self.dir / f"{self.key(spec)}.f64"
 
     def load(self, spec: ExperimentSpec) -> SeqWindow | None:
         """The cached window for spec, or None on a miss.
 
-        An entry that cannot be read, whose digest is missing or does not
-        match its arrays, or whose window does not have the spec's
-        dimension and size, counts as a miss; the caller then recomputes
-        the window and overwrites the entry.
+        An entry that cannot be read, whose length is not that of the
+        spec's rows, whose digest does not match its rows, or whose rows
+        are not finite counts as a miss; the caller then recomputes the
+        window and overwrites the entry.
         """
-        path = self.path_for(spec)
-        if not path.exists():
+        rows, size = (2 if spec.operator.endswith("2d") else 1), spec.window
+        try:
+            data = self.path_for(spec).read_bytes()
+        except OSError:
             return None
-        try:  # np.load leaves a file it opened itself open when the zip is corrupt
-            with open(path, "rb") as fh, np.load(fh) as data:
-                arrays = {name: data[name] for name in data.files if name != "digest"}
-                if str(data["digest"]) != _digest(arrays):
-                    return None
-                win = (SeqWindow.from_product(arrays["u"], arrays["v"]) if "u" in arrays
-                       else SeqWindow.from_values_1d(arrays["values"]))
-        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        body = memoryview(data)[32:]
+        if len(body) != 8 * rows * size or hashlib.sha256(body).digest() != data[:32]:
             return None
-        dim = 2 if spec.operator.endswith("2d") else 1
-        return win if (win.dim, win.n_max) == (dim, spec.window) else None
+        # a copy of each row, which owns its memory and is writable
+        arrays = [row.astype(float) for row in np.frombuffer(body, "<f8").reshape(rows, size)]
+        try:
+            return SeqWindow.from_product(*arrays) if rows == 2 else SeqWindow.from_values_1d(*arrays)
+        except ValueError:  # a row that is not finite
+            return None
 
     def store(self, spec: ExperimentSpec, win: SeqWindow) -> Path:
+        """Write win as spec's entry.  Its rows hold no op and no shape, so a
+        sum window, or one of another dimension or size, is a ValueError."""
         if win.op is not np.multiply:
             raise ValueError("the cache holds 1-d and product windows only")
-        arrays = (dict(zip("uv", win.factors)) if win.factors is not None
-                  else {"values": win.values})
-        buf = io.BytesIO()
-        np.savez(buf, digest=np.array(_digest(arrays)), **arrays)
+        if (win.dim, win.n_max) != (2 if spec.operator.endswith("2d") else 1, spec.window):
+            raise ValueError(f"a {win.dim}-d window of size {win.n_max} does not fit "
+                             f"{spec.operator} at window {spec.window}")
+        body = b"".join(np.asarray(row, dtype="<f8").tobytes()
+                        for row in (win.factors if win.dim == 2 else (win.values,)))
         path = self.path_for(spec)
         self.dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, [buf.getvalue()], "wb")
+        _atomic_write(path, [hashlib.sha256(body).digest(), body], "wb")
         return path
 
     def entries(self) -> list[Path]:
         if not self.dir.exists():
             return []
-        return sorted(self.dir.glob("*.npz"))
+        # *.npz entries are left by earlier versions: listed and cleared, never loaded
+        return sorted([*self.dir.glob("*.f64"), *self.dir.glob("*.npz")])
 
     def clear(self) -> int:
         n = 0

@@ -379,7 +379,7 @@ def test_index_recomputes_a_corrupt_cache_entry(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     code, first, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0
-    (entry,) = (tmp_path / "cache").glob("*.npz")
+    (entry,) = (tmp_path / "cache").glob("*.f64")
     entry.write_text("garbage")
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0 and out == first
@@ -402,12 +402,12 @@ def test_index_recomputes_a_tampered_cache_entry(tmp_path, capsys, cfg):
     reports = [tmp_path / "cold.json", tmp_path / "tampered.json"]
     code, _, _ = run_cli(capsys, "index", "--config", str(cfg_path), "--out", str(reports[0]))
     assert code == 0
-    (entry,) = (tmp_path / "cache").glob("*.npz")
-    with np.load(entry) as data:
-        arrays = {name: data[name] for name in data.files}
-    first = "u" if "u" in arrays else "values"
-    arrays[first] = arrays[first] + 0.01
-    np.savez(entry, **arrays)
+    (entry,) = (tmp_path / "cache").glob("*.f64")
+    # shift the first row (values, or u), which follows the 32-byte digest, by 0.01
+    data = bytearray(entry.read_bytes())
+    end = 32 + 8 * cfg["window"]
+    data[32:end] = (np.frombuffer(data[32:end], dtype="<f8") + 0.01).astype("<f8").tobytes()
+    entry.write_bytes(data)
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path), "--out", str(reports[1]))
     assert code == 0 and "window loaded from cache" not in out
     cold, tampered = (json.loads(path.read_text()) for path in reports)
@@ -415,6 +415,35 @@ def test_index_recomputes_a_tampered_cache_entry(tmp_path, capsys, cfg):
         assert tampered[key] == cold[key]
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 0 and "window loaded from cache" in out
+
+
+def test_cache_lists_and_clears_old_npz_entries_but_never_loads_them(tmp_path, capsys):
+    """An .npz entry left by an earlier version, under the key of the
+    config, is listed and cleared with the current entries; index does not
+    read it and writes its own entry beside it."""
+    cache_dir = tmp_path / "cache"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, "experiment": "lagrange1d",
+                                    "theta": {"rational": [1, 3]}, "window": 300,
+                                    "cache_dir": str(cache_dir)}))
+    spec = parse_config(cfg_path.read_text()).spec
+    cache = SequenceCache(cache_dir)
+    cache_dir.mkdir()
+    old = cache.path_for(spec).with_suffix(".npz")
+    np.savez(old, digest=np.array("0" * 64), values=np.zeros(spec.window))
+    code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(cache_dir))
+    assert code == 0 and out == f"{old.name}\n1 cached windows in {cache_dir}\n"
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0 and "window loaded from cache" not in out
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code == 0 and "window loaded from cache" in out
+    code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(cache_dir))
+    names = sorted([cache.path_for(spec).name, old.name])
+    assert code == 0 and out == "".join(f"{name}\n" for name in names) + (
+        f"2 cached windows in {cache_dir}\n")
+    code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(cache_dir))
+    assert code == 0 and out == f"removed 2 cached windows from {cache_dir}\n"
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 
@@ -12,7 +14,6 @@ from conidx.points import IRRATIONAL_VALUES
 from conidx.reports import (
     ConfigError,
     SequenceCache,
-    _digest,
     build_run_report,
     emit_csv,
     emit_report,
@@ -360,23 +361,32 @@ def test_parse_rejects_cross_check_in_univariate_configs():
     assert cfg.spec.cross_check
 
 
+def _raw_entry(*rows) -> bytes:
+    """A cache entry for rows: their sha256, then their little-endian float64 bytes."""
+    body = b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
+    return hashlib.sha256(body).digest() + body
+
+
 def test_cache_entry_whose_digest_does_not_match_is_a_miss(tmp_path):
-    """An entry is served only when its arrays match the digest stored with
-    them; a changed array or a missing digest is a miss."""
+    """An entry is served only when its rows match the digest stored before
+    them; a changed value or a missing digest is a miss."""
     spec = parse_config(make_config()).to_experiment_spec()
     cache = SequenceCache(tmp_path)
     values = np.linspace(0.0, 1.0, spec.window)
     path = cache.store(spec, SeqWindow.from_values_1d(values))
     np.testing.assert_array_equal(cache.load(spec).values, values)
-    with np.load(path) as data:
-        digest = data["digest"]
+    entry = path.read_bytes()
+    assert entry == _raw_entry(values)
+    digest, rows = entry[:32], entry[32:]
     changed = values.copy()
     changed[7] += 1e-12
-    np.savez(path, digest=digest, values=changed)
+    path.write_bytes(digest + changed.astype("<f8").tobytes())
     assert cache.load(spec) is None
-    np.savez(path, values=values)
+    path.write_bytes(rows)
     assert cache.load(spec) is None
-    np.savez(path, digest=digest, values=values)
+    path.write_bytes(bytes(32) + rows)
+    assert cache.load(spec) is None
+    path.write_bytes(entry)
     assert cache.load(spec) is not None
 
 
@@ -390,19 +400,90 @@ def test_cache_unreadable_entry_is_a_miss(tmp_path, content):
 
 
 def test_cache_entry_of_the_wrong_shape_is_a_miss(tmp_path):
+    """An entry's length must be that of the spec's rows; a valid digest
+    over rows of another length or count is a miss."""
     spec = parse_config(make_config()).to_experiment_spec()
     cache = SequenceCache(tmp_path)
-    cache.store(spec, SeqWindow.from_values_1d(np.zeros(spec.window - 1)))
-    assert cache.load(spec) is None
-    cache.store(spec, SeqWindow.from_product(np.zeros(spec.window), np.zeros(spec.window)))
-    assert cache.load(spec) is None
-    np.savez(cache.path_for(spec), other=np.zeros(3))
-    assert cache.load(spec) is None
-    cache.store(spec, SeqWindow.from_values_1d(np.zeros(spec.window)))
+    cache.dir.mkdir(exist_ok=True)
+    path = cache.path_for(spec)
+    for rows in ([np.zeros(spec.window - 1)], [np.zeros(spec.window + 1)],
+                 [np.zeros(spec.window)] * 2, [np.zeros(3)]):
+        path.write_bytes(_raw_entry(*rows))
+        assert cache.load(spec) is None
+    path.write_bytes(_raw_entry(np.zeros(spec.window)))
     assert cache.load(spec) is not None
-    # store writes product windows only, so a full matrix is never served
+    # the cache holds product windows only, so a full matrix is never served
     spec_2d = parse_config(make_config(experiment="lagrange2d",
                                        gamma={"rational": [1, 2]})).to_experiment_spec()
-    matrix = {"values": np.zeros((spec_2d.window, spec_2d.window))}
-    np.savez(cache.path_for(spec_2d), digest=np.array(_digest(matrix)), **matrix)
+    cache.path_for(spec_2d).write_bytes(_raw_entry(np.zeros((spec_2d.window, spec_2d.window))))
     assert cache.load(spec_2d) is None
+
+
+def test_cache_store_rejects_a_window_that_does_not_fit_the_spec(tmp_path):
+    """Rows carry no shape: a 1-d window of 2W values stored under a 2-d key
+    would load as a product window.  So store refuses any window whose
+    dimension or size differs from the spec's."""
+    spec = parse_config(make_config()).to_experiment_spec()
+    spec_2d = parse_config(make_config(experiment="lagrange2d", gamma={"rational": [1, 2]},
+                                       window=50)).to_experiment_spec()
+    cache = SequenceCache(tmp_path)
+    size, size_2d = spec.window, spec_2d.window
+    for target, win in [
+            (spec_2d, SeqWindow.from_values_1d(np.zeros(2 * size_2d))),
+            (spec_2d, SeqWindow.from_product(np.zeros(size_2d + 1), np.zeros(size_2d + 1))),
+            (spec, SeqWindow.from_product(np.zeros(size), np.zeros(size))),
+            (spec, SeqWindow.from_values_1d(np.zeros(size - 1)))]:
+        with pytest.raises(ValueError, match="does not fit"):
+            cache.store(target, win)
+    assert cache.entries() == []
+
+
+_SMALL_SPECS = [
+    parse_config(make_config(window=5)).spec,
+    parse_config(make_config(experiment="lagrange2d", gamma={"rational": [1, 2]},
+                             window=4)).spec,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(_SMALL_SPECS),
+       kind=st.sampled_from(["bytes", "truncated", "flipped", "npz", "non-finite"]))
+def test_cache_entry_property(tmp_path_factory, data, spec, kind):
+    """A valid entry loads bit for bit into writable arrays of its own.
+    Arbitrary bytes, a truncated entry, an entry with one byte flipped, an
+    old np.savez archive and non-finite rows under a valid digest all load
+    as None and never raise."""
+    cache = SequenceCache(tmp_path_factory.mktemp("cache"))
+    rows = 2 if spec.operator.endswith("2d") else 1
+    finite = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=spec.window, max_size=spec.window)
+    arrays = [np.array(data.draw(finite)) for _ in range(rows)]
+    win = SeqWindow.from_product(*arrays) if rows == 2 else SeqWindow.from_values_1d(*arrays)
+    path = cache.store(spec, win)
+    entry = path.read_bytes()
+    assert entry == _raw_entry(*arrays)
+    loaded = cache.load(spec)
+    for got, want in zip(loaded.factors if rows == 2 else (loaded.values,), arrays):
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable and got.flags.owndata
+    if kind == "bytes":
+        bad = data.draw(st.one_of(st.binary(max_size=2 * len(entry)),
+                                  st.binary(min_size=len(entry), max_size=len(entry)))
+                        .filter(lambda b: b != entry))
+    elif kind == "truncated":
+        bad = entry[:data.draw(st.integers(0, len(entry) - 1))]
+    elif kind == "flipped":
+        at = data.draw(st.integers(0, len(entry) - 1))
+        bad = entry[:at] + bytes([entry[at] ^ data.draw(st.integers(1, 255))]) + entry[at + 1:]
+    elif kind == "npz":
+        buf = io.BytesIO()
+        named = dict(zip("uv", arrays)) if rows == 2 else {"values": arrays[0]}
+        np.savez(buf, digest=np.array(hashlib.sha256(entry[32:]).hexdigest()), **named)
+        bad = buf.getvalue()
+    else:
+        spoiled = np.concatenate(arrays)
+        spoiled[data.draw(st.integers(0, spoiled.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        bad = _raw_entry(spoiled)
+    path.write_bytes(bad)
+    assert cache.load(spec) is None
