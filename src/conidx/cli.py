@@ -219,7 +219,8 @@ def cmd_cache(args) -> int:
             print(path.name)
         print(f"{len(entries)} cached windows in {cache.dir}")
         return EXIT_PASS
-    removed = cache.clear()
+    with _writing(cache.dir):
+        removed = cache.clear()
     print(f"removed {removed} cached windows from {cache.dir}")
     return EXIT_PASS
 

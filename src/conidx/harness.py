@@ -493,6 +493,8 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
     if spec.spec_y is not None:
         raise ValueError("witnesses are defined for univariate experiments")
     fam, q = _family(spec), point.q
+    if not 0 <= m < q:
+        raise ValueError("residue m must lie in 0..q-1")
     indices = range(fam.first_index(point.p, q, m), spec.window + 1, q)
     if not indices:
         raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")

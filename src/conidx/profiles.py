@@ -11,9 +11,8 @@ and the Hurwitz zeta function, which yields the Shepard jump profile
 
 Both are continuous, strictly decreasing bijections of [0, 1) onto (0, 1],
 which is what makes preimage measures of intervals computable by bisection.
-The series evaluators below decide every bisection step; short
-Euler-Maclaurin kernels for psi and zeta screen the steps far from a root,
-and certify the many steps that need no value at all.
+Short Euler-Maclaurin kernels for psi and zeta place guards around each
+root; the series evaluators decide every bisection step between them.
 """
 from __future__ import annotations
 
@@ -118,8 +117,8 @@ def hurwitz_zeta(s: float, a):
 
 # Euler-Maclaurin kernels (Johansson, arXiv:1309.2877): shift the argument up
 # by _EM_SHIFT steps of the recurrence, then apply the asymptotic expansion
-# with the Bernoulli numbers B_2, B_4, ..., B_20.  They screen bisection
-# steps only; the series above stay the evaluators.
+# with the Bernoulli numbers B_2, B_4, ..., B_20.  They place the bisection's
+# guards only; the series above stay the evaluators.
 _EM_SHIFT = 12
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
               43867 / 798, -174611 / 330)
@@ -201,11 +200,6 @@ def _shepard_ratio(s: float, t: np.ndarray,
     return vals
 
 
-def _shepard_screen(s: float, t: np.ndarray) -> np.ndarray:
-    """The Shepard profile on (0, 1) through the Euler-Maclaurin zeta."""
-    return _shepard_ratio(s, t, _zeta)
-
-
 def shepard_jump_profile(s: float, t):
     """zeta(s,t) / (zeta(s,t) + zeta(s,1-t)) on (0,1), extended by 1 at t = 0."""
     t_arr = np.asarray(t, dtype=float)
@@ -226,11 +220,10 @@ class Profile1D:
     value_at_0 and limit_at_1 are the endpoint values in the monotone
     direction; monotonicity is verified on a fixed grid at construction.
     screen, if given, is a cheaper stand-in for fn on (0, 1) that stays well
-    within invert_monotone's margin of it wherever it is finite, and that is
-    monotone in fn's direction up to SCREEN_ETA: it never steps the wrong way
-    by more than that between two points (checked on `_screen_table`'s grid,
-    with ValueError).  The bisection decides on it away from a root, and
-    certifies from it which midpoints lie away from one.
+    within invert_monotone's margin of it wherever it is finite, and that
+    never steps against fn's direction by more than SCREEN_ETA (checked on
+    `_screen_table`'s grid, with ValueError).  The bisection places its
+    guards with it and never decides a step on it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -299,22 +292,13 @@ class Profile1D:
             kind=f"shepard(s={s:g})",
             value_at_0=1.0,
             limit_at_1=0.0,
-            screen=lambda x: _shepard_screen(s, x),
+            screen=lambda x: _shepard_ratio(s, x, _zeta),
         )
 
     @classmethod
     def identity(cls) -> "Profile1D":
         return cls(fn=lambda x: np.asarray(x, dtype=float), kind="identity",
                    value_at_0=0.0, limit_at_1=1.0)
-
-
-def _runs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, slot) for points whose equal values are adjacent: first[i]
-    holds where a run of equal points starts, slot[i] the index of i's run."""
-    first = np.empty(points.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(points[1:], points[:-1], out=first[1:])
-    return first, np.cumsum(first) - 1
 
 
 def _chord(x0, u0, x1, u1, t, lo, hi):
@@ -360,36 +344,30 @@ def _screen_guards(profile: Profile1D, y: np.ndarray, reach: tuple[float, float]
 
 def _guard_block(profile: Profile1D, y: np.ndarray, reach: tuple[float, float],
                  margin: float):
-    """Guards (g_lo, g_hi) of the screen's root for every target in y.
+    """Guards (g_lo, g_hi) of the root of profile = y for every target in y.
 
     A guard holds when the screen there clears y by more than margin +
-    SCREEN_ETA, on its own side: on the side of value_at_0 at g_lo, of
-    limit_at_1 at g_hi.  The screen steps the wrong way by at most
-    SCREEN_ETA, so it then clears y by more than the margin at every point
-    up to g_lo and from g_hi on.  There the screened bisection would decide
-    on the screen alone, and the root lies right of a midpoint at or below
-    g_lo and left of one at or above g_hi.  A guard that does not hold is 0
-    (g_lo) or 1 (g_hi), which no midpoint reaches.
+    SCREEN_ETA on its own side (value_at_0's at g_lo, limit_at_1's at g_hi).
+    The screen steps the wrong way by at most SCREEN_ETA, so it then clears
+    y by more than the margin at every point up to g_lo and from g_hi on,
+    and fn, within the margin of it, lies on the same side of y: the root is
+    right of g_lo and left of g_hi.  A guard that does not hold is 0 (g_lo)
+    or 1 (g_hi), which no midpoint reaches.
 
-    The root comes from the profile's screen table and one chord step on
-    the screen.  The guards sit a little more than the margin's width in x
-    from it, within reach, the span of the bisection's midpoints, and move
-    out twice if they fail.  A root beyond the table is beyond reach too (at
-    any tol above 1e-15); its one guard sits at that end of reach and, if it
-    holds, decides every level.
+    The screen's root comes from the profile's screen table and one chord
+    step on the screen.  The guards sit a little more than the margin's
+    width in x from it, within reach, the span of the bisection's midpoints,
+    and move out twice if they fail.  A root beyond the table is beyond
+    reach too (at any tol above 1e-15); its one guard sits at that end of
+    reach.
     """
     x_tab, u_tab = profile._screen_table
     sign = -1.0 if profile.decreasing else 1.0
     t = sign * y  # roots of u = t, with u = sign * screen increasing
     clear = margin + SCREEN_ETA
 
-    def u(x):  # once per distinct point
-        order = np.argsort(x, kind="stable")
-        first, slot = _runs(x[order])
-        distinct = x[order[first]]
-        out = np.empty(x.size)
-        out[order] = np.asarray(profile.screen(distinct), dtype=float)[slot]
-        return sign * out
+    def u(x):
+        return sign * np.asarray(profile.screen(x), dtype=float)
 
     cell = np.searchsorted(u_tab, t, side="right") - 1  # NaN sorts past the end
     left, right = cell < 0, cell >= x_tab.size - 1
@@ -421,74 +399,30 @@ def _guard_block(profile: Profile1D, y: np.ndarray, reach: tuple[float, float],
     return g_lo, g_hi
 
 
-def _goes_right(profile: Profile1D, mid: np.ndarray, ask: np.ndarray, y: np.ndarray,
-                margin: float):
-    """Whether the root of profile = y lies right of mid, where ask holds,
-    for midpoints in which equal values are adjacent; the profile is
-    evaluated once per run.
-
-    With a screen the step is decided on the screen value unless it lies
-    within the margin of y or is not finite; only those steps evaluate fn.
-    """
-    screen, fn = profile.screen, profile.fn
-    # the profile calls peak in memory, so arrays are dropped once unused
-    at = mid[ask]
-    first, slot = _runs(at)
-    distinct = at[first]
-    del at, first
-    vals = np.asarray((screen or fn)(distinct), dtype=float)
-    at_mid = vals[slot]
-    y = y[ask]
-    if screen is not None:
-        unsure = ~(np.isfinite(at_mid) & (np.abs(at_mid - y) > margin))
-        if unsure.any():
-            need = np.zeros(vals.shape, dtype=bool)
-            need[slot[unsure]] = True
-            distinct = distinct[need]
-            vals[need] = fn(distinct)
-            at_mid[unsure] = vals[slot[unsure]]
-    # profile(mid) > y sends a root right (< y if increasing): the same test
-    # as profile(mid) - y > 0, since a difference rounds to 0 only when equal
-    return (np.greater if profile.decreasing else np.less)(at_mid, y)
-
-
 def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     """Solve profile(x) = y on [0, 1) by bisection, vectorized over y.
 
     Values outside the profile range clamp to the matching endpoint, so
-    interval preimages come out right without special-casing.  The targets
-    are sorted once per call, and each level evaluates the profile once per
-    run of equal bracket midpoints in y order: nearby roots share their
-    first levels, and every out-of-range y follows one clamped path.  Points
-    in one bracket split at some y (those below it go one way, the rest the
-    other), and the halves of a bracket do not overlap, so in y order the
-    midpoints of a level are monotone and equal ones are adjacent; were they
-    not, a midpoint would only be evaluated more than once.  The profiles
-    compute element by element, so a value does not depend on which other
-    points share the call.
-
-    With a screen, each step is decided on the screen value unless it lies
-    within the margin of y or is not finite; only those steps evaluate fn,
-    once per run that holds one.  A screen that stays within the margin of
-    fn takes every step the same way fn would, so the roots keep their bits.
-    Most steps need no value at all: `_screen_guards` certifies an interval
-    (g_lo, g_hi) around each root, outside of which the screen is at least
-    the margin away from y because it is monotone up to SCREEN_ETA.  A
-    midpoint at or below g_lo goes right, one at or above g_hi goes left,
-    exactly as the screen would send it, and only the midpoints in between
-    are evaluated.
+    interval preimages come out right without special-casing.  With a
+    screen, `_screen_guards` certifies guards g_lo < root < g_hi for each
+    target: a midpoint at or below g_lo goes right and one at or above g_hi
+    goes left, as fn would send it.  fn decides every other step, so the
+    roots are those of the bisection on fn alone.  The profiles compute
+    element by element, so a value does not depend on which other points
+    share the call.
     """
-    y_in = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
-    order = np.argsort(y_in, kind="stable")
-    y_arr = y_in[order]
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     size = y_arr.size
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
-    margin = 10.0 * SERIES_TOL  # the screen decides a step only this far from y
+    margin = 10.0 * SERIES_TOL  # the screen certifies a guard only this far from y
     top = 1.0 - 1e-15  # every midpoint lies in (0, 1), and in [top * 2**-steps, top]
     reach = (top * 0.5**steps, top)
     g_lo, g_hi = 0.0, 1.0
     if profile.screen is not None and size:
         g_lo, g_hi = _screen_guards(profile, y_arr, reach, margin)
+    # profile(mid) > y sends a root right (< y if increasing): the same test
+    # as profile(mid) - y > 0, since a difference rounds to 0 only when equal
+    right = np.greater if profile.decreasing else np.less
     lo, hi = np.zeros(size), np.full(size, top)
     mid = np.empty(size)
     go_right = np.empty(size, dtype=bool)
@@ -498,12 +432,11 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
         np.less_equal(mid, g_lo, out=go_right)
         ask = (mid > g_lo) & (mid < g_hi)
         if ask.any():
-            go_right[ask] = _goes_right(profile, mid, ask, y_arr, margin)
+            go_right[ask] = right(profile.fn(mid[ask]), y_arr[ask])
         np.copyto(lo, mid, where=go_right)
         np.logical_not(go_right, out=go_right)
         np.copyto(hi, mid, where=go_right)
-    out = np.empty(size)
-    out[order] = 0.5 * (lo + hi)
+    out = 0.5 * (lo + hi)
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 
@@ -550,9 +483,6 @@ class Profile2D:
     fx: Profile1D
     fy: Profile1D
     _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def value(self, x, y):
-        return np.asarray(self.fx(x)) * np.asarray(self.fy(y))
 
     def slice_values(self, slices: int) -> np.ndarray:
         """fx at the midpoints (i + 1/2)/slices of a uniform grid, read-only."""

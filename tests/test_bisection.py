@@ -5,11 +5,12 @@ that build the whole (points x terms) table at once, a bisection that
 evaluates the profile at every bracket midpoint, and preimage measures that
 bisect each interval end on its own.  The fast paths must give the same IEEE
 doubles, so arrays are compared with `.tobytes()` and measures with `==`.
-The Lagrange and Shepard profiles also carry an Euler-Maclaurin screen that
-decides the bisection steps far from a root; the reference bisection never
-looks at it.  The bisection certifies guards around each root from the screen
-and evaluates only the midpoints between them; `runs_invert_monotone` is the
-screened bisection before that, which evaluates the screen at every level.
+The Lagrange and Shepard profiles also carry an Euler-Maclaurin screen; the
+reference bisection never looks at it.  The bisection certifies guards around
+each root from the screen, sends the midpoints outside them the way the
+series would, and evaluates the series at every midpoint between them;
+`runs_invert_monotone` is an older screened bisection, which decides steps on
+the screen at every level and asks the series only within the margin of y.
 """
 import dataclasses
 import math
@@ -397,36 +398,55 @@ def corner_traffic(fac):
     return np.concatenate([ys, ys[::97], [np.inf, -np.inf, np.inf]])
 
 
-def check_guarded_calls(log, runs_log, screen_share=0.40):
-    """The calls of the guarded bisection against those of the unguarded
-    one: the same series calls at the same midpoints, at most screen_share
-    of its screen points, and no point twice in any call."""
-    series = [pts for name, pts in log if name == "fn"]
-    runs_series = [pts for name, pts in runs_log if name == "fn"]
-    assert series and len(series) == len(runs_series)
-    assert all(same_bits(a, b) for a, b in zip(series, runs_series))
-    screen = sum(pts.size for name, pts in log if name == "screen")
-    assert 0 < screen <= screen_share * sum(pts.size for name, pts in runs_log
-                                            if name == "screen")
-    for _, pts in log:
-        assert np.unique(pts).size == pts.size
+def bisection_midpoints(roots):
+    """Every level's bracket midpoints of the bisection that ends at roots: a
+    step goes right exactly when the root lies right of its midpoint."""
+    lo, hi = np.zeros(roots.size), np.full(roots.size, 1.0 - 1e-15)
+    levels = []
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        right = roots > mid
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    assert same_bits(0.5 * (lo + hi), roots)
+    return levels
+
+
+def check_series_between_guards(calls, profile, ys, roots):
+    """The calls of one invert_monotone(profile, ys) that returned roots: the
+    screen only before the level loop, for its table and the guard search
+    (at most 1 + 7 calls per _GUARD_BLOCK targets), then the series once per
+    level at each target's midpoints strictly between its guards, in target
+    order, and at no other point."""
+    g_lo, g_hi = 0.0, 1.0
+    if profile.screen is not None:
+        top = 1.0 - 1e-15
+        g_lo, g_hi = profiles._screen_guards(profile, ys, (top * 0.5**BISECT_STEPS, top),
+                                             MARGIN)
+    want = [mid[(mid > g_lo) & (mid < g_hi)] for mid in bisection_midpoints(roots)]
+    names = [name for name, _ in calls]
+    assert "screen" not in names[names.index("fn"):]
+    assert names.count("screen") <= 1 + 7 * -(-ys.size // profiles._GUARD_BLOCK)
+    series = [pts for name, pts in calls if name == "fn"]
+    want = [pts for pts in want if pts.size]
+    assert len(series) == len(want)
+    assert all(same_bits(got, pts) for got, pts in zip(series, want))
 
 
 @pytest.mark.parametrize("s", [None, 2.0], ids=["lagrange", "shepard2"])
-def test_corner_traffic_bisects_in_runs_bit_identical(s):
+def test_corner_traffic_bit_identical_with_series_between_guards(s):
     """Clamped runs (y > 1 where the factor is below 0.45), exact duplicates
     away from their first copies and both infinities: the roots keep their
-    bits, the series sees the midpoints the unguarded bisection gives it,
-    the screen at most 40% of its points, and no call a point twice."""
+    bits, the screen only places the guards, and the series decides every
+    midpoint between them."""
     fac = jump_profile(s)
     ys = corner_traffic(fac)
     assert np.sum(ys > 1.0) > 1000 and np.unique(ys).size < ys.size
-    log, runs_log = [], []
+    log = []
     got = invert_monotone(recording(fac, log), ys)
     assert same_bits(got, ref_invert_monotone(fac, ys))
-    assert same_bits(got, runs_invert_monotone(recording(fac, runs_log), ys))
-    assert sum(name == "screen" for name, _ in runs_log) == BISECT_STEPS
-    check_guarded_calls(log, runs_log)
+    assert same_bits(got, runs_invert_monotone(fac, ys))
+    check_series_between_guards(log, fac, ys, got)
 
 
 # ---------------------------------------------------------------------------
@@ -493,49 +513,65 @@ def test_preimage_measure_1d_bit_identical(name, ref_kernels):
 # regression guard: how many midpoints the bisection evaluates
 
 
-def test_corner_bisection_evaluates_distinct_midpoints_only():
-    """The inv_sqrt2 x golden_frac Lagrange corner at the benchmark targets.
+def corner_factors(operator):
+    """(fx, fy) of the inv_sqrt2 x golden_frac corner's product profile."""
+    profile = build_table(ExperimentSpec(operator=operator,
+                                         spec_x=PointSpec.irrational("inv_sqrt2"),
+                                         spec_y=PointSpec.irrational("golden_frac"))).profile
+    return profile.fx, profile.fy
 
-    The old loop evaluated 36 levels x 4096 slices per interval end; sharing
-    midpoints evaluates 37-40% of that.
-    """
-    table = build_table(ExperimentSpec(operator="lagrange2d",
-                                       spec_x=PointSpec.irrational("inv_sqrt2"),
-                                       spec_y=PointSpec.irrational("golden_frac")))
-    fy = table.profile.fy
-    calls = []
 
-    def counted(x):
-        calls.append(np.array(x, dtype=float))
-        return fy.fn(x)
+def trace_inversions(monkeypatch, log):
+    """A list that gets (targets, roots, calls) for each invert_monotone call
+    from here on; calls are the entries it added to log."""
+    inversions, invert = [], profiles.invert_monotone
 
-    prof = Profile2D(table.profile.fx, Profile1D(
-        fn=counted, kind=fy.kind, value_at_0=fy.value_at_0, limit_at_1=fy.limit_at_1))
-    calls.clear()  # the monotonicity check at construction
+    def traced(profile, y, tol=BISECT_TOL):
+        start = len(log)
+        roots = invert(profile, y, tol)
+        inversions.append((np.ravel(y), np.ravel(roots), log[start:]))
+        return roots
+
+    monkeypatch.setattr(profiles, "invert_monotone", traced)
+    return inversions
+
+
+def test_corner_bisection_without_a_screen_evaluates_every_midpoint(monkeypatch):
+    """The Lagrange corner at the benchmark targets with the screen dropped:
+    the measures of the reference bisection, and the series at every
+    midpoint of every level, as that bisection evaluates it."""
+    fx, fy = corner_factors("lagrange2d")
+    bare, log = dataclasses.replace(fy, screen=None), []
+    prof = Profile2D(fx, recording(bare, log))
+    inversions = trace_inversions(monkeypatch, log)
     for iv in TARGETS_CORNER:
-        assert preimage_measure_2d(prof, [iv]) == preimage_measure_2d(table.profile, [iv])
-    assert len(calls) == len(TARGETS_CORNER) * BISECT_STEPS
-    for level in calls:
-        assert np.unique(level).size == level.size
-    old_points = len(TARGETS_CORNER) * 2 * BISECT_STEPS * 4096
-    assert sum(level.size for level in calls) <= 0.45 * old_points
+        assert preimage_measure_2d(prof, [iv]) == ref_preimage_measure_2d(
+            Profile2D(fx, bare), [iv])
+    assert len(inversions) == len(TARGETS_CORNER)
+    for ys, roots, calls in inversions:
+        assert [(name, pts.size) for name, pts in calls] == [("fn", ys.size)] * BISECT_STEPS
+        check_series_between_guards(calls, bare, ys, roots)
+
+
+# series points of the three benchmark targets at each corner: measured at
+# 25,460 (Lagrange) and 20,207 (Shepard s = 2), and rounded up
+CORNER_SERIES_POINTS = {"lagrange2d": 26_000, "shepard2d": 21_000}
 
 
 @pytest.mark.parametrize("operator", ["lagrange2d", "shepard2d"])
 def test_corner_bisection_evaluates_the_series_only_near_a_root(operator, monkeypatch):
     """The inv_sqrt2 x golden_frac corner at the benchmark targets, against
-    the unguarded bisection: the same measures, the series at the same
-    midpoints (at most a tenth as many as that bisection's screen points),
-    the screen at under 40% of its points, and no call a point twice."""
-    table = build_table(ExperimentSpec(operator=operator,
-                                       spec_x=PointSpec.irrational("inv_sqrt2"),
-                                       spec_y=PointSpec.irrational("golden_frac")))
-    fx, fy = table.profile.fx, table.profile.fy
-    log, runs_log = [], []
-    prof, runs_prof = Profile2D(fx, recording(fy, log)), Profile2D(fx, recording(fy, runs_log))
+    the unguarded screened bisection: the same measures, the screen only for
+    the table and the guard search, the series at every midpoint between the
+    guards and at no other, and no more series points than measured."""
+    fx, fy = corner_factors(operator)
+    log = []
+    prof = Profile2D(fx, recording(fy, log))
+    inversions = trace_inversions(monkeypatch, log)
     got = [preimage_measure_2d(prof, [iv]) for iv in TARGETS_CORNER]
     monkeypatch.setattr(profiles, "invert_monotone", runs_invert_monotone)
-    assert got == [preimage_measure_2d(runs_prof, [iv]) for iv in TARGETS_CORNER]
-    check_guarded_calls(log, runs_log)
-    assert sum(pts.size for name, pts in log if name == "fn") <= 0.10 * sum(
-        pts.size for name, pts in runs_log if name == "screen")
+    assert got == [preimage_measure_2d(Profile2D(fx, fy), [iv]) for iv in TARGETS_CORNER]
+    assert len(inversions) == len(TARGETS_CORNER)
+    for ys, roots, calls in inversions:
+        check_series_between_guards(calls, fy, ys, roots)
+    assert sum(pts.size for name, pts in log if name == "fn") <= CORNER_SERIES_POINTS[operator]

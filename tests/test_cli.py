@@ -446,6 +446,16 @@ def test_cache_lists_and_clears_old_npz_entries_but_never_loads_them(tmp_path, c
     assert list(cache_dir.iterdir()) == []
 
 
+def test_cache_clear_that_cannot_remove_an_entry_is_usage_error(tmp_path, capsys):
+    """An entry that cannot be unlinked (here a directory named like one)
+    exits 2 with one error line, not a traceback."""
+    (tmp_path / "bad.f64").mkdir()
+    code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    assert (tmp_path / "bad.f64").is_dir()
+
+
 def test_verify_out_write_failure_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -549,6 +559,28 @@ def test_verify_all_suites(tmp_path, capsys):
     budgets = {c["name"]: c["budget_s"] for c in checks}
     assert budgets["cos-product indices (N=2000, eps=0.1)"] == 1.0
     assert budgets["shepard corner s=1 at (1/2,1/2) (N=1000/axis)"] is None
+
+
+def test_verify_suites_make_the_span_counts_the_benchmark_pins(monkeypatch):
+    """One pass of all four suites under the benchmark's tracer gives every
+    span count that its verify workload expects (a traced run reports the
+    outputs incorrect otherwise)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import conidx.cli  # noqa: F401  (the tracer wraps names in loaded modules only)
+    import conidx.reports  # noqa: F401
+    import spans
+    import workloads
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        suites.run_suites()
+        tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    want = workloads.Verify(0, {}).expected_spans()
+    assert {key: tracer.passes[0].get(key, 0) for key in want} == want
 
 
 def test_check_fails_at_its_runtime_budget():

@@ -488,6 +488,22 @@ def test_shepard_witnesses():
         assert wit.density_estimate >= 1.0 / 3.0 - 0.02
 
 
+@pytest.mark.parametrize("operator, s", [("lagrange1d", 2.0), ("shepard1d", 1.0),
+                                         ("shepard1d", 2.0)])
+@pytest.mark.parametrize("m", [3, -1])
+def test_witness_residue_outside_0_to_q_minus_1_is_rejected(operator, s, m, monkeypatch):
+    """m = q and m = -1 at 1/3 raise before any window is built; at s = 1
+    the Shepard arm m = 3 used to read as the node arm."""
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(lg, "jump_sequence", no_window)
+    monkeypatch.setattr(sh, "step_sequence", no_window)
+    spec = ExperimentSpec(operator=operator, spec_x=THIRD, s=s, window=2000)
+    with pytest.raises(ValueError, match=r"^residue m must lie in 0\.\.q-1$"):
+        cluster_witness(spec, m)
+
+
 def test_witness_requires_rational():
     spec = ExperimentSpec(operator="lagrange1d", spec_x=IRR, window=100)
     with pytest.raises(ValueError):
