@@ -167,35 +167,54 @@ def offset_subsequence(p: int, q: int, m: int) -> Iterator[int]:
         n += 1
 
 
-def _correction_term(theta0: float, n: int, k0: int, m: np.ndarray,
-                     sigma_m: np.ndarray) -> np.ndarray:
-    """g_{t0}(t[k0-m]) = sin t0 / (cos t[k0-m] - cos t0) - (n-1)/(pi (sigma+m)),
-    given sigma_m = sigma + m.
+def _correction_terms(theta0: float, n: int, k0: int, pi_sigma_m: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """g_{t0}(t[k0-m]) = sin t0 / (cos t[k0-m] - cos t0) - (n-1)/(pi (sigma+m))
+    for m = 0..k0-1 into out, given pi_sigma_m = pi (sigma + m), which
+    becomes (n-1)/(pi (sigma+m)).
 
     cos t - cos t0 is expanded as a product of sines, with the half-gap
     (t0 - t)/2 = pi (sigma+m) / (2(n-1)) formed without subtraction; the
-    direct difference cancels catastrophically when the node is close.
+    direct difference cancels catastrophically when the node is close.  The
+    node angles t[k0-m] = (k0-m-1) pi/(n-1) take their exact integers from
+    the ramp read backwards.
     """
-    t_node = (k0 - m - 1) * math.pi / (n - 1)
-    half_gap = math.pi * sigma_m / (2.0 * (n - 1))
-    denom = 2.0 * np.sin((theta0 + t_node) / 2.0) * np.sin(half_gap)
-    return math.sin(theta0) / denom - (n - 1) / (math.pi * sigma_m)
+    t_node = np.multiply(_ramp(k0)[::-1], math.pi, out=out)
+    t_node /= n - 1
+    t_node += theta0
+    t_node /= 2.0
+    denom = np.sin(t_node, out=t_node)
+    denom *= 2.0
+    half_gap = np.divide(pi_sigma_m, 2.0 * (n - 1))
+    denom *= np.sin(half_gap, out=half_gap)
+    g = np.divide(math.sin(theta0), denom, out=denom)
+    g -= np.divide(n - 1, pi_sigma_m, out=pi_sigma_m)
+    return g
 
 
-# +1, -1, +1, ...: the signs of the rewrite's sums are slices of it.  It is
-# read-only and only ever replaced by a longer copy, so a slice keeps its values.
-_ALTERNATING = np.empty(0)
+def _cached(k: int, cache: list, make) -> np.ndarray:
+    """The first k entries of the read-only vector cache[0], replaced by
+    make(2k) when it is shorter; a slice taken earlier keeps its values."""
+    if cache[0].size < k:
+        vec = make(2 * k)
+        vec.flags.writeable = False
+        cache[0] = vec
+    return cache[0][:k]
+
+
+# +1, -1, +1, ...: the signs of the rewrite's sums, and 0, 1, 2, ...: its
+# offsets m and node numbers
+_ALTERNATING, _RAMP = [np.empty(0)], [np.empty(0)]
 
 
 def _alternating(k: int) -> np.ndarray:
     """The first k entries of +1, -1, +1, ..., read-only."""
-    global _ALTERNATING
-    alt = _ALTERNATING
-    if alt.size < k:
-        alt = np.resize([1.0, -1.0], 2 * k)
-        alt.flags.writeable = False
-        _ALTERNATING = alt
-    return alt[:k]
+    return _cached(k, _ALTERNATING, lambda size: np.resize([1.0, -1.0], size))
+
+
+def _ramp(k: int) -> np.ndarray:
+    """The first k entries of 0.0, 1.0, 2.0, ..., read-only."""
+    return _cached(k, _RAMP, lambda size: np.arange(size, dtype=float))
 
 
 def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
@@ -221,12 +240,14 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
         * math.sin(theta0)
         / (2.0 * (n - 1) * (math.cos(theta0) - 1.0))
     )
-    m = np.arange(k0, dtype=float)
-    sigma_m = sigma + m
+    sigma_m = np.add(_ramp(k0), sigma)
+    pi_sigma_m = np.multiply(sigma_m, math.pi)
     alt = _alternating(k0)
-    series = sin_pi_sigma / math.pi * float((alt / sigma_m).sum())
-    corr = sin_pi_sigma / (n - 1) * float(
-        (alt * _correction_term(theta0, n, k0, m, sigma_m)).sum())
+    terms = np.divide(alt, sigma_m, out=sigma_m)
+    series = sin_pi_sigma / math.pi * float(terms.sum())
+    terms = _correction_terms(theta0, n, k0, pi_sigma_m, out=terms)
+    terms *= alt
+    corr = sin_pi_sigma / (n - 1) * float(terms.sum())
     return boundary + series + corr
 
 

@@ -18,6 +18,9 @@ from .points import PointSpec
 from .stepfn import StepFn1D, StepFn2D, tensor_value
 
 NODE_PROXIMITY = 1e-13
+# The most doubles a block of window rows holds (256 kB), unless one row
+# alone is longer
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,17 +77,15 @@ def _nearest(x: float, n: int) -> tuple[int, int, float]:
     return (g, g - 1, d_lo) if d_lo <= d_hi else (g, g, d_hi)
 
 
-def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float, g: int, d: float) -> float:
+def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float, d: float) -> float:
     """Weights (d / |x - node|)^s into w, d the distance to the nearest
-    node, and their total; g is `_first_node_at_or_above(x, n)`.
+    node, and their total.
 
-    |x - node| is taken as two one-sided differences, x - node below g and
-    node - x from g on.  Scaling by the nearest distance before
-    exponentiation keeps large s from overflowing; at s = 1 the power is
-    the identity and is skipped.
+    Scaling by the nearest distance before exponentiation keeps large s
+    from overflowing; at s = 1 the power is the identity and is skipped.
     """
-    np.subtract(x, nodes[:g], out=w[:g])
-    np.subtract(nodes[g:], x, out=w[g:])
+    np.subtract(nodes, x, out=w)
+    np.abs(w, out=w)
     np.divide(d, w, out=w)
     if s != 1.0:
         w **= s
@@ -102,11 +103,11 @@ def shepard_weights_1d(params: ShepardParams, x: float,
         raise ValueError("evaluation point must lie in [0, 1]")
     w = np.empty(params.n + 1)
     if hit is None:
-        g, j, d = _nearest(x, params.n)
+        _, j, d = _nearest(x, params.n)
         if d <= NODE_PROXIMITY:
             hit = j
         else:
-            w /= _weights(w, params.nodes, x, params.s, g, d)
+            w /= _weights(w, params.nodes, x, params.s, d)
     if hit is not None:
         w[:] = 0.0
         w[hit] = 1.0
@@ -144,23 +145,26 @@ def _window(x0: float, s: float, x: float, n_max: int,
 
     With spec, n is a node hit exactly when x = spec value is a node; a node
     within NODE_PROXIMITY of x is a hit in either case.  A hit returns h
-    there.  Otherwise the value is the full-length dot product of the
-    weights, divided by their total only where h is nonzero (elsewhere the
-    product is +0 either way), with h at the nodes: a view of one vector of
-    n_max + 1 ones and n_max + 1 zeros that puts the ones on the b nodes at
-    or below x0.  Every value is bit-identical to the per-n evaluation
-    (`shepard_eval_1d`); tests/test_kernels.py holds the reference loops.
+    there.  The other n are evaluated in blocks (`_rows`), each value the
+    full-length dot product of the normalized weights with h at the nodes:
+    a view of one vector of n_max + 1 ones and n_max + 1 zeros that puts
+    the ones on the b nodes at or below x0.  Every value is bit-identical
+    to the per-n evaluation (`shepard_eval_1d`); tests/test_kernels.py
+    holds the reference loops.
     """
     if not s >= 1.0:
         raise ValueError("exponent s must be >= 1")
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")
     kf = np.arange(n_max + 1, dtype=float)
-    nodes_buf, w_buf = np.empty(n_max + 1), np.empty(n_max + 1)
+    buf = np.empty(max(min(_BLOCK, (n_max + 1) * n_max), n_max + 1))
     steps = np.repeat([1.0, 0.0], n_max + 1)
     out = np.empty(n_max)
     step = StepFn1D.indicator_upto(x0)
     at_x = step(x)
+    # the non-hit n of the block being collected, their nearest distances
+    # and their counts b of nodes at or below x0
+    ns, ds, bs = [], [], []
     for n in range(1, n_max + 1):
         if spec is not None and node_index(spec, n) is not None:
             out[n - 1] = at_x
@@ -169,14 +173,46 @@ def _window(x0: float, s: float, x: float, n_max: int,
         if d <= NODE_PROXIMITY:
             out[n - 1] = step(j / n)
             continue
-        nodes, w = nodes_buf[:n + 1], w_buf[:n + 1]
-        np.divide(kf[:n + 1], n, out=nodes)
-        total = _weights(w, nodes, x, s, g, d)
+        if (len(ns) + 1) * (n + 1) > _BLOCK and ns:
+            _rows(out, buf, kf, steps, x, s, ns, ds, bs)
+            ns, ds, bs = [], [], []
         a = g if x0 == x else _first_node_at_or_above(x0, n)
-        b = a + (a <= n and a / n == x0)
-        np.divide(w[:b], total, out=w[:b])
-        out[n - 1] = w @ steps[n_max + 1 - b:n_max + 2 - b + n]
+        ns.append(n)
+        ds.append(d)
+        bs.append(a + (a <= n and a / n == x0))
+    if ns:
+        _rows(out, buf, kf, steps, x, s, ns, ds, bs)
     return out
+
+
+def _rows(out: np.ndarray, buf: np.ndarray, kf: np.ndarray, steps: np.ndarray,
+          x: float, s: float, ns: list, ds: list, bs: list) -> None:
+    """The window values at the non-hit n in ns into out[n - 1], the rows of
+    one block in buf as wide as the last row's n + 1; ds are the nearest
+    distances and bs the counts of nodes at or below x0.
+
+    Each row takes its nodes k/n, |x - node|, the weights (d / |x - node|)^s
+    and their normalization as `shepard_weights_1d` does, elementwise over
+    the block.  A difference and its negation round alike, so the one
+    subtraction and `abs` equal a subtraction from each side of x.  Entries
+    past a row's n (k/n > 1 >= x, so no division by zero) are never read.
+    The row total sums only the row's n + 1 weights, and pairwise summation
+    depends only on their number; the dot product has the full length n + 1
+    and meets +0 samples past b, so its weights there add +0 normalized or
+    not.
+    """
+    rows, width = len(ns), ns[-1] + 1
+    w = buf[:rows * width].reshape(rows, width)
+    np.divide(kf[:width], np.array(ns, dtype=float)[:, None], out=w)
+    np.subtract(w, x, out=w)
+    np.abs(w, out=w)
+    np.divide(np.array(ds)[:, None], w, out=w)
+    if s != 1.0:
+        w **= s
+    w /= np.array([row[:n + 1].sum() for row, n in zip(w, ns)])[:, None]
+    top = steps.size // 2
+    for row, n, b in zip(w, ns, bs):
+        out[n - 1] = row[:n + 1] @ steps[top - b:top + 1 - b + n]
 
 
 def step_sequence_at(x0: float, s: float, x: float, n_max: int) -> np.ndarray:

@@ -10,6 +10,7 @@ The window kernels serve one step each, `jump` (Lagrange) and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ class StepFn1D:
     left: float
     at: float
     right: float
+
+    def __post_init__(self):
+        # an infinite x0 is a constant step; a NaN one compares false with
+        # every point and would give the jump value everywhere
+        if math.isnan(self.x0):
+            raise ValueError("jump point must not be NaN")
+        if not all(map(math.isfinite, (self.left, self.at, self.right))):
+            raise ValueError("step values must be finite")
 
     @classmethod
     def jump(cls, x0: float, d: float) -> "StepFn1D":

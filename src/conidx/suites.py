@@ -163,6 +163,12 @@ def check_randomized_properties():
     rng = np.random.default_rng(SEED)
     failures: list[str] = []
     rotation = harness.rotation_sequence("inv_sqrt2", 0.0, 4000)
+    # the sum rule sees the same window and targets in every trial
+    targets = [Target.point(0.1), Target.point(0.5), Target.point(0.9)]
+    if not sum_rule_check(rotation, targets, 0.05, 0.02):
+        failures.append("sum rule violated")
+    rotation_cps, residue_cps = default_checkpoints(4000), default_checkpoints(3000)
+    indices = np.arange(1, 3001)
     for trial in range(PROPERTY_CONFIGS):
         n = int(rng.integers(2, 80))
         grid = lg.cheb_grid(n)
@@ -186,22 +192,18 @@ def check_randomized_properties():
         if abs(w_node[i_node] - 1.0) > 0.0 or np.count_nonzero(w_node) != 1:
             failures.append(f"{trial}: shepard node weight not a unit vector")
         # eps-monotonicity on a rotation window
-        cps = default_checkpoints(4000)
         center = float(rng.random())
         e1, e2 = sorted(rng.uniform(0.01, 0.2, size=2))
-        c1, c2 = rotation.hit_counts([[(center - e, center + e)] for e in (e1, e2)], cps)
+        c1, c2 = rotation.hit_counts([[(center - e, center + e)] for e in (e1, e2)],
+                                     rotation_cps)
         if np.any(c1 > c2):
             failures.append(f"{trial}: eps-monotonicity violated")
         # complement identity on a random residue set
         mod = int(rng.integers(2, 12))
         res = int(rng.integers(0, mod))
-        residues = SeqWindow.from_values_1d(np.arange(1, 3001) % mod == res)
-        if not complement_identity_check(residues, default_checkpoints(3000)):
+        residues = SeqWindow.from_values_1d(indices % mod == res)
+        if not complement_identity_check(residues, residue_cps):
             failures.append(f"{trial}: complement identity violated")
-        # sum rule on disjoint targets
-        targets = [Target.point(0.1), Target.point(0.5), Target.point(0.9)]
-        if not sum_rule_check(rotation, targets, 0.05, 0.02):
-            failures.append(f"{trial}: sum rule violated")
     if failures:
         return False, "; ".join(failures[:3])
     return True, f"{PROPERTY_CONFIGS} configurations"

@@ -303,3 +303,15 @@ def test_criterion_11_property_suite():
            f"{res.detail}; runtime {res.runtime_s:.1f}s")
     assert res.passed
     assert res.runtime_s < 60.0
+
+
+@pytest.mark.parametrize("check, rule", [("sum_rule_check", "sum rule violated"),
+                                         ("complement_identity_check",
+                                          "complement identity violated")])
+def test_property_suite_fails_on_each_rule(monkeypatch, check, rule):
+    """The sum rule runs once before the trials, the complement identity in
+    every trial; either one failing fails the suite and names the rule."""
+    monkeypatch.setattr(suites, check, lambda *args: False)
+    res = suites.check_randomized_properties()
+    assert not res.passed
+    assert rule in res.detail

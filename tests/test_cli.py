@@ -563,9 +563,11 @@ def test_verify_all_suites(tmp_path, capsys):
 
 def test_verify_suites_make_the_span_counts_the_benchmark_pins(monkeypatch):
     """One pass of all four suites under the benchmark's tracer gives every
-    span count that its verify workload expects (a traced run reports the
-    outputs incorrect otherwise)."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    span count that its verify workload expects, and every check's verdict
+    and line, apart from its timing, as recorded in perfbench/golden.json (a
+    traced run reports the outputs incorrect otherwise)."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
     import conidx.cli  # noqa: F401  (the tracer wraps names in loaded modules only)
     import conidx.reports  # noqa: F401
     import spans
@@ -575,12 +577,16 @@ def test_verify_suites_make_the_span_counts_the_benchmark_pins(monkeypatch):
     tracer.install()
     try:
         tracer.begin_pass()
-        suites.run_suites()
+        results = suites.run_suites()
         tracer.end_pass()
     finally:
         tracer.uninstall()
     want = workloads.Verify(0, {}).expected_spans()
     assert {key: tracer.passes[0].get(key, 0) for key in want} == want
+    golden = json.loads((bench / "golden.json").read_text())["verify"]
+    assert sorted(r.name for r in results) == sorted(golden)
+    for r in results:
+        assert [r.passed, workloads.check_line(r.line)] == golden[r.name], r.name
 
 
 def test_check_fails_at_its_runtime_budget():

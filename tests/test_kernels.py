@@ -115,6 +115,35 @@ def ref_shepard_step_sequence_at(step, s, x, n_max):
     return out
 
 
+def ref_correction_term(theta0, n, k0, m, sigma_m):
+    t_node = (k0 - m - 1) * math.pi / (n - 1)
+    half_gap = math.pi * sigma_m / (2.0 * (n - 1))
+    denom = 2.0 * np.sin((theta0 + t_node) / 2.0) * np.sin(half_gap)
+    return math.sin(theta0) / denom - (n - 1) / (math.pi * sigma_m)
+
+
+def ref_eval_jump_decomposed(spec, d, n):
+    sigma = lg.grid_offset(spec, n)
+    if sigma == 0.0:
+        return float(d)
+    theta0 = math.pi * spec.value
+    k0 = int((n - 1) * spec.value) + 1 if not spec.is_rational else ((n - 1) * spec.p) // spec.q + 1
+    sin_pi_sigma = math.sin(math.pi * sigma)
+    boundary = (
+        (-1.0) ** (k0 - 1)
+        * sin_pi_sigma
+        * math.sin(theta0)
+        / (2.0 * (n - 1) * (math.cos(theta0) - 1.0))
+    )
+    m = np.arange(k0, dtype=float)
+    sigma_m = sigma + m
+    alt = np.resize([1.0, -1.0], k0)
+    series = sin_pi_sigma / math.pi * float((alt / sigma_m).sum())
+    corr = sin_pi_sigma / (n - 1) * float(
+        (alt * ref_correction_term(theta0, n, k0, m, sigma_m)).sum())
+    return boundary + series + corr
+
+
 def ref_emit_csv(win, path):
     lines = []
     if win.dim == 1:
@@ -210,6 +239,63 @@ def test_jump_sequence_head_at_rounded_nodes():
 def test_shepard_step_sequence_bit_identical(spec):
     for s in (1.0, 2.0, 2.5, 3.0):
         same_bits(sh.step_sequence(spec, s, 2000), ref_shepard_step_sequence(spec, s, 2000))
+
+
+def shepard_blocks(monkeypatch, block=None):
+    """The rows (their n) of every block the Shepard kernel evaluates, as it
+    runs; with block, a block holds at most that many doubles."""
+    if block is not None:
+        monkeypatch.setattr(sh, "_BLOCK", block)
+    blocks = []
+    rows = sh._rows
+
+    def spy(out, buf, kf, steps, x, s, ns, *rest):
+        blocks.append(list(ns))
+        rows(out, buf, kf, steps, x, s, ns, *rest)
+
+    monkeypatch.setattr(sh, "_rows", spy)
+    return blocks
+
+
+BLOCK_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("s", BLOCK_EXPONENTS)
+@pytest.mark.parametrize("block", [None, 1000, 1], ids=["256kB", "1000", "one-row"])
+def test_shepard_blocks_bit_identical(monkeypatch, s, block):
+    """Windows whose rows split across blocks: at the jump with exact node
+    hits between the rows (1/3, 2/5) and without hits (golden_frac), and at
+    general points with proximity hits (x = 3/7, a node whenever 7 divides
+    n) and without."""
+    blocks = shepard_blocks(monkeypatch, block)
+    n_max = 400
+    for spec in (PointSpec.rational(1, 3), PointSpec.rational(2, 5),
+                 PointSpec.irrational("golden_frac")):
+        same_bits(sh.step_sequence(spec, s, n_max), ref_shepard_step_sequence(spec, s, n_max))
+    for x0, x in ((1 / 3, 3 / 7), (3 / 7, 3 / 7), (0.5, 0.8), (0.8, 0.5)):
+        same_bits(sh.step_sequence_at(x0, s, x, n_max),
+                  ref_shepard_step_sequence_at(StepFn1D.indicator_upto(x0), s, x, n_max))
+    if block == 1:
+        assert {len(b) for b in blocks} == {1}
+    else:
+        assert len(blocks) > 7 and max(map(len, blocks)) > 1
+        # hits fall between the rows of a block
+        assert any(np.any(np.diff(b) > 1) for b in blocks)
+
+
+# the rational windows above, and the oracle's edge cases: one node above the
+# jump (1/997), all but one (996/997) and a jump next to the middle (498/997)
+DECOMPOSED_SPECS = SPECS + [PointSpec.rational(p, 997) for p in (1, 498, 996)]
+
+
+@pytest.mark.parametrize("spec", DECOMPOSED_SPECS, ids=lambda spec: spec.label())
+def test_eval_jump_decomposed_bit_identical(spec):
+    """Every n up to 300 and 40 sampled n up to 10**4."""
+    ns = np.r_[2:301, np.random.default_rng(5).integers(301, 10_001, 40)].tolist()
+    for d in JUMP_VALUES:
+        got = np.array([lg.eval_jump_decomposed(spec, d, n) for n in ns])
+        want = np.array([ref_eval_jump_decomposed(spec, d, n) for n in ns])
+        assert got.tobytes() == want.tobytes(), [n for n, a, b in zip(ns, got, want) if a != b]
 
 
 def test_lagrange_step_sequence_at_bit_identical():
@@ -358,6 +444,25 @@ def test_shepard_step_sequence_at_the_cap(spec, s):
     got = sh.step_sequence(spec, s, CAP)[CAP_INDICES - 1]
     want = np.array([ref_shepard_value(spec, s, n, step) for n in CAP_INDICES])
     same_bits(got, want)
+
+
+@pytest.mark.parametrize("s", [1.5, 40.0])
+def test_shepard_one_row_block_at_the_cap(monkeypatch, s):
+    """A window near the 1-d cap that ends in a block of one row.  golden_frac
+    has no node hit there, so every n is a row and the rows' widths alone
+    fix the blocks: the window ends at the first row of a block."""
+    n_max = count = 0
+    for n in range(1, CAP + 1):
+        if count and (count + 1) * (n + 1) > sh._BLOCK:
+            n_max, count = n, 0
+        count += 1
+    blocks = shepard_blocks(monkeypatch)
+    spec = PointSpec.irrational("golden_frac")
+    got = sh.step_sequence(spec, s, n_max)
+    assert blocks[-1] == [n_max] and len(blocks[-2]) > 1
+    ns = np.union1d(cap_indices(n_max), blocks[-2])
+    step = StepFn1D.indicator_upto(spec.value)
+    same_bits(got[ns - 1], np.array([ref_shepard_value(spec, s, n, step) for n in ns]))
 
 
 @pytest.mark.parametrize("spec", [PointSpec.rational(1, 3), PointSpec.irrational("inv_sqrt2")],

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conidx import lagrange as lg
+from conidx import shepard as sh
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.stepfn import StepFn1D, StepFn2D
 
@@ -64,6 +66,32 @@ def test_step_vectorized():
     step = StepFn1D.jump(0.0, -1.0)
     out = step(np.array([-0.5, 0.0, 0.5]))
     assert np.array_equal(out, [0.0, -1.0, 1.0])
+
+
+def test_step_rejects_nan_jump_and_non_finite_values():
+    """A NaN jump point compares false with every point, so the step took
+    its jump value everywhere: the Lagrange window returned 1.0 at every n
+    and the Shepard window failed on converting NaN to an integer."""
+    for make in (lambda: StepFn1D.jump(math.nan, 1.0),
+                 lambda: lg.step_sequence_at(math.nan, 0.3, 6),
+                 lambda: sh.step_sequence_at(math.nan, 2.0, 0.3, 6),
+                 lambda: lg.lagrange_eval_1d(StepFn1D.jump(math.nan, 1.0), 6, 0.3)):
+        with pytest.raises(ValueError, match="jump point must not be NaN"):
+            make()
+    for values in ((math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, -math.inf)):
+        with pytest.raises(ValueError, match="step values must be finite"):
+            StepFn1D(0.3, *values)
+    with pytest.raises(ValueError, match="step values must be finite"):
+        lg.lagrange_eval_1d(StepFn1D.jump(0.3, math.nan), 6, 0.3)
+
+
+def test_step_with_infinite_jump_is_constant():
+    for x0, below in ((math.inf, 0.0), (-math.inf, 1.0)):
+        jump = StepFn1D.jump(x0, 0.5)
+        assert np.array_equal(jump(np.array([-1.0, 0.3, 1.0])), [below] * 3)
+        assert lg.step_sequence_at(x0, 0.3, 6) == pytest.approx([below] * 6, abs=1e-15)
+        assert lg.lagrange_eval_1d(jump, 6, 0.3) == pytest.approx(below, abs=1e-15)
+        assert sh.step_sequence_at(x0, 2.0, 0.3, 6) == pytest.approx([1.0 - below] * 6)
 
 
 def test_step2d_factorizations():
