@@ -255,7 +255,9 @@ class _Family:
     jump: Callable[[float], float]           # point spec value -> jump coordinate
     step: Callable[[float, float], StepFn1D]  # (x0, d) -> step with value d at x0
     far: float               # the side of the square the jump cross runs to
-    at_jump: Callable        # (point spec, s, n_max, d) -> values of step(jump, d) there
+    # (point spec, s, n_max, d, indices=None) -> values of step(jump, d) there,
+    # at n = 1..n_max or at the n of the index set
+    at_jump: Callable
     at_point: Callable       # (jump, s, x, n_max) -> values of step(jump, 1) at x
     eval_1d: Callable        # (step, s, n, x) -> one value
     eval_2d: Callable        # (h, s, n, m, x, y, cross_check) -> one value
@@ -268,7 +270,8 @@ _FAMILIES = {
         jump=lambda v: math.cos(math.pi * v),
         step=StepFn1D.jump,
         far=1.0,
-        at_jump=lambda point, s, n_max, d: lg.jump_sequence(point, d, n_max),
+        at_jump=lambda point, s, n_max, d, indices=None: lg.jump_sequence(
+            point, d, n_max, indices=indices),
         at_point=lambda jump, s, x, n_max: lg.step_sequence_at(jump, x, n_max),
         eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
         eval_2d=lambda h, s, n, m, x, y, cross_check: lg.lagrange_eval_2d(
@@ -280,7 +283,8 @@ _FAMILIES = {
         jump=lambda v: v,
         step=lambda x0, d: StepFn1D.indicator_upto(x0),
         far=0.0,
-        at_jump=lambda point, s, n_max, d: sh.step_sequence(point, s, n_max),
+        at_jump=lambda point, s, n_max, d, indices=None: sh.step_sequence(
+            point, s, n_max, indices=indices),
         at_point=lambda jump, s, x, n_max: sh.step_sequence_at(jump, s, x, n_max),
         eval_1d=lambda step, s, n, x: sh.shepard_eval_1d(step, sh.ShepardParams(s, n), x),
         eval_2d=lambda h, s, n, m, x, y, cross_check: sh.shepard_eval_2d(
@@ -485,7 +489,9 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
     Works for univariate experiments with a rational point spec.  Returns
     the tail value of the operator along the subsequence, its deviation
     from the predicted cluster limit, and a density estimate of the index
-    set within the window.
+    set within the window.  The tail value is the operator at the arm's
+    last index in the window, evaluated alone (the window generator's
+    one-index set), so a witness costs O(N), not the O(N^2) of the window.
     """
     point = spec.spec_x
     if not point.is_rational:
@@ -500,8 +506,8 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
         raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
     (axis,) = _axes(spec)
     limit = float(axis.step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
-    values = fam.at_jump(point, spec.s, spec.window, axis.step.at)
-    tail_value = float(values[indices[-1] - 1])
+    tail_value = float(fam.at_jump(point, spec.s, spec.window, axis.step.at,
+                                   indices=[indices[-1]])[0])
     return WitnessReport(
         limit=limit,
         tail_value=tail_value,

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import StepFn1D, StepFn2D, tensor_value
+from .stepfn import StepFn1D, StepFn2D, tensor_value, window_indices
 
 # |x - node| at or below this is a node hit (removable singularity): exact
 # hits round to within 4.4e-16, other nodes stay about 1e-12 or more away
@@ -251,10 +251,11 @@ def eval_jump_decomposed(spec: PointSpec, d: float, n: int) -> float:
     return boundary + series + corr
 
 
-def _window(x0: float, d: float, x: float, theta: float, ns: range,
+def _window(x0: float, d: float, x: float, theta: float, ns: Sequence[int],
             spec: PointSpec | None = None) -> np.ndarray:
-    """Values L_n h(x) of the jump h = `StepFn1D.jump(x0, d)` for the n in ns,
-    with x = cos(theta).
+    """Values L_n h(x) of the jump h = `StepFn1D.jump(x0, d)` for the n in
+    ns, with x = cos(theta): a range 1..N or a strictly increasing list of
+    Python ints (`window_indices`).
 
     n = 1 is the one-node grid {+1}, whose interpolant is the constant
     h(+1).  With spec, x is the jump point cos(pi * spec.value) and n is
@@ -265,11 +266,12 @@ def _window(x0: float, d: float, x: float, theta: float, ns: range,
     h is 0 below x0, so the weights are nonzero only on the head k < b of
     nodes at or above it, where h is 1: the samples are the first n signs,
     the first node halved, patched in a copy where a node equals x0 without
-    a hit (to d) or the head reaches the last node (halved).  Every value
-    is bit-identical to the per-n evaluation (`lagrange_eval_1d`);
-    tests/test_kernels.py holds the reference loops.
+    a hit (to d) or the head reaches the last node (halved).  No value
+    depends on the other n in ns, so every value is bit-identical to the
+    per-n evaluation (`lagrange_eval_1d`) and to a prefix window's entry at
+    the same n; tests/test_kernels.py holds the reference loops.
     """
-    size = ns.stop - 1
+    size = ns[-1]
     kf = np.arange(size, dtype=float)
     nodes, w = np.empty(size), np.zeros(size)
     signs = np.ones(size)
@@ -330,11 +332,17 @@ def _window(x0: float, d: float, x: float, theta: float, ns: range,
     return out
 
 
-def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
-    """L_n h(x0) by direct summation of the fundamental polynomials."""
+def _at_jump(spec: PointSpec, d: float, ns: Sequence[int]) -> np.ndarray:
+    """`_window` of the jump step at its own jump point, for the n in ns."""
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    return float(_window(x0, d, x0, theta0, range(n, n + 1), spec)[0])
+    return _window(x0, d, x0, theta0, ns, spec)
+
+
+def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
+    """L_n h(x0) by direct summation of the fundamental polynomials: the
+    one-index window {n} of `jump_sequence`."""
+    return float(_at_jump(spec, d, window_indices(n, [n], name="n"))[0])
 
 
 def step_sequence_at(x0: float, x: float, n_max: int) -> np.ndarray:
@@ -343,20 +351,24 @@ def step_sequence_at(x0: float, x: float, n_max: int) -> np.ndarray:
 
     Node hits are the n with a node within NODE_COLLISION of x; the n = 1
     entry is the one-node constant interpolant h(+1).  Bit-identical to
-    `lagrange_eval_1d` at every n (tests/test_kernels.py).
+    `lagrange_eval_1d` at every n (tests/test_kernels.py).  Raises
+    ValueError for n_max below 1.
     """
-    return _window(x0, 1.0, x, _acos(x), range(1, n_max + 1))
+    return _window(x0, 1.0, x, _acos(x), window_indices(n_max))
 
 
-def jump_sequence(spec: PointSpec, d: float, n_max: int) -> np.ndarray:
+def jump_sequence(spec: PointSpec, d: float, n_max: int, *,
+                  indices: Sequence[int] | None = None) -> np.ndarray:
     """Values L_n h(x0) for n = 1..n_max by direct evaluation, where h is the
-    basic jump `StepFn1D.jump(x0, d)`.
+    basic jump `StepFn1D.jump(x0, d)`; with `indices`, a strictly increasing
+    integer set inside 1..n_max, only for the n in it, in its order.
 
     The n = 1 entry uses the one-node convention: interpolation on the
     single node +1 is the constant h(+1).  Node hits are the n with zero
     grid offset.  Every value is bit-identical to the earlier per-n loop
-    kept in tests/test_kernels.py.
+    kept in tests/test_kernels.py, so an index set's values are exactly the
+    prefix window's entries at those n, at O(n) cost per index.  Raises
+    ValueError for n_max below 1 or an index set that is empty, not
+    strictly increasing or outside 1..n_max.
     """
-    theta0 = math.pi * spec.value
-    x0 = math.cos(theta0)
-    return _window(x0, d, x0, theta0, range(1, n_max + 1), spec)
+    return _at_jump(spec, d, window_indices(n_max, indices))

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .points import PointSpec
-from .stepfn import StepFn1D, StepFn2D, tensor_value
+from .stepfn import StepFn1D, StepFn2D, tensor_value, window_indices
 
 NODE_PROXIMITY = 1e-13
 # The most doubles a block of window rows holds (256 kB), unless one row
@@ -138,58 +139,62 @@ def shepard_eval_2d(h: StepFn2D, params_x: ShepardParams, params_y: ShepardParam
                         1e-10, cross_check)
 
 
-def _window(x0: float, s: float, x: float, n_max: int,
+def _window(x0: float, s: float, x: float, ns: Sequence[int],
             spec: PointSpec | None = None) -> np.ndarray:
     """Values S_n h(x) of the closed left indicator h =
-    `StepFn1D.indicator_upto(x0)` for n = 1..n_max.
+    `StepFn1D.indicator_upto(x0)` for the n in ns: a range 1..N or a
+    strictly increasing list of Python ints (`window_indices`).
 
     With spec, n is a node hit exactly when x = spec value is a node; a node
     within NODE_PROXIMITY of x is a hit in either case.  A hit returns h
     there.  The other n are evaluated in blocks (`_rows`), each value the
     full-length dot product of the normalized weights with h at the nodes:
-    a view of one vector of n_max + 1 ones and n_max + 1 zeros that puts
-    the ones on the b nodes at or below x0.  Every value is bit-identical
-    to the per-n evaluation (`shepard_eval_1d`); tests/test_kernels.py
-    holds the reference loops.
+    a view of one vector of N + 1 ones and N + 1 zeros, N the last n, that
+    puts the ones on the b nodes at or below x0.  No value depends on the
+    other n in ns, so every value is bit-identical to the per-n evaluation
+    (`shepard_eval_1d`) and to a prefix window's entry at the same n;
+    tests/test_kernels.py holds the reference loops.
     """
     if not s >= 1.0:
         raise ValueError("exponent s must be >= 1")
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")
-    kf = np.arange(n_max + 1, dtype=float)
-    buf = np.empty(max(min(_BLOCK, (n_max + 1) * n_max), n_max + 1))
-    steps = np.repeat([1.0, 0.0], n_max + 1)
-    out = np.empty(n_max)
+    top = ns[-1]
+    kf = np.arange(top + 1, dtype=float)
+    buf = np.empty(max(min(_BLOCK, (top + 1) * len(ns)), top + 1))
+    steps = np.repeat([1.0, 0.0], top + 1)
+    out = np.empty(len(ns))
     step = StepFn1D.indicator_upto(x0)
     at_x = step(x)
-    # the non-hit n of the block being collected, their nearest distances
-    # and their counts b of nodes at or below x0
-    ns, ds, bs = [], [], []
-    for n in range(1, n_max + 1):
+    # the non-hit n of the block being collected, their nearest distances,
+    # their counts b of nodes at or below x0 and their places in out
+    rows, ds, bs, at = [], [], [], []
+    for i, n in enumerate(ns):
         if spec is not None and node_index(spec, n) is not None:
-            out[n - 1] = at_x
+            out[i] = at_x
             continue
         g, j, d = _nearest(x, n)
         if d <= NODE_PROXIMITY:
-            out[n - 1] = step(j / n)
+            out[i] = step(j / n)
             continue
-        if (len(ns) + 1) * (n + 1) > _BLOCK and ns:
-            _rows(out, buf, kf, steps, x, s, ns, ds, bs)
-            ns, ds, bs = [], [], []
+        if (len(rows) + 1) * (n + 1) > _BLOCK and rows:
+            _rows(out, buf, kf, steps, x, s, rows, ds, bs, at)
+            rows, ds, bs, at = [], [], [], []
         a = g if x0 == x else _first_node_at_or_above(x0, n)
-        ns.append(n)
+        rows.append(n)
         ds.append(d)
         bs.append(a + (a <= n and a / n == x0))
-    if ns:
-        _rows(out, buf, kf, steps, x, s, ns, ds, bs)
+        at.append(i)
+    if rows:
+        _rows(out, buf, kf, steps, x, s, rows, ds, bs, at)
     return out
 
 
 def _rows(out: np.ndarray, buf: np.ndarray, kf: np.ndarray, steps: np.ndarray,
-          x: float, s: float, ns: list, ds: list, bs: list) -> None:
-    """The window values at the non-hit n in ns into out[n - 1], the rows of
-    one block in buf as wide as the last row's n + 1; ds are the nearest
-    distances and bs the counts of nodes at or below x0.
+          x: float, s: float, ns: list, ds: list, bs: list, at: list) -> None:
+    """The window values at the non-hit n in ns into out at the places at,
+    the rows of one block in buf as wide as the last row's n + 1; ds are the
+    nearest distances and bs the counts of nodes at or below x0.
 
     Each row takes its nodes k/n, |x - node|, the weights (d / |x - node|)^s
     and their normalization as `shepard_weights_1d` does, elementwise over
@@ -211,8 +216,8 @@ def _rows(out: np.ndarray, buf: np.ndarray, kf: np.ndarray, steps: np.ndarray,
         w **= s
     w /= np.array([row[:n + 1].sum() for row, n in zip(w, ns)])[:, None]
     top = steps.size // 2
-    for row, n, b in zip(w, ns, bs):
-        out[n - 1] = row[:n + 1] @ steps[top - b:top + 1 - b + n]
+    for row, n, b, i in zip(w, ns, bs, at):
+        out[i] = row[:n + 1] @ steps[top - b:top + 1 - b + n]
 
 
 def step_sequence_at(x0: float, s: float, x: float, n_max: int) -> np.ndarray:
@@ -220,15 +225,23 @@ def step_sequence_at(x0: float, s: float, x: float, n_max: int) -> np.ndarray:
     closed left indicator `StepFn1D.indicator_upto(x0)`.
 
     Bit-identical to `shepard_eval_1d` at every n (tests/test_kernels.py).
+    Raises ValueError for n_max below 1.
     """
-    return _window(x0, s, x, n_max)
+    return _window(x0, s, x, window_indices(n_max))
 
 
-def step_sequence(spec: PointSpec, s: float, n_max: int) -> np.ndarray:
+def step_sequence(spec: PointSpec, s: float, n_max: int, *,
+                  indices: Sequence[int] | None = None) -> np.ndarray:
     """Values S_n h(x0) for n = 1..n_max at the jump point x0 = spec value,
-    where h is the closed left indicator `StepFn1D.indicator_upto(x0)`.
+    where h is the closed left indicator `StepFn1D.indicator_upto(x0)`;
+    with `indices`, a strictly increasing integer set inside 1..n_max, only
+    for the n in it, in its order.
 
     Node hits are resolved exactly for rational specs.  Every value is
-    bit-identical to the earlier per-n loop kept in tests/test_kernels.py.
+    bit-identical to the earlier per-n loop kept in tests/test_kernels.py,
+    so an index set's values are exactly the prefix window's entries at
+    those n, at O(n) cost per index.  Raises ValueError for n_max below 1
+    or an index set that is empty, not strictly increasing or outside
+    1..n_max.
     """
-    return _window(spec.value, s, spec.value, n_max, spec)
+    return _window(spec.value, s, spec.value, window_indices(n_max, indices), spec)

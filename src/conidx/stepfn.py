@@ -7,11 +7,13 @@ left value, its value at the jump, and its right value.
 
 The window kernels serve one step each, `jump` (Lagrange) and
 `indicator_upto` (Shepard); the per-n evaluators take any step.
+`window_indices` checks the n a window kernel evaluates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,3 +98,22 @@ def tensor_value(wx: np.ndarray, sx: np.ndarray, wy: np.ndarray, sy: np.ndarray,
                 f"product decomposition {out!r} disagrees with double sum {direct!r}"
             )
     return out
+
+
+def window_indices(n_max: int, indices: Sequence[int] | None = None,
+                   name: str = "n_max") -> Sequence[int]:
+    """The n a window of size n_max evaluates, as Python ints: 1..n_max, or
+    the index set `indices`, which must be integers, strictly increasing
+    and inside 1..n_max.  `name` is n_max's name in the error messages."""
+    if n_max < 1:
+        raise ValueError(f"{name} must be at least 1, got {n_max}")
+    if indices is None:
+        return range(1, n_max + 1)
+    ns = np.asarray(indices)
+    if ns.ndim != 1 or ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
+        raise ValueError("indices must be a non-empty 1-d set of integers")
+    if np.any(ns[1:] <= ns[:-1]):
+        raise ValueError("indices must be strictly increasing")
+    if ns[0] < 1 or ns[-1] > n_max:
+        raise ValueError(f"indices must lie in 1..{name} = 1..{n_max}")
+    return ns.tolist()

@@ -13,6 +13,7 @@ from conidx import shepard as sh
 from conidx.density import SeqWindow, Target, default_checkpoints, index_to_target
 from conidx.harness import (
     ExperimentSpec,
+    WitnessReport,
     build_table,
     check_product_rule,
     check_uniform_limit_rule,
@@ -486,6 +487,53 @@ def test_shepard_witnesses():
         wit = cluster_witness(spec, m)
         assert wit.tail_deviation <= 5e-3
         assert wit.density_estimate >= 1.0 / 3.0 - 0.02
+
+
+def full_window_witnesses(spec):
+    """Each arm's witness read off the whole prefix window of spec.window:
+    the reference a one-index witness must match."""
+    point, fam = spec.spec_x, harness._family(spec)
+    p, q = point.p, point.q
+    lagrange = spec.operator == "lagrange1d"
+    values = (lg.jump_sequence(point, spec.d, spec.window) if lagrange
+              else sh.step_sequence(point, spec.s, spec.window))
+    reports = []
+    for m in range(q):
+        arm = range(fam.first_index(p, q, m), spec.window + 1, q)
+        # arm m: grid offset (n - 1) p/q (Lagrange) or n p/q (Shepard) is m/q mod 1
+        assert all((p * (n - lagrange)) % q == m for n in arm)
+        limit = (spec.d if lagrange else 1.0) if m == 0 else fam.profile(spec.s).value(m / q)
+        tail = float(values[arm[-1] - 1])
+        reports.append(WitnessReport(limit, tail, abs(tail - limit), len(arm) / spec.window))
+    return reports
+
+
+@pytest.mark.parametrize("operator, point, d, s", [
+    ("lagrange1d", THIRD, 1.0, 2.0), ("lagrange1d", PointSpec.rational(2, 5), 0.5, 2.0),
+    ("shepard1d", THIRD, 1.0, 1.0), ("shepard1d", THIRD, 1.0, 2.0),
+    ("shepard1d", PointSpec.rational(1, 4), 1.0, 1.0),
+    ("shepard1d", PointSpec.rational(1, 4), 1.0, 2.0),
+], ids=["lagrange-1/3", "lagrange-2/5-d0.5", "shepard-1/3-s1", "shepard-1/3-s2",
+        "shepard-1/4-s1", "shepard-1/4-s2"])
+def test_witness_evaluates_only_its_tail_index(monkeypatch, operator, point, d, s):
+    """Every arm's witness equals the one read off the full window, from one
+    generator call that evaluates one index, the arm's last."""
+    spec = ExperimentSpec(operator=operator, spec_x=point, d=d, s=s, window=2000)
+    want = full_window_witnesses(spec)
+    module, name = (lg, "jump_sequence") if operator == "lagrange1d" else (sh, "step_sequence")
+    calls = []
+    generator = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    for m, report in enumerate(want):
+        calls.clear()
+        got = cluster_witness(spec, m)
+        assert got == report
+        assert len(calls) == 1 and calls[0] is not None and np.size(calls[0]) == 1
 
 
 @pytest.mark.parametrize("operator, s", [("lagrange1d", 2.0), ("shepard1d", 1.0),

@@ -397,6 +397,107 @@ def test_single_n_windows_bit_identical(spec, d, n):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# index sets: a window at chosen n holds the prefix window's entries there
+
+INDEX_N = 600
+
+
+def taken(window, ns):
+    return window[np.asarray(ns) - 1]
+
+
+def lagrange_index_sets(spec, n_max):
+    """n = 1 and the node hits with their neighbours, every 7th n, and single
+    indices: n = 1, 2, the first node hit, the one after it and n_max."""
+    hits = [n for n in range(2, n_max + 1) if lg.grid_offset(spec, n) == 0.0]
+    mixed = sorted({1, n_max, *hits, *(n + 1 for n in hits[:-1]), *range(3, n_max, 7)})
+    singles = {1, 2, n_max, *hits[:1], *(n + 1 for n in hits[:1])}
+    return [mixed, np.array(hits[::3] or [n_max])] + [[n] for n in sorted(singles)]
+
+
+@pytest.mark.parametrize("spec", DECOMPOSED_SPECS, ids=lambda spec: spec.label())
+def test_jump_sequence_index_sets_bit_identical(spec):
+    for d in JUMP_VALUES:
+        full = lg.jump_sequence(spec, d, INDEX_N)
+        for ns in lagrange_index_sets(spec, INDEX_N):
+            same_bits(lg.jump_sequence(spec, d, INDEX_N, indices=ns), taken(full, ns))
+        n = INDEX_N // 2
+        same_bits(np.array([lg.jump_value_direct(spec, d, n)]), full[n - 1:n])
+
+
+@pytest.mark.parametrize("s", BLOCK_EXPONENTS)
+@pytest.mark.parametrize("block", [None, 1000], ids=["256kB", "1000"])
+def test_shepard_index_sets_bit_identical(monkeypatch, s, block):
+    """Exact node hits at 1/3 (every 3rd n) and proximity hits at x = 3/7
+    (every 7th n) inside the sets; with 1000-double blocks the sets' rows
+    straddle block boundaries."""
+    blocks = shepard_blocks(monkeypatch, block)
+    n_max = 400
+    sets = [sorted({1, n_max, *range(2, n_max, 5), *range(3, n_max, 3), *range(7, n_max, 7)}),
+            np.arange(250, 320), [1], [3], [7], [n_max]]
+    spec = PointSpec.rational(1, 3)
+    full = sh.step_sequence(spec, s, n_max)
+    for ns in sets:
+        blocks.clear()
+        same_bits(sh.step_sequence(spec, s, n_max, indices=ns), taken(full, ns))
+        if block == 1000 and len(ns) > 1:
+            assert len(blocks) > 1 and max(map(len, blocks)) > 1
+    # no public window takes an index set at a general point
+    for x0 in (1 / 3, 3 / 7):
+        full = sh.step_sequence_at(x0, s, 3 / 7, n_max)
+        for ns in sets:
+            same_bits(sh._window(x0, s, 3 / 7, np.asarray(ns).tolist()), taken(full, ns))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), spec=st.one_of(st.sampled_from(SPECS),
+                                      st.builds(rational, st.integers(1, 1999), st.integers(2, 2000))),
+       d=st.sampled_from(JUMP_VALUES), s=st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+       n_max=st.integers(1, 2000))
+def test_index_sets_bit_identical_over_subsets(data, spec, d, s, n_max):
+    ns = sorted(data.draw(st.sets(st.integers(1, n_max), min_size=1, max_size=60)))
+    same_bits(lg.jump_sequence(spec, d, n_max, indices=ns), taken(lg.jump_sequence(spec, d, n_max), ns))
+    same_bits(sh.step_sequence(spec, s, n_max, indices=ns), taken(sh.step_sequence(spec, s, n_max), ns))
+
+
+THIRD = PointSpec.rational(1, 3)
+SIZED = {
+    "jump_sequence": lambda n, ns=None: lg.jump_sequence(THIRD, 1.0, n, indices=ns),
+    "shepard.step_sequence": lambda n, ns=None: sh.step_sequence(THIRD, 2.0, n, indices=ns),
+}
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda n: lg.jump_value_direct(THIRD, 1.0, n), "n"),
+    (SIZED["jump_sequence"], "n_max"),
+    (SIZED["shepard.step_sequence"], "n_max"),
+    (lambda n: lg.step_sequence_at(0.5, 0.3, n), "n_max"),
+    (lambda n: sh.step_sequence_at(0.5, 2.0, 0.3, n), "n_max"),
+], ids=["jump_value_direct", "jump_sequence", "shepard.step_sequence",
+        "lagrange.step_sequence_at", "shepard.step_sequence_at"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_generators_reject_sizes_below_one(call, name, n):
+    """n = 0 used to give an empty window or an IndexError, and n < 0 numpy's
+    negative dimensions."""
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {n}$"):
+        call(n)
+
+
+OUTSIDE = r"^indices must lie in 1\.\.n_max = 1\.\.10$"
+
+
+@pytest.mark.parametrize("generator", sorted(SIZED))
+@pytest.mark.parametrize("ns, message", [
+    ([], "non-empty"), ([[1, 2]], "1-d"), ([1.0, 2.0], "integers"),
+    ([3, 2], "strictly increasing"), ([2, 2], "strictly increasing"),
+    ([0, 1], OUTSIDE), ([5, 11], OUTSIDE), ([-1], OUTSIDE),
+], ids=["empty", "2-d", "floats", "decreasing", "repeated", "zero", "past-n_max", "negative"])
+def test_generators_reject_bad_index_sets(generator, ns, message):
+    with pytest.raises(ValueError, match=message):
+        SIZED[generator](10, ns)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, 12), m=st.integers(1, 12), jump=st.one_of(st.none(), st.floats(0.0, 1.0)),
        s=st.sampled_from([1.0, 2.0, 2.5, 3.0]), n_max=st.integers(1, 300))
