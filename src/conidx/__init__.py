@@ -34,16 +34,13 @@ from .harness import (
     uniform_convergence_scan,
 )
 from .lagrange import (
-    ChebGrid,
     cheb_grid,
     eval_jump_decomposed,
     fundamental_weights,
     grid_offset,
     jump_sequence,
-    jump_value_direct,
     lagrange_eval_1d,
     lagrange_eval_2d,
-    offset_subsequence,
 )
 from .points import IRRATIONAL_VALUES, PointSpec
 from .profiles import (
@@ -60,16 +57,15 @@ from .shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d, shepard_we
 from .stepfn import StepFn1D, StepFn2D
 
 __all__ = [
-    "__version__", "ChebGrid", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
+    "__version__", "DensityEstimate", "ExperimentResult", "ExperimentSpec",
     "IRRATIONAL_VALUES", "IndexReport", "PointSpec", "Prediction", "PredictionTable",
     "Profile1D", "Profile2D", "SeqWindow", "ShepardParams", "StepFn1D", "StepFn2D",
     "Target", "build_table", "cheb_grid", "check_product_rule",
     "check_uniform_limit_rule", "cluster_witness", "complement_identity_check",
     "default_checkpoints", "eval_jump_decomposed", "fundamental_weights", "grid_offset",
-    "hurwitz_zeta", "index_to_target", "jump_sequence", "jump_value_direct",
+    "hurwitz_zeta", "index_to_target", "jump_sequence",
     "lagrange_eval_1d", "lagrange_eval_2d", "lagrange_jump_profile", "lerch_j1",
-    "offset_subsequence", "preimage_measure_1d",
-    "preimage_measure_2d", "product_measure", "rotation_sequence",
+    "preimage_measure_1d", "preimage_measure_2d", "product_measure", "rotation_sequence",
     "run_index_experiment", "scan_decreasing", "shepard_eval_1d", "shepard_eval_2d",
     "shepard_jump_profile", "shepard_weights_1d", "sum_rule_check",
     "uniform_convergence_scan",

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 from . import __version__
 from .harness import _FAMILIES, MAX_WINDOW_2D, CrossCheckError, run_index_experiment
-from .lagrange import eval_jump_decomposed, jump_value_direct
+from .lagrange import eval_jump_decomposed
 from .points import PointSpec
 from .profiles import hurwitz_zeta, lagrange_jump_profile, lerch_j1, shepard_jump_profile
 from .reports import (
@@ -34,7 +34,6 @@ from .reports import (
     emit_report,
     parse_config,
 )
-from .shepard import ShepardParams, shepard_eval_1d
 from .stepfn import StepFn2D
 from .suites import SUITES, run_suites
 
@@ -116,13 +115,11 @@ def cmd_eval(args) -> int:
             raise UsageError(f"--{name} must be <= {most}{why}")
     fam = _FAMILIES[op[:-2]]
     points = [_eval_point(args, name) for name in _SPEC_FIELDS[op]]
-    jumps = [fam.jump(point.value) for point in points]
-    if op == "lagrange1d":
-        value = jump_value_direct(points[0], d, n)
-    elif op == "shepard1d":
-        value = shepard_eval_1d(fam.step(jumps[0], d), ShepardParams(s, n), jumps[0],
-                                spec=points[0])
+    if op.endswith("1d"):
+        # the window generator's value at the one-index set {n}
+        value = float(fam.at_jump(points[0], s, n, d, indices=[n])[0])
     else:
+        jumps = [fam.jump(point.value) for point in points]
         h = StepFn2D(*(fam.step(jump, 1.0) for jump in jumps))
         value = fam.eval_2d(h, s, n, m, *jumps, args.cross_check)
     print(f"{value:.17g}")

@@ -276,7 +276,7 @@ _FAMILIES = {
         eval_1d=lambda step, s, n, x: lg.lagrange_eval_1d(step, n, x),
         eval_2d=lambda h, s, n, m, x, y, cross_check: lg.lagrange_eval_2d(
             h, n, m, x, y, cross_check=cross_check),
-        first_index=lambda p, q, m: next(lg.offset_subsequence(p, q, m)),
+        first_index=lambda p, q, m: (m * pow(p, -1, q)) % q + q + 1,
         profile=lambda s: _LAGRANGE_PROFILE,
     ),
     "shepard": _Family(

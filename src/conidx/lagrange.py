@@ -19,8 +19,7 @@ arithmetic whenever the jump angle is a rational multiple of pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,19 +32,12 @@ from .stepfn import StepFn1D, StepFn2D, tensor_value, window_indices
 NODE_COLLISION = 1e-13
 
 
-@dataclass(frozen=True)
-class ChebGrid:
-    """Chebyshev nodes of the second type on [-1, 1], endpoints included."""
-
-    n: int
-    nodes: np.ndarray
-
-
-def cheb_grid(n: int) -> ChebGrid:
+def cheb_grid(n: int) -> np.ndarray:
+    """The n Chebyshev nodes of the second type on [-1, 1], endpoints included."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
     k = np.arange(1, n + 1)
-    return ChebGrid(n=n, nodes=np.cos((k - 1) * (math.pi / (n - 1))))
+    return np.cos((k - 1) * (math.pi / (n - 1)))
 
 
 def _acos(x: float) -> float:
@@ -89,42 +81,39 @@ def _numerator(n: int, theta: float) -> float:
     return (1.0 / (n - 1)) * (math.sin((n - 1) * theta) * math.sin(theta))
 
 
-def fundamental_weights(grid: ChebGrid, x: float) -> np.ndarray:
-    """The fundamental polynomial values ell[1..n](x), as one vector."""
-    n, theta = grid.n, _acos(x)
+def fundamental_weights(nodes: np.ndarray, x: float) -> np.ndarray:
+    """The fundamental polynomial values ell[1..n](x) of the n `cheb_grid`
+    nodes, as one vector."""
+    n, theta = nodes.size, _acos(x)
     w = np.zeros(n)
     j = _node_hit(n, x, theta)
     if j is not None:
         w[j] = 1.0
     else:
-        _weights(w, grid.nodes, x, _numerator(n, theta))
+        _weights(w, nodes, x, _numerator(n, theta))
         w[::2] *= -1.0
         w[0] *= 0.5
         w[-1] *= 0.5
     return w
 
 
-def _node_samples(f, grid: ChebGrid, x: float) -> np.ndarray:
-    """f at the nodes, where a callable f is sampled at x itself at a node hit.
+def _node_samples(f, nodes: np.ndarray, x: float) -> np.ndarray:
+    """f at the nodes, where f is sampled at x itself at a node hit.
 
     The hit node is x up to rounding, and a step whose jump is x must give
     its value at the jump, not that of the side the rounded node falls on.
     """
-    if isinstance(f, np.ndarray):
-        if f.shape != (grid.n,):
-            raise ValueError("sample array length must equal the node count")
-        return f
-    samples = np.array(f(grid.nodes), dtype=float)
-    j = _node_hit(grid.n, x, _acos(x))
+    samples = np.array(f(nodes), dtype=float)
+    j = _node_hit(nodes.size, x, _acos(x))
     if j is not None:
         samples[j] = f(x)
     return samples
 
 
 def lagrange_eval_1d(f, n: int, x: float) -> float:
-    """L_n f(x); f may be a StepFn1D, a callable, or a node-sample array."""
-    grid = cheb_grid(n)
-    return float(fundamental_weights(grid, x) @ _node_samples(f, grid, x))
+    """L_n f(x); f may be a StepFn1D or any callable on node arrays."""
+    nodes = cheb_grid(n)
+    return float(fundamental_weights(nodes, x) @ _node_samples(f, nodes, x))
 
 
 def lagrange_eval_2d(h: StepFn2D, n: int, m: int, x: float, y: float,
@@ -147,24 +136,6 @@ def grid_offset(spec: PointSpec, n: int) -> float:
     if n < 2:
         raise ValueError("grid offset needs n >= 2")
     return spec.multiple_mod1(n - 1)
-
-
-def offset_subsequence(p: int, q: int, m: int) -> Iterator[int]:
-    """Indices k = l + n*q + 1 (n >= 1) along which grid_offset == m/q exactly.
-
-    l in {0..q-1} solves l*p = m (mod q); it exists and is unique because
-    gcd(p, q) = 1.
-    """
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
-    if not 0 <= m < q:
-        raise ValueError("residue m must lie in 0..q-1")
-    l = (m * pow(p, -1, q)) % q
-    assert (l * p) % q == m
-    n = 1
-    while True:
-        yield l + n * q + 1
-        n += 1
 
 
 def _correction_terms(theta0: float, n: int, k0: int, pi_sigma_m: np.ndarray,
@@ -261,15 +232,15 @@ def _window(x0: float, d: float, x: float, theta: float, ns: Sequence[int],
     h(+1).  With spec, x is the jump point cos(pi * spec.value) and n is
     a node hit exactly when the grid offset is zero; without, when a node
     lies within NODE_COLLISION of x (`_node_hit`).  A hit returns h(x).
-    Otherwise the value is the full-length dot product of c / (x - node)
-    (`_weights`) with h at the nodes times their sign and endpoint factors.
-    h is 0 below x0, so the weights are nonzero only on the head k < b of
-    nodes at or above it, where h is 1: the samples are the first n signs,
-    the first node halved, patched in a copy where a node equals x0 without
-    a hit (to d) or the head reaches the last node (halved).  No value
-    depends on the other n in ns, so every value is bit-identical to the
-    per-n evaluation (`lagrange_eval_1d`) and to a prefix window's entry at
-    the same n; tests/test_kernels.py holds the reference loops.
+    Otherwise the value is the full-length dot product of `_weights` with
+    h at the nodes times their sign and endpoint factors.  h is 0 below
+    x0, so the weights are nonzero only on the head k < b of nodes at or
+    above it, where h is 1: the samples are the first n signs, the first
+    node halved, patched in a copy where a node equals x0 without a hit
+    (to d) or the head reaches the last node (halved).  No value depends
+    on the other n in ns, so every value is bit-identical to the per-n
+    evaluation (`lagrange_eval_1d`) and to a prefix window's entry at the
+    same n; tests/test_kernels.py holds the reference loops.
     """
     size = ns[-1]
     kf = np.arange(size, dtype=float)
@@ -285,16 +256,12 @@ def _window(x0: float, d: float, x: float, theta: float, ns: Sequence[int],
     # the weights past this index are zero; the head only grows with n as
     # long as the rounded nodes do, so zeroing is for a head that shrank
     written = 0
-    # inline copies of `grid_offset`, `_numerator` and `_weights` below: their
-    # values must round as the functions' do (tests/test_kernels.py)
-    offset = spec.multiple_mod1 if spec is not None else None
-    sin_theta = math.sin(theta)
-    multiply, cos, subtract, divide = np.multiply, np.cos, np.subtract, np.divide
+    multiply, cos = np.multiply, np.cos
     for i, n in enumerate(ns):
         if n == 1:
             out[i] = step(1.0)
             continue
-        if (offset(n - 1) == 0.0 if offset is not None
+        if (grid_offset(spec, n) == 0.0 if spec is not None
                 else _node_hit(n, x, theta) is not None):
             out[i] = at_x
             continue
@@ -316,9 +283,7 @@ def _window(x0: float, d: float, x: float, theta: float, ns: Sequence[int],
         a = b
         while a > 0 and nodes[a - 1] == x0:
             a -= 1
-        wk = w[:b]
-        subtract(x, nodes[:b], out=wk)
-        divide((1.0 / (n - 1)) * (math.sin((n - 1) * theta) * sin_theta), wk, out=wk)
+        _weights(w[:b], nodes[:b], x, _numerator(n, theta))
         if b < written:
             w[b:written] = 0.0
         written = b
@@ -330,19 +295,6 @@ def _window(x0: float, d: float, x: float, theta: float, ns: Sequence[int],
                 samples[-1] *= 0.5
         out[i] = w[:n] @ samples
     return out
-
-
-def _at_jump(spec: PointSpec, d: float, ns: Sequence[int]) -> np.ndarray:
-    """`_window` of the jump step at its own jump point, for the n in ns."""
-    theta0 = math.pi * spec.value
-    x0 = math.cos(theta0)
-    return _window(x0, d, x0, theta0, ns, spec)
-
-
-def jump_value_direct(spec: PointSpec, d: float, n: int) -> float:
-    """L_n h(x0) by direct summation of the fundamental polynomials: the
-    one-index window {n} of `jump_sequence`."""
-    return float(_at_jump(spec, d, window_indices(n, [n], name="n"))[0])
 
 
 def step_sequence_at(x0: float, x: float, n_max: int) -> np.ndarray:
@@ -371,4 +323,6 @@ def jump_sequence(spec: PointSpec, d: float, n_max: int, *,
     ValueError for n_max below 1 or an index set that is empty, not
     strictly increasing or outside 1..n_max.
     """
-    return _at_jump(spec, d, window_indices(n_max, indices))
+    theta0 = math.pi * spec.value
+    x0 = math.cos(theta0)
+    return _window(x0, d, x0, theta0, window_indices(n_max, indices), spec)

@@ -106,7 +106,13 @@ def hurwitz_zeta(s: float, a):
     if not np.all((a_arr > 0.0) & (a_arr < math.inf)):
         raise ValueError("hurwitz_zeta requires a finite a > 0")
     coeff = s * (s + 1.0) * (s + 2.0) / 720.0
-    M = int(math.ceil((coeff / SERIES_TOL) ** (1.0 / (s + 3.0)))) + 8
+    ratio = coeff / SERIES_TOL
+    if math.isfinite(ratio):
+        M = int(math.ceil(ratio ** (1.0 / (s + 3.0)))) + 8
+    else:  # from s ~ 5e99 the ratio overflows, so take its root from logarithms
+        log_ratio = (math.log(s) + math.log(s + 1.0) + math.log(s + 2.0)
+                     - math.log(720.0) - math.log(SERIES_TOL))
+        M = int(math.ceil(math.exp(log_ratio / (s + 3.0)))) + 8
     n = np.arange(M, dtype=float)
     partial = _row_sums(a_arr, M, lambda col: (n + col) ** -s)
     x = M + a_arr

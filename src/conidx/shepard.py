@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,56 +78,28 @@ def _nearest(x: float, n: int) -> tuple[int, int, float]:
     return (g, g - 1, d_lo) if d_lo <= d_hi else (g, g, d_hi)
 
 
-def _weights(w: np.ndarray, nodes: np.ndarray, x: float, s: float, d: float) -> float:
-    """Weights (d / |x - node|)^s into w, d the distance to the nearest
-    node, and their total.
-
-    Scaling by the nearest distance before exponentiation keeps large s
-    from overflowing; at s = 1 the power is the identity and is skipped.
-    """
-    np.subtract(nodes, x, out=w)
-    np.abs(w, out=w)
-    np.divide(d, w, out=w)
-    if s != 1.0:
-        w **= s
-    return w.sum()
-
-
-def shepard_weights_1d(params: ShepardParams, x: float,
-                       hit: int | None = None) -> np.ndarray:
+def shepard_weights_1d(params: ShepardParams, x: float) -> np.ndarray:
     """Normalized weight vector over the n+1 nodes at evaluation point x.
 
-    A node collision (given exactly via `hit`, or detected by proximity)
-    yields the unit vector there.
+    A node within NODE_PROXIMITY of x yields the unit vector there.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("evaluation point must lie in [0, 1]")
-    w = np.empty(params.n + 1)
-    if hit is None:
-        _, j, d = _nearest(x, params.n)
-        if d <= NODE_PROXIMITY:
-            hit = j
-        else:
-            w /= _weights(w, params.nodes, x, params.s, d)
-    if hit is not None:
-        w[:] = 0.0
-        w[hit] = 1.0
+    n = params.n
+    _, j, d = _nearest(x, n)
+    if d <= NODE_PROXIMITY:
+        w = np.zeros(n + 1)
+        w[j] = 1.0
+        return w
+    (w,) = _weight_rows(np.empty((1, n + 1)), np.arange(n + 1, dtype=float), [n], [d], x,
+                        params.s)
     return w
 
 
-def shepard_eval_1d(f, params: ShepardParams, x: float,
-                    spec: PointSpec | None = None) -> float:
-    """S_n f(x); f may be a StepFn1D, a callable, or a node-sample array.
-
-    Passing the PointSpec of x enables exact node-hit detection.
-    """
-    hit = node_index(spec, params.n) if spec is not None else None
-    w = shepard_weights_1d(params, x, hit=hit)
-    if isinstance(f, np.ndarray):
-        samples = f
-    else:
-        samples = np.asarray(f(params.nodes), dtype=float)
-    return float(w @ samples)
+def shepard_eval_1d(f, params: ShepardParams, x: float) -> float:
+    """S_n f(x); f may be a StepFn1D or any callable on node arrays."""
+    w = shepard_weights_1d(params, x)
+    return float(w @ np.asarray(f(params.nodes), dtype=float))
 
 
 def shepard_eval_2d(h: StepFn2D, params_x: ShepardParams, params_y: ShepardParams,
@@ -190,34 +162,48 @@ def _window(x0: float, s: float, x: float, ns: Sequence[int],
     return out
 
 
+def _weight_rows(w: np.ndarray, kf: np.ndarray, ns: list, ds: list, x: float,
+                 s: float) -> Iterator[np.ndarray]:
+    """The normalized weights (d / |x - k/n|)^s of the n in ns, each the
+    head of one row of w as long as its n + 1 nodes, in turn; d = ds[i] is
+    the distance from x to the nearest node of n = ns[i], w is as wide as
+    the last n + 1 and kf holds k = 0.0, 1.0, 2.0, ... at least that far.
+
+    The nodes k/n, |x - node| and the weights are taken elementwise over
+    the rows.  A difference and its negation round alike, so the one
+    subtraction and `abs` equal a subtraction from each side of x.  Entries
+    past a row's n (k/n > 1 >= x, so no division by zero) are never read.
+    Scaling by the nearest distance before exponentiation keeps large s
+    from overflowing; at s = 1 the power is the identity and is skipped.
+    Each row is normalized by the sum of its own weights, and pairwise
+    summation depends only on their number, so no row depends on the others.
+    """
+    nd = np.array((ns, ds), dtype=float)[:, :, None]
+    np.divide(kf[:w.shape[1]], nd[0], out=w)
+    np.subtract(w, x, out=w)
+    np.abs(w, out=w)
+    np.divide(nd[1], w, out=w)
+    if s != 1.0:
+        w **= s
+    for row, n in zip(w, ns):
+        row = row[:n + 1]
+        row /= row.sum()
+        yield row
+
+
 def _rows(out: np.ndarray, buf: np.ndarray, kf: np.ndarray, steps: np.ndarray,
           x: float, s: float, ns: list, ds: list, bs: list, at: list) -> None:
     """The window values at the non-hit n in ns into out at the places at,
-    the rows of one block in buf as wide as the last row's n + 1; ds are the
-    nearest distances and bs the counts of nodes at or below x0.
+    their `_weight_rows` in one block of buf; ds are the nearest distances
+    and bs the counts of nodes at or below x0.
 
-    Each row takes its nodes k/n, |x - node|, the weights (d / |x - node|)^s
-    and their normalization as `shepard_weights_1d` does, elementwise over
-    the block.  A difference and its negation round alike, so the one
-    subtraction and `abs` equal a subtraction from each side of x.  Entries
-    past a row's n (k/n > 1 >= x, so no division by zero) are never read.
-    The row total sums only the row's n + 1 weights, and pairwise summation
-    depends only on their number; the dot product has the full length n + 1
-    and meets +0 samples past b, so its weights there add +0 normalized or
-    not.
+    Each dot product has the full length n + 1 and takes the ones of h on
+    the first b nodes from a view of steps.
     """
-    rows, width = len(ns), ns[-1] + 1
-    w = buf[:rows * width].reshape(rows, width)
-    np.divide(kf[:width], np.array(ns, dtype=float)[:, None], out=w)
-    np.subtract(w, x, out=w)
-    np.abs(w, out=w)
-    np.divide(np.array(ds)[:, None], w, out=w)
-    if s != 1.0:
-        w **= s
-    w /= np.array([row[:n + 1].sum() for row, n in zip(w, ns)])[:, None]
+    w = buf[:len(ns) * (ns[-1] + 1)].reshape(len(ns), ns[-1] + 1)
     top = steps.size // 2
-    for row, n, b, i in zip(w, ns, bs, at):
-        out[i] = row[:n + 1] @ steps[top - b:top + 1 - b + n]
+    for row, n, b, i in zip(_weight_rows(w, kf, ns, ds, x, s), ns, bs, at):
+        out[i] = row @ steps[top - b:top + 1 - b + n]
 
 
 def step_sequence_at(x0: float, s: float, x: float, n_max: int) -> np.ndarray:

@@ -100,13 +100,12 @@ def tensor_value(wx: np.ndarray, sx: np.ndarray, wy: np.ndarray, sy: np.ndarray,
     return out
 
 
-def window_indices(n_max: int, indices: Sequence[int] | None = None,
-                   name: str = "n_max") -> Sequence[int]:
+def window_indices(n_max: int, indices: Sequence[int] | None = None) -> Sequence[int]:
     """The n a window of size n_max evaluates, as Python ints: 1..n_max, or
     the index set `indices`, which must be integers, strictly increasing
-    and inside 1..n_max.  `name` is n_max's name in the error messages."""
+    and inside 1..n_max."""
     if n_max < 1:
-        raise ValueError(f"{name} must be at least 1, got {n_max}")
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if indices is None:
         return range(1, n_max + 1)
     ns = np.asarray(indices)
@@ -115,5 +114,5 @@ def window_indices(n_max: int, indices: Sequence[int] | None = None,
     if np.any(ns[1:] <= ns[:-1]):
         raise ValueError("indices must be strictly increasing")
     if ns[0] < 1 or ns[-1] > n_max:
-        raise ValueError(f"indices must lie in 1..{name} = 1..{n_max}")
+        raise ValueError(f"indices must lie in 1..n_max = 1..{n_max}")
     return ns.tolist()

@@ -171,13 +171,13 @@ def check_randomized_properties():
     indices = np.arange(1, 3001)
     for trial in range(PROPERTY_CONFIGS):
         n = int(rng.integers(2, 80))
-        grid = lg.cheb_grid(n)
+        nodes = lg.cheb_grid(n)
         x = float(rng.uniform(-1.0, 1.0))
-        weights = lg.fundamental_weights(grid, x)
+        weights = lg.fundamental_weights(nodes, x)
         if abs(weights.sum() - 1.0) > 1e-10:
             failures.append(f"{trial}: partition of unity off by {weights.sum()-1:.2e}")
         k = int(rng.integers(1, n + 1))
-        node_w = lg.fundamental_weights(grid, float(grid.nodes[k - 1]))
+        node_w = lg.fundamental_weights(nodes, float(nodes[k - 1]))
         expect = np.zeros(n)
         expect[k - 1] = 1.0
         if np.abs(node_w - expect).max() > 1e-12:

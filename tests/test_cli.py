@@ -11,12 +11,12 @@ import pytest
 import conidx
 from conidx import suites
 from conidx.cli import main
-from conidx.lagrange import jump_value_direct, lagrange_eval_2d
+from conidx.lagrange import jump_sequence, lagrange_eval_2d
 from conidx.density import SeqWindow
 from conidx.points import IRRATIONAL_VALUES, PointSpec
 from conidx.reports import SequenceCache, parse_config
-from conidx.shepard import ShepardParams, shepard_eval_1d, shepard_eval_2d
-from conidx.stepfn import StepFn1D, StepFn2D
+from conidx.shepard import ShepardParams, shepard_eval_2d, step_sequence
+from conidx.stepfn import StepFn2D
 from conidx.suites import CheckResult
 
 
@@ -52,6 +52,14 @@ def test_zeta_lerch_and_hurwitz(capsys):
     assert code == 0 and float(out) == pytest.approx(math.pi**2 / 6.0, abs=1e-10)
     code, out, _ = run_cli(capsys, "zeta", "profile-s", "--s", "2", "0.5")
     assert code == 0 and float(out) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("s", ["5.07e99", "1e100", "1e200", "1.7e308"])
+def test_zeta_hurwitz_at_a_huge_exponent(capsys, s):
+    """From s ~ 5.06e99 the truncation point's ratio s(s+1)(s+2)/720/tol
+    overflows; zeta(s, 1) = 1 + 2^-s + ... is 1 in doubles."""
+    code, out, _ = run_cli(capsys, "zeta", "hurwitz", "--s", s, "1.0")
+    assert (code, out) == (0, "1\n")
 
 
 def test_zeta_domain_error_is_usage(capsys):
@@ -119,12 +127,27 @@ def _cos_pi(text):
     return math.cos(math.pi * PointSpec.parse(text).value)
 
 
+def _lagrange1d(text, d, n):
+    """The jump window's value at the one-index set {n}."""
+    return jump_sequence(PointSpec.parse(text), d, n, indices=[n])[0]
+
+
+def _shepard1d(text, s, n):
+    """The indicator window's value at the one-index set {n}."""
+    return step_sequence(PointSpec.parse(text), s, n, indices=[n])[0]
+
+
 # (command line, printed value, the library call it must equal bit for bit)
 EVAL_CASES = [
     ("lagrange1d --theta 1/3 --n 200 --cross-check", "0.69170273256735748",
-     lambda: jump_value_direct(PointSpec.parse("1/3"), 1.0, 200)),
+     lambda: _lagrange1d("1/3", 1.0, 200)),
     ("lagrange1d --theta inv_sqrt2 --n 1234 --d 0.25 --cross-check", "0.10988540722095885",
-     lambda: jump_value_direct(PointSpec.parse("inv_sqrt2"), 0.25, 1234)),
+     lambda: _lagrange1d("inv_sqrt2", 0.25, 1234)),
+    # n = 4 puts a node on cos(pi/3), where the value is d; n = 5 does not
+    ("lagrange1d --theta 1/3 --n 4 --d 0.5 --cross-check", "0.5",
+     lambda: _lagrange1d("1/3", 0.5, 4)),
+    ("lagrange1d --theta 1/3 --n 5 --d 0.5 --cross-check", "0.71783008588991049",
+     lambda: _lagrange1d("1/3", 0.5, 5)),
     ("lagrange2d --theta 1/3 --gamma 1/2 --n 100 --cross-check", "0.50000000000000189",
      lambda: lagrange_eval_2d(StepFn2D.upper_right(_cos_pi("1/3"), _cos_pi("1/2")), 100, 100,
                               _cos_pi("1/3"), _cos_pi("1/2"))),
@@ -133,12 +156,16 @@ EVAL_CASES = [
      lambda: lagrange_eval_2d(StepFn2D.upper_right(_cos_pi("inv_sqrt2"), _cos_pi("golden_frac")),
                               77, 91, _cos_pi("inv_sqrt2"), _cos_pi("golden_frac"))),
     ("shepard1d --x0 1/3 --n 999 --s 3", "1",
-     lambda: shepard_eval_1d(StepFn1D.indicator_upto(1 / 3), ShepardParams(3.0, 999), 1 / 3,
-                             spec=PointSpec.parse("1/3"))),
+     lambda: _shepard1d("1/3", 3.0, 999)),
     ("shepard1d --x0 inv_sqrt2 --n 500", "0.40964980290247333",
-     lambda: shepard_eval_1d(StepFn1D.indicator_upto(IRRATIONAL_VALUES["inv_sqrt2"]),
-                             ShepardParams(2.0, 500), IRRATIONAL_VALUES["inv_sqrt2"],
-                             spec=PointSpec.parse("inv_sqrt2"))),
+     lambda: _shepard1d("inv_sqrt2", 2.0, 500)),
+    # an exact node hit at an even n, the exponent s = 1 and the one-interval grid
+    ("shepard1d --x0 1/2 --n 10", "1", lambda: _shepard1d("1/2", 2.0, 10)),
+    ("shepard1d --x0 1/3 --n 100 --s 1", "0.54631339748037944",
+     lambda: _shepard1d("1/3", 1.0, 100)),
+    ("shepard1d --x0 inv_sqrt2 --n 777 --s 1", "0.552818096965219",
+     lambda: _shepard1d("inv_sqrt2", 1.0, 777)),
+    ("shepard1d --x0 1/3 --n 1", "0.80000000000000004", lambda: _shepard1d("1/3", 2.0, 1)),
     ("shepard2d --x0 1/2 --y0 1/2 --s 1 --n 999 --cross-check", "0.25000000000000688",
      lambda: shepard_eval_2d(StepFn2D.lower_left(0.5, 0.5), ShepardParams(1.0, 999),
                              ShepardParams(1.0, 999), 0.5, 0.5)),
@@ -321,6 +348,24 @@ def test_index_failing_verdict_exits_one(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
     assert code == 1
     assert "[fail]" in out
+
+
+@pytest.mark.parametrize("s", [1e100, 1e200])
+@pytest.mark.parametrize("points", [
+    {"x0": {"rational": [1, 3]}},
+    {"x0": {"rational": [1, 3]}, "y0": {"irrational": "inv_sqrt2"}},
+], ids=["shepard1d", "shepard2d"])
+def test_index_at_a_huge_shepard_exponent_gives_a_verdict(tmp_path, capsys, s, points):
+    """The Shepard profile's zeta values at such s used to raise an
+    OverflowError, a traceback with exit 1, which is reserved for a failed
+    verdict."""
+    cfg = {"schema_version": 1, "experiment": f"shepard{len(points)}d", "s": s,
+           "window": 300, **points}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "index", "--config", str(cfg_path))
+    assert code in (0, 1)
+    assert "residual mass" in out
 
 
 def test_index_bad_config_exits_two(tmp_path, capsys):

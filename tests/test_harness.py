@@ -261,10 +261,9 @@ def lagrange_at(x0, d, x):
     return lambda n: lg.lagrange_eval_1d(StepFn1D.jump(x0, d), n, x)
 
 
-def shepard_at(x0, x, spec=None):
+def shepard_at(x0, x):
     """n -> S_n of `StepFn1D.indicator_upto(x0)` at x, s = 2, one n at a time."""
-    return lambda n: sh.shepard_eval_1d(StepFn1D.indicator_upto(x0), sh.ShepardParams(2.0, n),
-                                        x, spec=spec)
+    return lambda n: sh.shepard_eval_1d(StepFn1D.indicator_upto(x0), sh.ShepardParams(2.0, n), x)
 
 
 @pytest.mark.parametrize("spec, evaluators", [
@@ -275,7 +274,7 @@ def shepard_at(x0, x, spec=None):
       lagrange_at(math.cos(math.pi / 2), 1.0, math.cos(math.pi / 2))]),
     (ExperimentSpec("shepard2d", PointSpec.rational(3, 4), HALF, window=400,
                     eval_point=(0.375, 0.5)),
-     [shepard_at(0.75, 0.375), shepard_at(0.5, 0.5, HALF)]),
+     [shepard_at(0.75, 0.375), shepard_at(0.5, 0.5)]),
 ], ids=["lagrange1d d=0.5", "lagrange2d edge", "shepard2d edge"])
 def test_generate_window_wires_each_factor_to_its_step(spec, evaluators):
     """Each factor of the window is the family's step with the jump value d

@@ -209,7 +209,7 @@ def test_jump_sequence_head_edges(p):
     for d in JUMP_VALUES:
         same_bits(lg.jump_sequence(spec, d, 2000), ref_jump_sequence(spec, d, 2000))
     for n in (2, 3, 997, 998, 1994, 1995):
-        got = lg.jump_value_direct(spec, 0.5, n)
+        got = lg.jump_sequence(spec, 0.5, n, indices=[n])[0]
         want = ref_jump_value(StepFn1D.jump(x0, 0.5), x0, theta0, lg.grid_offset(spec, n), n)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -326,13 +326,13 @@ def test_windows_bit_identical_over_rationals(q, p, d, n_max, s):
 
 
 def test_single_values_bit_identical():
-    """`jump_value_direct` (`conidx eval`) and the one-n weight vectors."""
+    """The one-index windows {n} (`conidx eval`) and the one-n weight vectors."""
     for spec in SPECS:
         theta0 = math.pi * spec.value
         x0 = math.cos(theta0)
         step = StepFn1D.jump(x0, 0.5)
         for n in (2, 3, 12, 301, 1000):
-            got = lg.jump_value_direct(spec, 0.5, n)
+            got = lg.jump_sequence(spec, 0.5, n, indices=[n])[0]
             want = ref_jump_value(step, x0, theta0, lg.grid_offset(spec, n), n)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     rng = np.random.default_rng(3)
@@ -340,7 +340,7 @@ def test_single_values_bit_identical():
         n = int(rng.integers(2, 200))
         x = float(rng.uniform(-1.0, 1.0))
         same_bits(lg.fundamental_weights(lg.cheb_grid(n), x), ref_lagrange_weights(n, x))
-        node = float(lg.cheb_grid(n).nodes[int(rng.integers(0, n))])
+        node = float(lg.cheb_grid(n)[int(rng.integers(0, n))])
         same_bits(lg.fundamental_weights(lg.cheb_grid(n), node), ref_lagrange_weights(n, node))
         s = float(rng.uniform(1.0, 4.0))
         xs = float(rng.random())
@@ -392,7 +392,7 @@ def test_windows_bit_identical_between_node_hits(p, q):
 def test_single_n_windows_bit_identical(spec, d, n):
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    got = lg.jump_value_direct(spec, d, n)
+    got = lg.jump_sequence(spec, d, n, indices=[n])[0]
     want = ref_jump_value(StepFn1D.jump(x0, d), x0, theta0, lg.grid_offset(spec, n), n)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -423,7 +423,7 @@ def test_jump_sequence_index_sets_bit_identical(spec):
         for ns in lagrange_index_sets(spec, INDEX_N):
             same_bits(lg.jump_sequence(spec, d, INDEX_N, indices=ns), taken(full, ns))
         n = INDEX_N // 2
-        same_bits(np.array([lg.jump_value_direct(spec, d, n)]), full[n - 1:n])
+        same_bits(lg.jump_sequence(spec, d, n, indices=[n]), full[n - 1:n])
 
 
 @pytest.mark.parametrize("s", BLOCK_EXPONENTS)
@@ -468,19 +468,18 @@ SIZED = {
 }
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda n: lg.jump_value_direct(THIRD, 1.0, n), "n"),
-    (SIZED["jump_sequence"], "n_max"),
-    (SIZED["shepard.step_sequence"], "n_max"),
-    (lambda n: lg.step_sequence_at(0.5, 0.3, n), "n_max"),
-    (lambda n: sh.step_sequence_at(0.5, 2.0, 0.3, n), "n_max"),
-], ids=["jump_value_direct", "jump_sequence", "shepard.step_sequence",
-        "lagrange.step_sequence_at", "shepard.step_sequence_at"])
+@pytest.mark.parametrize("call", [
+    SIZED["jump_sequence"],
+    SIZED["shepard.step_sequence"],
+    lambda n: lg.step_sequence_at(0.5, 0.3, n),
+    lambda n: sh.step_sequence_at(0.5, 2.0, 0.3, n),
+], ids=["jump_sequence", "shepard.step_sequence", "lagrange.step_sequence_at",
+        "shepard.step_sequence_at"])
 @pytest.mark.parametrize("n", [0, -3])
-def test_generators_reject_sizes_below_one(call, name, n):
+def test_generators_reject_sizes_below_one(call, n):
     """n = 0 used to give an empty window or an IndexError, and n < 0 numpy's
     negative dimensions."""
-    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {n}$"):
+    with pytest.raises(ValueError, match=rf"^n_max must be at least 1, got {n}$"):
         call(n)
 
 

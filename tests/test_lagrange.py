@@ -1,20 +1,18 @@
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from conidx import lagrange as lg
+from conidx.harness import _FAMILIES
 from conidx.lagrange import (
     cheb_grid,
     eval_jump_decomposed,
     fundamental_weights,
     grid_offset,
     jump_sequence,
-    jump_value_direct,
     lagrange_eval_1d,
     lagrange_eval_2d,
-    offset_subsequence,
     step_sequence_at,
 )
 from conidx.points import PointSpec
@@ -35,16 +33,16 @@ def product_formula_weight(nodes, k, x):
 
 
 def test_grid_small_cases():
-    assert np.allclose(cheb_grid(2).nodes, [1.0, -1.0])
-    assert np.allclose(cheb_grid(3).nodes, [1.0, 0.0, -1.0], atol=1e-15)
-    assert cheb_grid(5).nodes[1] == pytest.approx(math.sqrt(2.0) / 2.0)
+    assert np.allclose(cheb_grid(2), [1.0, -1.0])
+    assert np.allclose(cheb_grid(3), [1.0, 0.0, -1.0], atol=1e-15)
+    assert cheb_grid(5)[1] == pytest.approx(math.sqrt(2.0) / 2.0)
 
 
 def test_grid_monotone_and_endpoints():
     for n in (2, 7, 40):
         g = cheb_grid(n)
-        assert g.nodes[0] == 1.0 and g.nodes[-1] == -1.0
-        assert np.all(np.diff(g.nodes) < 0.0)
+        assert g[0] == 1.0 and g[-1] == -1.0
+        assert np.all(np.diff(g) < 0.0)
     with pytest.raises(ValueError):
         cheb_grid(1)
 
@@ -54,7 +52,7 @@ def test_fundamental_weight_kronecker():
     for j in range(1, 10):
         want = np.zeros(9)
         want[j - 1] = 1.0
-        assert np.array_equal(fundamental_weights(g, float(g.nodes[j - 1])), want)
+        assert np.array_equal(fundamental_weights(g, float(g[j - 1])), want)
 
 
 def test_fundamental_weight_closed_case():
@@ -70,7 +68,7 @@ def test_fundamental_weight_product_formula_oracle(n):
         weights = fundamental_weights(g, float(x))
         assert weights.shape == (n,)
         for k in range(1, n + 1):
-            want = product_formula_weight(g.nodes, k, float(x))
+            want = product_formula_weight(g, k, float(x))
             assert weights[k - 1] == pytest.approx(want, abs=1e-9)
 
 
@@ -101,7 +99,7 @@ def test_eval_outside_the_interval_raises():
 def test_eval_step_at_node_is_node_value():
     step = StepFn1D.jump(0.4, 0.77)
     g = cheb_grid(12)
-    for node in g.nodes:
+    for node in g:
         assert lagrange_eval_1d(step, 12, float(node)) == step(float(node))
 
 
@@ -120,25 +118,32 @@ def test_grid_offset_values():
     assert grid_offset(irr, 2) == pytest.approx((1.0 / math.sqrt(2.0)) % 1.0)
 
 
-def test_offset_subsequence_examples():
-    assert list(islice(offset_subsequence(1, 3, 2), 3)) == [6, 9, 12]
-    assert list(islice(offset_subsequence(1, 3, 0), 3)) == [4, 7, 10]
-    # 3*2 = 6 = 1 mod 5, so l = 3
-    assert list(islice(offset_subsequence(2, 5, 1), 3)) == [9, 14, 19]
+def arm(family, p, q, m, n_max):
+    """The indices n <= n_max of the arm m/q of p/q, first_index on, step q."""
+    return list(range(_FAMILIES[family].first_index(p, q, m), n_max + 1, q))
 
 
-def test_offset_subsequence_hits_offset_exactly():
-    for p, q, m in [(1, 3, 2), (2, 5, 1), (3, 7, 4)]:
-        spec = PointSpec.rational(p, q)
-        for k in islice(offset_subsequence(p, q, m), 5):
-            assert grid_offset(spec, k) == pytest.approx(m / q)
-
-
-def test_offset_subsequence_validation():
-    with pytest.raises(ValueError):
-        next(offset_subsequence(2, 4, 1))
-    with pytest.raises(ValueError):
-        next(offset_subsequence(1, 3, 3))
+def test_first_index_starts_each_offset_arm():
+    """Over every p/q with q <= 30 and every residue m, the first index of
+    the arm m/q has offset m/q: the grid offset of n - 1 (Lagrange, from
+    n = q + 1 on) or the fractional part of n p/q (Shepard, from n = 1)."""
+    offsets = {"lagrange": (grid_offset, lambda q: q + 1),
+               "shepard": (lambda spec, n: spec.multiple_mod1(n), lambda q: 1)}
+    for family, (offset, start) in offsets.items():
+        for q in range(2, 31):
+            for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
+                spec = PointSpec.rational(p, q)
+                for m in range(q):
+                    first = arm(family, p, q, m, 3 * q)[0]
+                    assert offset(spec, first) == m / q, (family, p, q, m)
+                    assert first == next(n for n in range(start(q), start(q) + q)
+                                         if offset(spec, n) == m / q)
+    assert arm("lagrange", 1, 3, 2, 12) == [6, 9, 12]
+    assert arm("lagrange", 1, 3, 0, 10) == [4, 7, 10]
+    # 3*2 = 6 = 1 mod 5, so l = 3 and n - 1 = 3 + 5
+    assert arm("lagrange", 2, 5, 1, 19) == [9, 14, 19]
+    assert arm("shepard", 1, 3, 0, 9) == [3, 6, 9]
+    assert arm("shepard", 2, 5, 1, 13) == [3, 8, 13]
 
 
 def test_decomposition_oracle_matches_direct():
@@ -151,7 +156,7 @@ def test_decomposition_oracle_matches_direct():
 def test_subsequence_converges_to_profile():
     spec = PointSpec.rational(1, 3)
     limit = lagrange_jump_profile(1.0 / 3.0)
-    ks = [k for k in islice(offset_subsequence(1, 3, 1), 700) if k <= 2000]
+    ks = arm("lagrange", 1, 3, 1, 2000)
     tail = eval_jump_decomposed(spec, 1.0, ks[-1])
     assert abs(tail - limit) <= 5e-3
 
@@ -159,16 +164,15 @@ def test_subsequence_converges_to_profile():
 def test_node_hit_subsequence_returns_d():
     spec = PointSpec.rational(1, 3)
     vals = jump_sequence(spec, 0.42, 100)
-    for k in islice(offset_subsequence(1, 3, 0), 10):
-        if k <= 100:
-            assert vals[k - 1] == 0.42
+    for k in arm("lagrange", 1, 3, 0, 100):
+        assert vals[k - 1] == 0.42
 
 
 def test_eval_2d_interpolates_grid():
     h = StepFn2D.upper_right(0.3, -0.2)
     gx, gy = cheb_grid(7), cheb_grid(5)
-    for xi in gx.nodes[:3]:
-        for yj in gy.nodes[:3]:
+    for xi in gx[:3]:
+        for yj in gy[:3]:
             got = lagrange_eval_2d(h, 7, 5, float(xi), float(yj))
             assert got == pytest.approx(h(float(xi), float(yj)), abs=1e-10)
 
@@ -215,7 +219,7 @@ def test_no_false_node_hits_at_large_n():
     want = eval_jump_decomposed(spec, 1.0, 999_000)
     assert want == pytest.approx(0.014190206, abs=1e-9)
     assert lagrange_eval_1d(step, 999_000, x0) == pytest.approx(want, abs=1e-9)
-    assert jump_value_direct(spec, 1.0, 999_000) == pytest.approx(want, abs=1e-9)
+    assert jump_sequence(spec, 1.0, 999_000, indices=[999_000])[0] == pytest.approx(want, abs=1e-9)
     assert lagrange_eval_1d(step, 999_001, x0) == 1.0
     for n in range(999_000, 1_000_001):
         assert (lg._node_hit(n, x0, theta0) is not None) == (grid_offset(spec, n) == 0.0), n
