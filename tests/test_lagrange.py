@@ -123,10 +123,22 @@ def arm(family, p, q, m, n_max):
     return list(range(_FAMILIES[family].first_index(p, q, m), n_max + 1, q))
 
 
-def test_first_index_starts_each_offset_arm():
-    """Over every p/q with q <= 30 and every residue m, the first index of
-    the arm m/q has offset m/q: the grid offset of n - 1 (Lagrange, from
-    n = q + 1 on) or the fractional part of n p/q (Shepard, from n = 1)."""
+def test_offset_subsequence_examples():
+    """The offset subsequences of a rational point start at first_index and
+    step by q."""
+    assert arm("lagrange", 1, 3, 2, 12) == [6, 9, 12]
+    assert arm("lagrange", 1, 3, 0, 10) == [4, 7, 10]
+    # 3*2 = 6 = 1 mod 5, so l = 3 and n - 1 = 3 + 5
+    assert arm("lagrange", 2, 5, 1, 19) == [9, 14, 19]
+    assert arm("shepard", 1, 3, 0, 9) == [3, 6, 9]
+    assert arm("shepard", 2, 5, 1, 13) == [3, 8, 13]
+
+
+def test_offset_subsequence_hits_offset_exactly():
+    """Over every p/q with q <= 30 and every residue m, each index of the
+    arm m/q has offset m/q, and the arm starts at the first such index: the
+    grid offset of n - 1 (Lagrange, from n = q + 1 on) or the fractional
+    part of n p/q (Shepard, from n = 1)."""
     offsets = {"lagrange": (grid_offset, lambda q: q + 1),
                "shepard": (lambda spec, n: spec.multiple_mod1(n), lambda q: 1)}
     for family, (offset, start) in offsets.items():
@@ -134,16 +146,10 @@ def test_first_index_starts_each_offset_arm():
             for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
                 spec = PointSpec.rational(p, q)
                 for m in range(q):
-                    first = arm(family, p, q, m, 3 * q)[0]
-                    assert offset(spec, first) == m / q, (family, p, q, m)
-                    assert first == next(n for n in range(start(q), start(q) + q)
-                                         if offset(spec, n) == m / q)
-    assert arm("lagrange", 1, 3, 2, 12) == [6, 9, 12]
-    assert arm("lagrange", 1, 3, 0, 10) == [4, 7, 10]
-    # 3*2 = 6 = 1 mod 5, so l = 3 and n - 1 = 3 + 5
-    assert arm("lagrange", 2, 5, 1, 19) == [9, 14, 19]
-    assert arm("shepard", 1, 3, 0, 9) == [3, 6, 9]
-    assert arm("shepard", 2, 5, 1, 13) == [3, 8, 13]
+                    indices = arm(family, p, q, m, 3 * q)
+                    assert all(offset(spec, n) == m / q for n in indices), (family, p, q, m)
+                    assert indices[0] == next(n for n in range(start(q), start(q) + q)
+                                              if offset(spec, n) == m / q)
 
 
 def test_decomposition_oracle_matches_direct():
