@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__
 from .harness import _FAMILIES, MAX_WINDOW_2D, CrossCheckError, run_index_experiment
@@ -59,16 +62,22 @@ def _writing(path):
 
 def cmd_zeta(args) -> int:
     try:
-        if args.evaluator == "lerch-j1":
-            value = lerch_j1(args.a)
-        elif args.evaluator == "hurwitz":
-            value = hurwitz_zeta(args.s, args.a)
-        elif args.evaluator == "profile":
-            value = lagrange_jump_profile(args.x)
-        else:  # profile-s
-            value = shepard_jump_profile(args.s, args.x)
+        # a value past the largest double is reported below, not warned about
+        with np.errstate(over="ignore"):
+            if args.evaluator == "lerch-j1":
+                value = lerch_j1(args.a)
+            elif args.evaluator == "hurwitz":
+                value = hurwitz_zeta(args.s, args.a)
+            elif args.evaluator == "profile":
+                value = lagrange_jump_profile(args.x)
+            else:  # profile-s
+                value = shepard_jump_profile(args.s, args.x)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if math.isinf(value):
+        at = ", ".join(f"{name} = {getattr(args, name)!r}" for name in ("s", "a", "x")
+                       if name in vars(args))
+        raise UsageError(f"zeta {args.evaluator} at {at} overflows a double")
     print(f"{value:.17g}")
     return EXIT_PASS
 

@@ -215,9 +215,9 @@ def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, unions,
     m up to it, and by its columns m against the earlier rows.  So every
     index is one query against the other factor (`_strip_counts`; op is
     commutative), and the counts per checkpoint are prefix sums over the
-    indices.  All unions share the queries: their interval ends form one
-    threshold array, and a sign matrix sums the thresholds' counts into
-    each union's.
+    levels, the index ranges between consecutive checkpoints.  All unions
+    share the queries: their interval ends form one threshold array, and a
+    sign matrix sums the thresholds' counts into each union's.
     """
     levels, slot = np.unique(cps, return_inverse=True)
     size = int(levels[-1])
@@ -233,66 +233,114 @@ def _factor_counts(u: np.ndarray, v: np.ndarray, op: np.ufunc, unions,
     sign_matrix = np.zeros((len(unions), ends.size), dtype=np.int64)
     np.add.at(sign_matrix, (np.array(rows, dtype=np.intp), col), signs)
     ends = ends[:, None]
+    # level l holds the indices n with levels[l-1] < n <= levels[l]
     level = np.searchsorted(levels, np.arange(1, size + 1))
+    first = np.concatenate(([0], levels[:-1]))
+    fu, fv = (_SortedFactor.of(f[:size], level) for f in (u, v))
     # one strip at a time, so one level table is alive at a time
-    per_index = _strip_counts(u[:size], level, v[:size], level, op, ends, sign_matrix)
-    per_index += _strip_counts(v[:size], level - 1, u[:size], level, op, ends, sign_matrix)
-    return np.cumsum(per_index, axis=1)[:, levels - 1][:, slot]
+    per_level = _strip_counts(fu, level, fv, op, ends, first)
+    per_level += _strip_counts(fv, level - 1, fu, op, ends, first)
+    return np.cumsum(sign_matrix @ per_level, axis=1)[:, slot]
 
 
-def _strip_counts(w: np.ndarray, allowed: np.ndarray, other: np.ndarray,
-                  other_level: np.ndarray, op: np.ufunc, ends: np.ndarray,
-                  signs: np.ndarray) -> np.ndarray:
-    """For each union k and query w[i]: sum over r of signs[k, r] *
-    #{j : other_level[j] <= allowed[i], fl(op(w[i], other[j])) <= ends[r]}.
+@dataclass(frozen=True)
+class _SortedFactor:
+    """A factor sorted once.  As the other side of a strip it gives its sorted
+    values between -inf and inf, and their levels in the narrowest integer
+    type that counts to its length; as the query side it gives its distinct
+    values, and each index's class: values[cls[i]] == f[i]."""
 
-    fl(|w| x) and fl(w + x) are nondecreasing in x, so over the sorted
-    `other` the entries at or below a threshold form a prefix (a suffix for
-    a product with w < 0, where fl(w x) <= t is fl(|w| x) > pred(-t)).  The
-    rounded t / |w| or t - w only guesses the prefix's length: an entry can
-    tie t, or an x within an ulp or two of the guess can land on the other
-    side.  The guess is moved run by run of equal values until the entries
-    on either side of it agree with their rounded op.  A table of prefix
-    counts per level then turns the length into the number of allowed
-    entries.
+    padded: np.ndarray
+    sorted_level: np.ndarray
+    values: np.ndarray
+    cls: np.ndarray
+
+    @classmethod
+    def of(cls, f: np.ndarray, level: np.ndarray) -> "_SortedFactor":
+        order = np.argsort(f)
+        xs = f[order]
+        # -0.0 and 0.0 share a class: every query sees them alike
+        new = np.concatenate(([True], xs[1:] != xs[:-1]))
+        classes = np.empty(f.size, dtype=np.intp)
+        classes[order] = np.cumsum(new) - 1
+        return cls(np.concatenate(([-np.inf], xs, [np.inf])),
+                   level[order].astype(np.min_scalar_type(f.size)), xs[new], classes)
+
+
+def _strip_counts(query: _SortedFactor, allowed: np.ndarray, other: _SortedFactor,
+                  op: np.ufunc, ends: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """For each threshold r and level l: the sum over the queries w[i] with
+    first[l] <= i < first[l+1] of
+    #{j : level of other[j] <= allowed[i], fl(op(w[i], other[j])) <= ends[r]}.
+
+    `_prefix_lengths` finds, per distinct query value, how many of the
+    sorted entries count.  A table of prefix counts per level turns each
+    index's length into the number of its allowed entries.
     """
-    order = np.argsort(other)
-    xs = other[order]
-    n = xs.size
-    # table[l + 1, r]: how many of the r smallest entries have level <= l
-    top = np.arange(-1, int(other_level.max()) + 1)
-    # built in place: a cumsum into the column slice would buffer a second table
-    table = np.zeros((top.size, n + 1), dtype=np.int32)
-    np.less_equal(other_level[order], top[:, None], out=table[:, 1:])
-    np.cumsum(table, axis=1, out=table)
-    padded = np.concatenate(([-np.inf], xs, [np.inf]))
-    before, at = padded[:-1], padded[1:]
+    n = other.sorted_level.size
+    # table[l + 1, r]: how many of the r smallest entries have level <= l,
+    # built in place: a cumsum into the column slice would buffer a second
+    # table, and a comparison in another type a cast of the first
+    top = np.arange(int(other.sorted_level.max()) + 1, dtype=other.sorted_level.dtype)
+    table = np.zeros((top.size + 1, n + 1), dtype=other.sorted_level.dtype)
+    np.less_equal(other.sorted_level, top[:, None], out=table[1:, 1:])
+    np.cumsum(table, axis=1, dtype=table.dtype, out=table)
+    # for a product, fl(w x) <= t is fl(|w| x) <= t when w >= 0, and
+    # fl(|w| x) > pred(-t) when w < 0: the entries outside a prefix.  The
+    # distinct values are sorted, so the negative ones come first.
+    w = query.values
+    if op is np.add:
+        neg, lengths = 0, _prefix_lengths(w, other.padded, op, ends)
+    else:
+        neg = int(np.searchsorted(w, 0.0))
+        # pred(-t) of the largest finite end t overflows to -inf, as it should
+        with np.errstate(over="ignore"):
+            flipped = np.nextafter(-ends, -np.inf)
+        lengths = np.concatenate((_prefix_lengths(-w[:neg], other.padded, op, flipped),
+                                  _prefix_lengths(np.abs(w[neg:]), other.padded, op, ends)),
+                                 axis=1)
+    base = (allowed + 1) * (n + 1)
+    index = lengths.take(query.cls, axis=1)
+    del lengths  # freed before the lookups are taken
+    index += base
+    # the lookups stay in the table's type; only their sums per level widen,
+    # in the memory of the index array
+    below = table.ravel().take(index)
+    if neg:
+        np.subtract(table.ravel().take(base + n), below, out=below, where=query.cls < neg)
+    np.copyto(index, below)
+    return np.add.reduceat(index, first, axis=1)
+
+
+def _prefix_lengths(a: np.ndarray, padded: np.ndarray, op: np.ufunc,
+                    t: np.ndarray) -> np.ndarray:
+    """For each threshold t (rows) and query a (columns): how many of the
+    sorted entries x have fl(op(a, x)) <= t; a >= 0 for a product.
+
+    fl(a x) and fl(a + x) are nondecreasing in x, so those entries form a
+    prefix.  The rounded t / a or t - a only guesses its length: an entry
+    can tie t, or an x within an ulp or two of the guess can land on the
+    other side.  The guess is moved run by run of equal values until the
+    entries on either side of it agree with their rounded op.
+    """
+    xs, before, at = padded[1:-1], padded[:-1], padded[1:]
     # a zero product query gets the guess +-inf or nan (0/0), which the
     # checks settle at once: its products are 0, and nan at the infinite
-    # ends; pred(-t) of the largest finite end t overflows to -inf, as it
-    # should, and an overflowing t - w or w + x is settled like a tie
+    # ends; an overflowing t - a or a + x is settled like a tie
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if op is np.add:
-            neg, a, t = None, w, ends
-            k = np.searchsorted(xs, t - a, "right")
-        else:
-            neg = w < 0.0
-            a = np.abs(w)
-            t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
-            k = np.searchsorted(xs, t / a, "right")
+        k = np.searchsorted(xs, t - a if op is np.add else t / a, "right")
+
+        def rounded(side):  # op of the entries on one side, one array alive
+            x = side.take(k)
+            return op(x, a, out=x)
+
         while True:
-            back = op(before.take(k), a) > t
-            ahead = op(at.take(k), a) <= t
+            back = rounded(before) > t
+            ahead = rounded(at) <= t
             if not (back.any() or ahead.any()):
-                break
+                return k
             k[back] = np.searchsorted(xs, before.take(k[back]), "left")
             k[ahead] = np.searchsorted(xs, at.take(k[ahead]), "right")
-    flat = table.ravel()
-    base = (allowed + 1) * (n + 1)
-    below = flat.take(base + k)
-    if neg is not None:
-        below = np.where(neg, flat.take(base + n) - below, below)
-    return signs @ below
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,19 @@ def lerch_j1(a):
 
 
 def lagrange_jump_profile(x):
-    """sin(pi x)/pi * lerch_j1(x) on (0,1), extended by 1 at x = 0."""
+    """sin(pi x)/pi * lerch_j1(x) on (0,1), extended by 1 at x = 0.
+
+    Below x ~ 5.6e-309 the series lerch_j1(x) ~ 1/x overflows; the profile
+    takes its limit 1 there.
+    """
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr >= 0.0) & (x_arr < 1.0)):
         raise ValueError("profile argument must lie in [0, 1)")
     # evaluate the series at a safe stand-in where x == 0, then overwrite
     safe = np.where(x_arr == 0.0, 0.5, x_arr)
-    vals = np.sin(np.pi * safe) / np.pi * lerch_j1(safe)
-    out = np.where(x_arr == 0.0, 1.0, vals)
+    with np.errstate(over="ignore"):
+        vals = np.sin(np.pi * safe) / np.pi * lerch_j1(safe)
+    out = np.where((x_arr == 0.0) | np.isinf(vals), 1.0, vals)
     return float(out) if out.ndim == 0 else out
 
 

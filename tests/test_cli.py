@@ -62,6 +62,33 @@ def test_zeta_hurwitz_at_a_huge_exponent(capsys, s):
     assert (code, out) == (0, "1\n")
 
 
+# values past the largest double: 2^2000, (1e-200)^-2 and about 1e320
+ZETA_OVERFLOWS = [["hurwitz", "--s", "2000", "0.5"], ["hurwitz", "--s", "2", "1e-200"],
+                  ["lerch-j1", "1e-320"]]
+
+
+@pytest.mark.parametrize("argv", ZETA_OVERFLOWS)
+def test_zeta_overflow_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "zeta", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" overflows a double\n")
+    assert err.count("\n") == 1
+
+
+def test_zeta_overflow_prints_one_line_and_no_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(conidx.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "conidx.cli", "zeta", *ZETA_OVERFLOWS[0]],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: zeta hurwitz at s = 2000.0, a = 0.5 overflows a double\n"
+
+
+def test_zeta_profile_next_to_zero(capsys):
+    # the series overflows there, and the profile takes its limit 1
+    code, out, err = run_cli(capsys, "zeta", "profile", "1e-315")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_zeta_domain_error_is_usage(capsys):
     code, _, err = run_cli(capsys, "zeta", "hurwitz", "--s", "0.5", "1.0")
     assert code == 2

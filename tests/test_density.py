@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from conidx.density import (
     complement_identity_check,
     default_checkpoints,
     index_to_target,
+    merge_open,
     sum_rule_check,
 )
+from conidx.harness import ExperimentSpec, generate_window, run_index_experiment
+from conidx.points import PointSpec
 
 
 def cos_quarter(n):
@@ -47,6 +52,66 @@ def ref_matrix_counts(values, intervals, cps):
     for lo, hi in intervals:
         mask |= (values > lo) & (values < hi)
     return mask.cumsum(axis=0).cumsum(axis=1)[cps - 1, cps - 1]
+
+
+# ---------------------------------------------------------------------------
+# reference counting: the factor-form count as it was before its queries were
+# taken once per distinct factor value and summed per checkpoint level; each
+# strip sorts the other factor, and every index is its own query over a
+# thresholds x N grid
+
+
+def ref_factor_counts(u, v, op, unions, cps):
+    levels, slot = np.unique(cps, return_inverse=True)
+    size = int(levels[-1])
+    rows, ends, signs = [], [], []
+    for row, intervals in enumerate(unions):
+        for lo, hi in merge_open(iv for iv in intervals if iv[0] < iv[1]):
+            rows += [row, row]
+            ends += [float(np.nextafter(hi, -np.inf)), float(lo)]
+            signs += [1, -1]
+    ends, col = np.unique(np.array(ends, dtype=float), return_inverse=True)
+    sign_matrix = np.zeros((len(unions), ends.size), dtype=np.int64)
+    np.add.at(sign_matrix, (np.array(rows, dtype=np.intp), col), signs)
+    ends = ends[:, None]
+    level = np.searchsorted(levels, np.arange(1, size + 1))
+    per_index = ref_strip_counts(u[:size], level, v[:size], level, op, ends, sign_matrix)
+    per_index += ref_strip_counts(v[:size], level - 1, u[:size], level, op, ends, sign_matrix)
+    return np.cumsum(per_index, axis=1)[:, levels - 1][:, slot]
+
+
+def ref_strip_counts(w, allowed, other, other_level, op, ends, signs):
+    order = np.argsort(other)
+    xs = other[order]
+    n = xs.size
+    top = np.arange(-1, int(other_level.max()) + 1)
+    table = np.zeros((top.size, n + 1), dtype=np.int32)
+    np.less_equal(other_level[order], top[:, None], out=table[:, 1:])
+    np.cumsum(table, axis=1, out=table)
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))
+    before, at = padded[:-1], padded[1:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if op is np.add:
+            neg, a, t = None, w, ends
+            k = np.searchsorted(xs, t - a, "right")
+        else:
+            neg = w < 0.0
+            a = np.abs(w)
+            t = np.where(neg, np.nextafter(-ends, -np.inf), ends)
+            k = np.searchsorted(xs, t / a, "right")
+        while True:
+            back = op(before.take(k), a) > t
+            ahead = op(at.take(k), a) <= t
+            if not (back.any() or ahead.any()):
+                break
+            k[back] = np.searchsorted(xs, before.take(k[back]), "left")
+            k[ahead] = np.searchsorted(xs, at.take(k[ahead]), "right")
+    flat = table.ravel()
+    base = (allowed + 1) * (n + 1)
+    below = flat.take(base + k)
+    if neg is not None:
+        below = np.where(neg, flat.take(base + n) - below, below)
+    return signs @ below
 
 
 def density(indicator, checkpoints):
@@ -394,6 +459,113 @@ def test_batched_counts_keep_peak_memory_of_one_union():
     table = (len(cps) + 2) * (3000 + 1) * np.dtype(np.int32).itemsize
     assert peaks[0] <= 1.5 * table  # one level table alive, and no buffered copy
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# the four 2-d windows of the benchmark's warm-index workload at seed 0
+WARM_WINDOWS = {
+    "lagrange2d 1/3 x 1/2": ("lagrange2d", PointSpec.rational(1, 3), PointSpec.rational(1, 2)),
+    "lagrange2d 1/3 x golden_frac": ("lagrange2d", PointSpec.rational(1, 3),
+                                     PointSpec.irrational("golden_frac")),
+    "shepard2d 1/2 x 1/3": ("shepard2d", PointSpec.rational(1, 2), PointSpec.rational(1, 3)),
+    "shepard2d 1/2 x inv_sqrt2": ("shepard2d", PointSpec.rational(1, 2),
+                                  PointSpec.irrational("inv_sqrt2")),
+}
+# each factor negated sends the queries through the negative-factor suffix
+# counts; u - 0.5 mixes signs within one factor
+FACTOR_VARIANTS = {
+    "product": (np.multiply, lambda u, v: (u, v)),
+    "-u": (np.multiply, lambda u, v: (-u, v)),
+    "-v": (np.multiply, lambda u, v: (u, -v)),
+    "u - 0.5": (np.multiply, lambda u, v: (u - 0.5, v)),
+    "sum": (np.add, lambda u, v: (u, v)),
+}
+
+
+@pytest.fixture(scope="module")
+def warm_windows():
+    """Each window's factors at N = 3000, and the unions the harness counts
+    on it: its prediction rows and the residual union, at the automatic eps."""
+    out = {}
+    for name, (operator, spec_x, spec_y) in WARM_WINDOWS.items():
+        spec = ExperimentSpec(operator=operator, spec_x=spec_x, spec_y=spec_y, window=3000)
+        win = generate_window(spec)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            count = SeqWindow.hit_counts
+            mp.setattr(SeqWindow, "hit_counts",
+                       lambda self, unions, cps: seen.append(unions) or count(self, unions, cps))
+            run_index_experiment(spec, window=win)
+        (unions,) = seen
+        out[name] = win.factors, unions
+    return out
+
+
+@pytest.mark.parametrize("variant", FACTOR_VARIANTS)
+@pytest.mark.parametrize("name", WARM_WINDOWS)
+def test_factor_counts_equal_the_reference_on_warm_windows(warm_windows, name, variant):
+    (u, v), unions = warm_windows[name]
+    op, make = FACTOR_VARIANTS[variant]
+    x, y = make(u, v)
+    win = SeqWindow._from_factors(x, y, op)
+    for count in (16, 32, 64):
+        cps = default_checkpoints(3000, count)
+        got = win.hit_counts(unions, cps)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_factor_counts(x, y, op, unions, cps))
+
+
+# factors drawn from a small pool repeat their values within a checkpoint
+# level and across levels, so many indices share one distinct value's query
+REPEATED = [0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), op=st.sampled_from([np.multiply, np.add]))
+def test_counts_of_repeated_factor_values_match_materialized_matrix_property(data, op):
+    extra = data.draw(st.lists(st.floats(-4.0, 4.0), max_size=3), label="extra")
+    factor = st.sampled_from(REPEATED + extra)
+    n = data.draw(st.integers(1, 64), label="n")
+    u = np.array(data.draw(st.lists(factor, min_size=n, max_size=n), label="u"))
+    v = np.array(data.draw(st.lists(factor, min_size=n, max_size=n), label="v"))
+    values = op.outer(u, v)
+    end = st.one_of(st.sampled_from(values.ravel().tolist()), st.sampled_from(REPEATED),
+                    st.floats(-20.0, 20.0), INFINITE)
+    pool = data.draw(st.lists(end, min_size=1, max_size=6), label="pool")
+    interval = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    unions = data.draw(st.lists(st.lists(interval, min_size=1, max_size=3),
+                                min_size=1, max_size=4), label="unions")
+    cps = np.array(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=64),
+                             label="checkpoints"))
+    got = SeqWindow._from_factors(u, v, op).hit_counts(unions, cps)
+    assert got.shape == (len(unions), cps.size) and got.dtype == np.int64
+    for row, union in zip(got, unions):
+        assert np.array_equal(row, ref_matrix_counts(values, union, cps))
+
+
+def traced_peak(count, *args):
+    tracemalloc.start()
+    try:
+        count(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("checkpoints", [16, 64])
+def test_counts_keep_peak_memory_within_four_threshold_arrays(op, checkpoints):
+    """Twelve one-interval unions with distinct ends make 24 thresholds.  The
+    tie search holds a few thresholds x (distinct values) arrays, and the
+    lookups stay in the level table's narrow type until they are summed per
+    level, so the peak, level table included, stays below four thresholds x
+    N int64 arrays.  The reference count peaks at 4.4 to 6.4 of them."""
+    u, v = np.random.default_rng(5).normal(size=(2, 3000))
+    unions = [[(k / 4 - 1.5, k / 4 - 1.4)] for k in range(12)]
+    cps = default_checkpoints(3000, checkpoints)
+    win = SeqWindow._from_factors(u, v, op)
+    peak = traced_peak(win.hit_counts, unions, cps)
+    assert peak <= 4 * 24 * 3000 * 8
+    assert peak <= traced_peak(ref_factor_counts, u, v, op, unions, cps)
 
 
 def test_target_validation():

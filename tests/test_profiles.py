@@ -137,6 +137,23 @@ def test_profile_values():
     assert third == pytest.approx(1.0, abs=1e-10)
 
 
+def test_lagrange_profile_takes_its_limit_where_the_series_overflows():
+    # lerch_j1(x) ~ 1/x passes the largest double below x ~ 5.6e-309, where
+    # the profile sin(pi x)/pi * lerch_j1(x) is 1 to the last bit
+    tiny = np.array([5e-324, 1e-320, 1e-315, 5e-309])
+    assert lagrange_jump_profile(tiny).tolist() == [1.0] * 4
+    assert lagrange_jump_profile(1e-315) == 1.0
+    assert lagrange_jump_profile(6e-309) == 1.0
+
+
+def test_lagrange_profile_keeps_the_bits_of_every_finite_value():
+    xs = np.concatenate((np.geomspace(1e-300, 0.5, 2000),
+                         np.linspace(0.5, 1.0 - 2.0**-53, 2000)))
+    want = np.sin(np.pi * xs) / np.pi * lerch_j1(xs)
+    assert np.isfinite(want).all()
+    assert lagrange_jump_profile(xs).tobytes() == want.tobytes()
+
+
 def test_profile_reflection_grid():
     xs = np.linspace(0.0, 1.0, 1026)[1:-1]
     total = lagrange_jump_profile(xs) + lagrange_jump_profile(1.0 - xs)
