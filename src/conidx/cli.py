@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .harness import _FAMILIES, MAX_WINDOW_2D, CrossCheckError, run_index_experiment
+from .harness import _FAMILIES, MAX_WINDOW_2D, run_index_experiment
 from .lagrange import eval_jump_decomposed
 from .points import PointSpec
 from .profiles import hurwitz_zeta, lagrange_jump_profile, lerch_j1, shepard_jump_profile
@@ -37,7 +37,7 @@ from .reports import (
     emit_report,
     parse_config,
 )
-from .stepfn import StepFn2D
+from .stepfn import CrossCheckError, StepFn2D
 from .suites import SUITES, run_suites
 
 EXIT_PASS = 0
@@ -47,37 +47,30 @@ EXIT_USAGE = 2
 MAX_EVAL_NODES = 1_000_000  # largest --n and --m of `eval`
 
 
-class UsageError(ValueError):
-    pass
-
-
 @contextmanager
 def _writing(path):
     """Report a failed write to path as a usage error (exit 2), not a traceback."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_zeta(args) -> int:
-    try:
-        # a value past the largest double is reported below, not warned about
-        with np.errstate(over="ignore"):
-            if args.evaluator == "lerch-j1":
-                value = lerch_j1(args.a)
-            elif args.evaluator == "hurwitz":
-                value = hurwitz_zeta(args.s, args.a)
-            elif args.evaluator == "profile":
-                value = lagrange_jump_profile(args.x)
-            else:  # profile-s
-                value = shepard_jump_profile(args.s, args.x)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # a value past the largest double is reported below, not warned about
+    with np.errstate(over="ignore"):
+        if args.evaluator == "lerch-j1":
+            value = lerch_j1(args.a)
+        elif args.evaluator == "hurwitz":
+            value = hurwitz_zeta(args.s, args.a)
+        elif args.evaluator == "profile":
+            value = lagrange_jump_profile(args.x)
+        else:  # profile-s
+            value = shepard_jump_profile(args.s, args.x)
     if math.isinf(value):
         at = ", ".join(f"{name} = {getattr(args, name)!r}" for name in ("s", "a", "x")
                        if name in vars(args))
-        raise UsageError(f"zeta {args.evaluator} at {at} overflows a double")
+        raise ValueError(f"zeta {args.evaluator} at {at} overflows a double")
     print(f"{value:.17g}")
     return EXIT_PASS
 
@@ -86,12 +79,12 @@ def _eval_point(args, name: str) -> PointSpec:
     """The jump point flag --name, read and checked like the config field."""
     text = getattr(args, name)
     if text is None:
-        raise UsageError(f"{args.operator} needs --{name}")
+        raise ValueError(f"{args.operator} needs --{name}")
     try:
         point = PointSpec.parse(text)
         point.require_interior()
     except ValueError as exc:
-        raise UsageError(f"--{name}: {exc}") from exc
+        raise ValueError(f"--{name}: {exc}") from exc
     return point
 
 
@@ -100,7 +93,7 @@ def _eval_number(args, name: str) -> float:
     default, _, requirement, check = _NUMBER_FIELDS[name]
     value = default if getattr(args, name) is None else getattr(args, name)
     if not (_finite(value) and check(value)):
-        raise UsageError(f"--{name} must be {requirement}")
+        raise ValueError(f"--{name} must be {requirement}")
     return value
 
 
@@ -110,7 +103,7 @@ def cmd_eval(args) -> int:
                + (() if op == "shepard1d" else ("cross_check",)))
     for name in ("theta", "gamma", "x0", "y0", "d", "s", "m", "cross_check"):
         if getattr(args, name) not in (None, False) and name not in applies:
-            raise UsageError(f"--{name.replace('_', '-')} does not apply to {op}")
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {op}")
     d, s = _eval_number(args, "d"), _eval_number(args, "s")
     n, m = args.n, args.n if args.m is None else args.m
     least = 2 if op.startswith("lagrange") else 1  # the Chebyshev grid has both endpoints
@@ -119,9 +112,9 @@ def cmd_eval(args) -> int:
                  if op.endswith("2d") and args.cross_check else (MAX_EVAL_NODES, ""))
     for name, count in (("n", n), ("m", m)):
         if count < least:
-            raise UsageError(f"--{name} must be >= {least}")
+            raise ValueError(f"--{name} must be >= {least}")
         if count > most:
-            raise UsageError(f"--{name} must be <= {most}{why}")
+            raise ValueError(f"--{name} must be <= {most}{why}")
     fam = _FAMILIES[op[:-2]]
     points = [_eval_point(args, name) for name in _SPEC_FIELDS[op]]
     if op.endswith("1d"):
@@ -150,18 +143,14 @@ def cmd_index(args) -> int:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
     spec = config.spec
     cache = SequenceCache(config.cache_dir) if config.cache_dir else None
     t0 = time.perf_counter()
     window = cache.load(spec) if cache else None
     cached = window is not None
-    try:
-        result = run_index_experiment(spec, window=window)
-    except CrossCheckError as exc:
-        print(f"cross-check FAILED: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    result = run_index_experiment(spec, window=window)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     if cache and not cached:
         with _writing(cache.dir):
@@ -193,10 +182,7 @@ def cmd_index(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite or list(SUITES)
-    try:
-        results = run_suites(names)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_suites(names)
     failed = [r for r in results if not r.passed]
     if args.out:
         doc = [
@@ -218,7 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_cache(args) -> int:
     cache = SequenceCache(args.cache_dir)
     if cache.dir.exists() and not cache.dir.is_dir():
-        raise UsageError(f"cache dir {cache.dir} is not a directory")
+        raise ValueError(f"cache dir {cache.dir} is not a directory")
     if args.action == "list":
         entries = cache.entries()
         for path in entries:
@@ -310,9 +296,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except CrossCheckError as exc:
+        print(f"cross-check FAILED: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ConfigError as exc:
         print("config errors:", file=sys.stderr)
         for err in exc.errors:

@@ -60,12 +60,10 @@ def complement_identity_check(indicator: SeqWindow, checkpoints) -> bool:
     """
     cps = np.asarray(checkpoints)
     dim = indicator.dim
-    est, est_c = (DensityEstimate.from_counts(cps, counts, dim)
-                  for counts in indicator.hit_counts([[(0.5, 1.5)], [(-0.5, 0.5)]], cps))
-    for cp, r, rc in zip(cps, est.ratios, est_c.ratios):
-        total = round(r * cp**dim) + round(rc * cp**dim)
-        if total != cp**dim:
-            return False
+    counts = indicator.hit_counts([[(0.5, 1.5)], [(-0.5, 0.5)]], cps)
+    if not np.array_equal(counts.sum(axis=0), cps.astype(np.int64) ** dim):
+        return False
+    est, est_c = (DensityEstimate.from_counts(cps, row, dim) for row in counts)
     return abs(est.lower_est + est_c.upper_est - 1.0) <= 1e-12
 
 

@@ -9,6 +9,7 @@ families make exact.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -36,7 +37,7 @@ from .profiles import (
     preimage_measure_2d,
     shepard_jump_profile,
 )
-from .stepfn import StepFn1D, StepFn2D
+from .stepfn import CrossCheckError, StepFn1D, StepFn2D
 
 MERGE_TOL = 1e-9          # clusters with equal values merge into one entry
 MIN_CLUSTER_GAP = 2e-3    # below this the eps-dilations cannot separate them
@@ -99,9 +100,15 @@ def _shepard_profile(s: float) -> _JumpProfile:
     return _JumpProfile(value, lambda: Profile1D.shepard(s), "profile_s")
 
 
-def _arms(spec: PointSpec, profile: _JumpProfile) -> list[float]:
-    """profile(m/q) for the arms m = 0..q-1 of a rational point p/q."""
-    return [float(profile.value(m / spec.q)) for m in range(spec.q)]
+def _arms(spec: PointSpec, profile: _JumpProfile, name: str,
+          node=None) -> list[tuple[float, str]]:
+    """(profile(m/q), "name(m/q)") for the arms m = 0..q-1 of a rational
+    point p/q.  The node-hit arm m = 0 tends to profile(0) = 1, the step's
+    value at the jump, unless `node` gives its (limit, label) instead."""
+    q = spec.q
+    arms = [(float(profile.value(m / q)), f"{name}({m}/{q})")
+            for m in range(1 if node else 0, q)]
+    return ([node] if node else []) + arms
 
 
 def _table(entries) -> PredictionTable:
@@ -127,48 +134,6 @@ def _table(entries) -> PredictionTable:
                 "their dilations cannot be separated"
             )
     return PredictionTable(predictions=preds)
-
-
-def _factor_table(spec: PointSpec, profile: _JumpProfile, node=None) -> PredictionTable:
-    """Clusters of one oscillating factor pinned at its jump.
-
-    At a rational point p/q the arm of offset m/q tends to profile(m/q), with
-    index 1/q.  The node-hit arm m = 0 tends to profile(0) = 1, the step's
-    value at the jump, unless `node` gives its (value, label) instead.  An
-    irrational point gives the measure profile.
-    """
-    if not spec.is_rational:
-        return PredictionTable(profile=profile.make())
-    q = spec.q
-    arms = [(float(profile.value(m / q)), f"profile({m}/{q})")
-            for m in range(1 if node else 0, q)]
-    return _table([(v, 1.0 / q, label) for v, label in ([node] if node else []) + arms])
-
-
-def _corner_table(profile: _JumpProfile, spec_x: PointSpec,
-                  spec_y: PointSpec) -> PredictionTable:
-    """Corner clusters of a tensor operator: products of its factors' clusters.
-
-    Two rational factors give the products of their arms, with index
-    1/(q1 q2).  A rational factor against an irrational one, whose values
-    fill (0, 1], gives the lower bounds 1/q on [0, profile(j/q)].  Two
-    irrational factors give the product measure profile.
-    """
-    rational = [spec for spec in (spec_x, spec_y) if spec.is_rational]
-    name = profile.corner_name
-    if not rational:
-        factor = profile.make()
-        return PredictionTable(profile=Profile2D(factor, factor))
-    if len(rational) == 1:
-        q = rational[0].q
-        return PredictionTable(predictions=[
-            Prediction(Target.interval_union([(0.0, v)]), 1.0 / q, lower_bound_only=True,
-                       label=f"[0, {name}({j}/{q})]")
-            for j, v in enumerate(_arms(rational[0], profile))])
-    q1, q2 = spec_x.q, spec_y.q
-    return _table([(vx * vy, 1.0 / (q1 * q2), f"{name}({m1}/{q1})*{name}({m2}/{q2})")
-                   for m1, vx in enumerate(_arms(spec_x, profile))
-                   for m2, vy in enumerate(_arms(spec_y, profile))])
 
 
 def _shepard_s1_table(factors: list[PointSpec]) -> PredictionTable:
@@ -356,10 +321,12 @@ def build_table(spec: ExperimentSpec) -> PredictionTable:
     """Predicted clusters of the experiment's operator on its jump cross.
 
     The table is that of the factors pinned at their jumps: both at the
-    corner, one on an edge, where the other factor converges.  Rational
-    factors give discrete clusters (for Lagrange in 1-d the node-hit arm
-    tends to the jump value d), irrational ones a measure profile, and
-    Shepard with s = 1 its stated rows.
+    corner, one on an edge, where the other factor converges.  A rational
+    factor p/q splits the window into its q arms, and the clusters are the
+    products of the rational factors' arms, with index 1/(q1 q2).  A rational
+    factor against an irrational one, whose values fill (0, 1], gives the
+    lower bounds 1/q on [0, limit].  Irrational factors alone give the
+    measure profile, and Shepard with s = 1 its stated rows.
     """
     factors = [axis.point for axis in _axes(spec) if axis.at == axis.jump]
     for point in factors:
@@ -370,10 +337,24 @@ def build_table(spec: ExperimentSpec) -> PredictionTable:
     if shepard and spec.s == 1.0:
         return _shepard_s1_table(factors)
     profile = _family(spec).profile(spec.s)
-    if len(factors) == 2:
-        return _corner_table(profile, *factors)
+    rational = [point for point in factors if point.is_rational]
+    if not rational:
+        factor = profile.make()
+        return PredictionTable(profile=Profile2D(factor, factor) if len(factors) == 2
+                               else factor)
+    # a factor's arms are named profile(m/q), a corner's by the family
+    name = profile.corner_name if len(factors) == 2 else "profile"
     node = (float(spec.d), "d") if spec.operator == "lagrange1d" else None
-    return _factor_table(factors[0], profile, node)
+    arms = [_arms(point, profile, name, node) for point in rational]
+    q = math.prod(point.q for point in rational)
+    if len(rational) < len(factors):
+        return PredictionTable(predictions=[
+            Prediction(Target.interval_union([(0.0, limit)]), 1.0 / q,
+                       lower_bound_only=True, label=f"[0, {label}]")
+            for limit, label in arms[0]])
+    return _table([(math.prod(limit for limit, _ in combo), 1.0 / q,
+                    "*".join(label for _, label in combo))
+                   for combo in itertools.product(*arms)])
 
 
 def generate_window(spec: ExperimentSpec) -> SeqWindow:
@@ -398,10 +379,6 @@ def _auto_epsilon(table: PredictionTable) -> float:
         return EPS_CAP
     gap = min(b - a for a, b in zip(vals, vals[1:]) if b > a)
     return min(gap / 2.0, EPS_CAP)
-
-
-class CrossCheckError(AssertionError):
-    """A window disagrees with the independent evaluation it is checked against."""
 
 
 def _cross_check_window(spec: ExperimentSpec, win: SeqWindow) -> None:

@@ -82,6 +82,10 @@ class StepFn2D:
         return self.fx(x) * self.fy(y)
 
 
+class CrossCheckError(AssertionError):
+    """A value disagrees with the independent evaluation it is checked against."""
+
+
 def tensor_value(wx: np.ndarray, sx: np.ndarray, wy: np.ndarray, sy: np.ndarray,
                  tol: float, cross_check: bool) -> float:
     """A tensor-product operator at one point, (wx . sx)(wy . sy), from each
@@ -94,7 +98,7 @@ def tensor_value(wx: np.ndarray, sx: np.ndarray, wy: np.ndarray, sy: np.ndarray,
     if cross_check:
         direct = float(wx @ (sx[:, None] * sy[None, :]) @ wy)
         if abs(direct - out) > tol:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"product decomposition {out!r} disagrees with double sum {direct!r}"
             )
     return out

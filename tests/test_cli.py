@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conidx
-from conidx import suites
+from conidx import lagrange, shepard, stepfn, suites
 from conidx.cli import main
 from conidx.lagrange import jump_sequence, lagrange_eval_2d
 from conidx.density import SeqWindow
@@ -298,6 +298,42 @@ def test_index_failed_cross_check_exits_one_and_writes_nothing(tmp_path, capsys)
                              "--out", str(report), "--csv", str(csv))
     assert code == 1 and out == ""
     assert err.startswith("cross-check FAILED: window factor product at n=m=2 is ")
+    assert err.count("\n") == 1
+    assert not report.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("operator,points", [
+    ("lagrange2d", {"theta": "1/3", "gamma": "1/2"}),
+    ("shepard2d", {"x0": "1/3", "y0": "1/2"}),
+])
+@pytest.mark.parametrize("command", ["eval", "index"])
+def test_a_product_that_disagrees_with_the_double_sum_fails_in_one_line(
+        tmp_path, capsys, monkeypatch, command, operator, points):
+    """With a negative tolerance every product decomposition disagrees with
+    its double sum: `eval` and `index` print one line on stderr and exit 1,
+    with no value, report, CSV or traceback."""
+    tensor_value = stepfn.tensor_value
+
+    def strict(wx, sx, wy, sy, tol, cross_check):
+        return tensor_value(wx, sx, wy, sy, -1.0, cross_check)
+
+    for module in (lagrange, shepard):
+        monkeypatch.setattr(module, "tensor_value", strict)
+    report, csv = tmp_path / "r.json", tmp_path / "w.csv"
+    if command == "eval":
+        flags = [arg for name, text in points.items() for arg in (f"--{name}", text)]
+        argv = ["eval", operator, *flags, "--n", "50", "--cross-check"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "schema_version": 1, "experiment": operator, "window": 100,
+            **{name: {"rational": [int(k) for k in text.split("/")]}
+               for name, text in points.items()}}))
+        argv = ["index", "--config", str(cfg_path), "--cross-check",
+                "--out", str(report), "--csv", str(csv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("cross-check FAILED: product decomposition ")
     assert err.count("\n") == 1
     assert not report.exists() and not csv.exists()
 

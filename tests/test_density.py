@@ -441,8 +441,8 @@ def test_batched_counts_keep_peak_memory_of_one_union():
     """Five unions counted in one call need no more memory than one: the
     strips run one after the other, one level table at a time, and the
     unions share it.  At 10 000 checkpoints every index from 375 to 3000
-    is its own level, so the table (32 MB) is as large as it gets at
-    N = 3000."""
+    is its own level, so the table (16 MB of uint16, the narrowest type that
+    counts to 3000) is as large as it gets at N = 3000."""
     import tracemalloc
 
     u, v = np.random.default_rng(5).normal(size=(2, 3000))
@@ -456,7 +456,7 @@ def test_batched_counts_keep_peak_memory_of_one_union():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    table = (len(cps) + 2) * (3000 + 1) * np.dtype(np.int32).itemsize
+    table = (len(cps) + 2) * (3000 + 1) * np.min_scalar_type(3000).itemsize
     assert peaks[0] <= 1.5 * table  # one level table alive, and no buffered copy
     assert peaks[1] <= 1.1 * peaks[0]
 

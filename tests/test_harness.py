@@ -150,6 +150,119 @@ def test_tables_reject_endpoint_specs():
         shepard_1d(2.0, PointSpec.rational(1, 1))
 
 
+# Each table shape of both families as recorded: per entry the target (a
+# value, or the lower-bound interval), its index, its label and its
+# lower-bound flag, in table order.  The floats are the exact doubles.
+P = PointSpec.parse
+RECORDED_TABLES = {
+    "lagrange1d 1/3": (
+        dict(operator="lagrange1d", spec_x=P("1/3")),
+        [(1.0, 0.3333333333333333, "d", False),
+         (0.6910760347115987, 0.3333333333333333, "profile(1/3)", False),
+         (0.30892396528875304, 0.3333333333333333, "profile(2/3)", False)]),
+    "lagrange1d 1/2, d merged into profile(1/2)": (
+        dict(operator="lagrange1d", spec_x=P("1/2"), d=0.5),
+        [(0.5, 1.0, "d=profile(1/2)", False)]),
+    "lagrange1d 2/5 d=0.25": (
+        dict(operator="lagrange1d", spec_x=P("2/5"), d=0.25),
+        [(0.25, 0.2, "d", False),
+         (0.8310078278598693, 0.2, "profile(1/5)", False),
+         (0.615908065515799, 0.2, "profile(2/5)", False),
+         (0.3840919344845871, 0.2, "profile(3/5)", False),
+         (0.16899217214036957, 0.2, "profile(4/5)", False)]),
+    "shepard1d 1/3": (
+        dict(operator="shepard1d", spec_x=P("1/3"), s=2.0),
+        [(1.0, 0.3333333333333333, "profile(0/3)", False),
+         (0.7671733877433137, 0.3333333333333333, "profile(1/3)", False),
+         (0.23282661225668644, 0.3333333333333333, "profile(2/3)", False)]),
+    "lagrange2d edge 1/3 x 1/2": (
+        dict(operator="lagrange2d", spec_x=P("1/3"), spec_y=P("1/2"), eval_point=(0.5, 0.5)),
+        [(1.0, 0.3333333333333333, "profile(0/3)", False),
+         (0.6910760347115987, 0.3333333333333333, "profile(1/3)", False),
+         (0.30892396528875304, 0.3333333333333333, "profile(2/3)", False)]),
+    "shepard2d edge 1/3 x 1/2": (
+        dict(operator="shepard2d", spec_x=P("1/3"), spec_y=P("1/2"), s=2.0,
+             eval_point=(0.2, 0.5)),
+        [(1.0, 0.5, "profile(0/2)", False), (0.5, 0.5, "profile(1/2)", False)]),
+    "lagrange2d 1/3 x inv_sqrt2": (
+        dict(operator="lagrange2d", spec_x=P("1/3"), spec_y=P("inv_sqrt2")),
+        [(((0.0, 1.0),), 0.3333333333333333, "[0, profile(0/3)]", True),
+         (((0.0, 0.6910760347115987),), 0.3333333333333333, "[0, profile(1/3)]", True),
+         (((0.0, 0.30892396528875304),), 0.3333333333333333, "[0, profile(2/3)]", True)]),
+    "shepard2d golden_frac x 1/2": (
+        dict(operator="shepard2d", spec_x=P("golden_frac"), spec_y=P("1/2"), s=3.0),
+        [(((0.0, 1.0),), 0.5, "[0, profile_s(0/2)]", True),
+         (((0.0, 0.5),), 0.5, "[0, profile_s(1/2)]", True)]),
+    "lagrange2d 1/3 x 1/2": (
+        dict(operator="lagrange2d", spec_x=P("1/3"), spec_y=P("1/2")),
+        [(1.0, 0.16666666666666666, "profile(0/3)*profile(0/2)", False),
+         (0.5000000000002031, 0.16666666666666666, "profile(0/3)*profile(1/2)", False),
+         (0.6910760347115987, 0.16666666666666666, "profile(1/3)*profile(0/2)", False),
+         (0.3455380173559397, 0.16666666666666666, "profile(1/3)*profile(1/2)", False),
+         (0.30892396528875304, 0.16666666666666666, "profile(2/3)*profile(0/2)", False),
+         (0.15446198264443925, 0.16666666666666666, "profile(2/3)*profile(1/2)", False)]),
+    "lagrange2d 1/2 x 1/2, two products merged": (
+        dict(operator="lagrange2d", spec_x=P("1/2"), spec_y=P("1/2")),
+        [(1.0, 0.25, "profile(0/2)*profile(0/2)", False),
+         (0.5000000000002031, 0.5, "profile(0/2)*profile(1/2)=profile(1/2)*profile(0/2)", False),
+         (0.25000000000020306, 0.25, "profile(1/2)*profile(1/2)", False)]),
+    "shepard2d 1/2 x 1/3": (
+        dict(operator="shepard2d", spec_x=P("1/2"), spec_y=P("1/3"), s=2.0),
+        [(1.0, 0.16666666666666666, "profile_s(0/2)*profile_s(0/3)", False),
+         (0.7671733877433137, 0.16666666666666666, "profile_s(0/2)*profile_s(1/3)", False),
+         (0.23282661225668644, 0.16666666666666666, "profile_s(0/2)*profile_s(2/3)", False),
+         (0.5, 0.16666666666666666, "profile_s(1/2)*profile_s(0/3)", False),
+         (0.38358669387165684, 0.16666666666666666, "profile_s(1/2)*profile_s(1/3)", False),
+         (0.11641330612834322, 0.16666666666666666, "profile_s(1/2)*profile_s(2/3)",
+          False)]),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_TABLES)
+def test_build_table_keeps_the_recorded_clusters(case):
+    kwargs, want = RECORDED_TABLES[case]
+    table = build_table(ExperimentSpec(**kwargs))
+    assert table.profile is None
+    got = [(p.target.value if p.target.kind == "value" else p.target.intervals,
+            p.index, p.label, p.lower_bound_only) for p in table.predictions]
+    assert got == want
+
+
+@pytest.mark.parametrize("operator,points,kind", [
+    ("lagrange1d", ["inv_sqrt2"], "lagrange"),
+    ("shepard1d", ["golden_frac"], "shepard(s=2)"),
+    ("lagrange2d", ["inv_sqrt2", "golden_frac"], "lagrange"),
+    ("shepard2d", ["inv_sqrt2", "golden_frac"], "shepard(s=2)"),
+])
+def test_build_table_without_a_rational_factor_keeps_the_recorded_profile(operator, points,
+                                                                          kind):
+    specs = dict(zip(("spec_x", "spec_y"), map(P, points)))
+    table = build_table(ExperimentSpec(operator=operator, s=2.0, **specs))
+    assert not table.predictions
+    if len(points) == 1:
+        assert table.profile.kind == kind
+    else:  # one factor profile on both axes
+        assert isinstance(table.profile, Profile2D) and table.profile.fx is table.profile.fy
+        assert table.profile.fx.kind == kind
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(operator="lagrange1d", spec_x=P("1/3"), d=0.692),
+     "cluster values 0.691076 and 0.692 are closer than 0.002"),
+    (dict(operator="shepard1d", spec_x=P("5/12"), s=3.0),
+     "cluster values 0.99912 and 1 are closer than 0.002"),
+    (dict(operator="lagrange2d", spec_x=P("1/3"), spec_y=P("3/5")),
+     "cluster values 0.116786 and 0.118655 are closer than 0.002"),
+    (dict(operator="lagrange2d", spec_x=P("0/1"), spec_y=P("1/2")),
+     "point 0/1 must lie strictly inside"),
+    (dict(operator="shepard2d", spec_x=P("1/2"), spec_y=P("1/1"), eval_point=(0.25, 1.0)),
+     "point 1/1 must lie strictly inside"),
+])
+def test_build_table_keeps_the_recorded_errors(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_table(ExperimentSpec(**kwargs))
+
+
 def test_shepard_tables_reject_s_below_one_in_1d_and_2d():
     for table in (lambda: shepard_1d(0.5, HALF), lambda: shepard_2d(0.5, HALF, HALF)):
         with pytest.raises(ValueError, match="exponent s must be >= 1"):
