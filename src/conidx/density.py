@@ -19,6 +19,8 @@ def default_checkpoints(n_max: int, count: int = 16) -> np.ndarray:
     """Geometric checkpoint grid from n_max/8 up to n_max."""
     if n_max < 2:
         raise ValueError("window must contain at least 2 indices")
+    if count < 2:  # one point would stop at n_max/8
+        raise ValueError(f"checkpoint count must be at least 2, got {count}")
     lo = max(2, n_max // 8)
     cps = np.unique(np.geomspace(lo, n_max, count).round().astype(int))
     return cps
@@ -96,14 +98,16 @@ class Target:
 
     @classmethod
     def point(cls, value: float) -> "Target":
+        if np.isnan(value):
+            raise ValueError("target value must not be NaN")
         return cls(kind="value", value=float(value))
 
     @classmethod
     def interval_union(cls, intervals) -> "Target":
         ivs = sorted((float(a), float(b)) for a, b in intervals)
         for a, b in ivs:
-            if b < a:
-                raise ValueError(f"empty interval [{a}, {b}]")
+            if not a <= b:  # NaN fails too
+                raise ValueError(f"empty or NaN interval [{a}, {b}]")
         for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
             if a2 <= b1:
                 raise ValueError("target intervals must be disjoint")

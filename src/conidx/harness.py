@@ -81,36 +81,6 @@ class PredictionTable:
             raise ValueError(f"predicted indices sum to {total} > 1")
 
 
-@dataclass(frozen=True)
-class _JumpProfile:
-    """A family's limit profile at the jump: its values at the arm offsets,
-    its Profile1D for irrational points, and its name in corner labels."""
-
-    value: Callable[[float], float]
-    make: Callable[[], Profile1D]
-    corner_name: str
-
-
-_LAGRANGE_PROFILE = _JumpProfile(lagrange_jump_profile, Profile1D.lagrange, "profile")
-
-
-def _shepard_profile(s: float) -> _JumpProfile:
-    """The power profile; for s = 1 every arm off the node hits tends to 1/2."""
-    value = (lambda t: 0.5) if s == 1.0 else (lambda t: shepard_jump_profile(s, t))
-    return _JumpProfile(value, lambda: Profile1D.shepard(s), "profile_s")
-
-
-def _arms(spec: PointSpec, profile: _JumpProfile, name: str,
-          node=None) -> list[tuple[float, str]]:
-    """(profile(m/q), "name(m/q)") for the arms m = 0..q-1 of a rational
-    point p/q.  The node-hit arm m = 0 tends to profile(0) = 1, the step's
-    value at the jump, unless `node` gives its (limit, label) instead."""
-    q = spec.q
-    arms = [(float(profile.value(m / q)), f"{name}({m}/{q})")
-            for m in range(1 if node else 0, q)]
-    return ([node] if node else []) + arms
-
-
 def _table(entries) -> PredictionTable:
     """Discrete clusters from (value, index, label) arms.
 
@@ -227,7 +197,9 @@ class _Family:
     eval_1d: Callable        # (step, s, n, x) -> one value
     eval_2d: Callable        # (h, s, n, m, x, y, cross_check) -> one value
     first_index: Callable[[int, int, int], int]  # (p, q, m) -> first n of arm m/q
-    profile: Callable[[float], _JumpProfile]
+    profile: Callable[[float, float], float]  # (s, t) -> jump profile at arm offset t
+    make_profile: Callable[[float], Profile1D]  # s -> the profile of irrational points
+    corner_name: str         # the profile's name in corner labels
 
 
 _FAMILIES = {
@@ -242,7 +214,9 @@ _FAMILIES = {
         eval_2d=lambda h, s, n, m, x, y, cross_check: lg.lagrange_eval_2d(
             h, n, m, x, y, cross_check=cross_check),
         first_index=lambda p, q, m: (m * pow(p, -1, q)) % q + q + 1,
-        profile=lambda s: _LAGRANGE_PROFILE,
+        profile=lambda s, t: lagrange_jump_profile(t),
+        make_profile=lambda s: Profile1D.lagrange(),
+        corner_name="profile",
     ),
     "shepard": _Family(
         jump=lambda v: v,
@@ -255,7 +229,10 @@ _FAMILIES = {
         eval_2d=lambda h, s, n, m, x, y, cross_check: sh.shepard_eval_2d(
             h, sh.ShepardParams(s, n), sh.ShepardParams(s, m), x, y, cross_check=cross_check),
         first_index=lambda p, q, m: (m * pow(p, -1, q)) % q or q,
-        profile=_shepard_profile,
+        # for s = 1 every arm off the node hits tends to 1/2
+        profile=lambda s, t: 0.5 if s == 1.0 else shepard_jump_profile(s, t),
+        make_profile=Profile1D.shepard,
+        corner_name="profile_s",
     ),
 }
 
@@ -317,6 +294,12 @@ def _axes(spec: ExperimentSpec) -> list[_Axis]:
             for point, jump, c in zip(points, jumps, at)]
 
 
+def _arm_limit(fam: _Family, axis: _Axis, s: float, m: int) -> float:
+    """Limit of arm m of an axis pinned at p/q: the step's value at the jump
+    on the node-hit arm m = 0, the family's jump profile at m/q off it."""
+    return float(axis.step.at) if m == 0 else float(fam.profile(s, m / axis.point.q))
+
+
 def build_table(spec: ExperimentSpec) -> PredictionTable:
     """Predicted clusters of the experiment's operator on its jump cross.
 
@@ -328,26 +311,27 @@ def build_table(spec: ExperimentSpec) -> PredictionTable:
     lower bounds 1/q on [0, limit].  Irrational factors alone give the
     measure profile, and Shepard with s = 1 its stated rows.
     """
-    factors = [axis.point for axis in _axes(spec) if axis.at == axis.jump]
-    for point in factors:
-        point.require_interior()
+    fam, pinned = _family(spec), [axis for axis in _axes(spec) if axis.at == axis.jump]
+    for axis in pinned:
+        axis.point.require_interior()
     shepard = spec.operator.startswith("shepard")
     if shepard and spec.s < 1.0:
         raise ValueError("exponent s must be >= 1")
     if shepard and spec.s == 1.0:
-        return _shepard_s1_table(factors)
-    profile = _family(spec).profile(spec.s)
-    rational = [point for point in factors if point.is_rational]
+        return _shepard_s1_table([axis.point for axis in pinned])
+    rational = [axis for axis in pinned if axis.point.is_rational]
     if not rational:
-        factor = profile.make()
-        return PredictionTable(profile=Profile2D(factor, factor) if len(factors) == 2
+        factor = fam.make_profile(spec.s)
+        return PredictionTable(profile=Profile2D(factor, factor) if len(pinned) == 2
                                else factor)
-    # a factor's arms are named profile(m/q), a corner's by the family
-    name = profile.corner_name if len(factors) == 2 else "profile"
-    node = (float(spec.d), "d") if spec.operator == "lagrange1d" else None
-    arms = [_arms(point, profile, name, node) for point in rational]
-    q = math.prod(point.q for point in rational)
-    if len(rational) < len(factors):
+    # a factor's arms are named profile(m/q), a corner's by the family, and
+    # the node-hit arm of lagrange1d by its value d
+    name = fam.corner_name if len(pinned) == 2 else "profile"
+    arms = [[(_arm_limit(fam, axis, spec.s, m),
+              "d" if m == 0 and spec.operator == "lagrange1d" else f"{name}({m}/{axis.point.q})")
+             for m in range(axis.point.q)] for axis in rational]
+    q = math.prod(axis.point.q for axis in rational)
+    if len(rational) < len(pinned):
         return PredictionTable(predictions=[
             Prediction(Target.interval_union([(0.0, limit)]), 1.0 / q,
                        lower_bound_only=True, label=f"[0, {label}]")
@@ -482,7 +466,7 @@ def cluster_witness(spec: ExperimentSpec, m: int) -> WitnessReport:
     if not indices:
         raise ValueError(f"window {spec.window} too small to reach the residue-{m} arm")
     (axis,) = _axes(spec)
-    limit = float(axis.step.at) if m == 0 else float(fam.profile(spec.s).value(m / q))
+    limit = _arm_limit(fam, axis, spec.s, m)
     tail_value = float(fam.at_jump(point, spec.s, spec.window, axis.step.at,
                                    indices=[indices[-1]])[0])
     return WitnessReport(
@@ -566,26 +550,31 @@ def uniform_convergence_scan(spec: ExperimentSpec, regions, n_list):
 
     1-d regions are intervals (a, b) on a grid of 2 * SCAN_GRID points; 2-d
     regions are rectangles (x_lo, x_hi, y_lo, y_hi) on a SCAN_GRID square
-    grid.  Returns one row per (region, n) with the sup error; regions
-    closer than SCAN_MIN_DISTANCE to the jump set are rejected.
+    grid.  Returns one row per (region, n) with the sup error.  Before any
+    evaluation, a region whose length is not twice the spec's dimension, or
+    which lies closer than SCAN_MIN_DISTANCE to the jump set, is rejected.
     """
     fam, axes = _family(spec), _axes(spec)
     steps = [axis.step for axis in axes]
     segs = _cross(fam, [axis.jump for axis in axes])
     size = SCAN_GRID if len(axes) == 2 else 2 * SCAN_GRID
-    rows = []
+    regions = [tuple(region) for region in regions]
     for region in regions:
+        if len(region) != 2 * len(axes):
+            raise ValueError(f"region {region} must have {2 * len(axes)} ends, not {len(region)}")
         # an interval is a flat rectangle on the x axis, which holds a 1-d jump
-        rect = tuple(region) if len(region) == 4 else (*region, 0.0, 0.0)
+        rect = region if len(region) == 4 else (*region, 0.0, 0.0)
         if _rect_distance_to_cross(rect, segs) < SCAN_MIN_DISTANCE:
             raise ValueError(f"region {region} is within {SCAN_MIN_DISTANCE} of the jump set")
+    rows = []
+    for region in regions:
         grids = [np.linspace(lo, hi, size) for lo, hi in zip(region[::2], region[1::2])]
         exact = reduce(np.multiply.outer, [f(ts) for f, ts in zip(steps, grids)])
         for n in n_list:
             approx = reduce(np.multiply.outer, [
                 np.array([fam.eval_1d(f, spec.s, n, float(t)) for t in ts])
                 for f, ts in zip(steps, grids)])
-            rows.append({"region": tuple(region), "n": int(n),
+            rows.append({"region": region, "n": int(n),
                          "sup_error": float(np.abs(approx - exact).max())})
     return rows
 

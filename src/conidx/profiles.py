@@ -420,9 +420,11 @@ def invert_monotone(profile: Profile1D, y, tol: float = BISECT_TOL):
     goes left, as fn would send it.  fn decides every other step, so the
     roots are those of the bisection on fn alone.  The profiles compute
     element by element, so a value does not depend on which other points
-    share the call.
+    share the call.  A NaN value raises ValueError.
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    if np.isnan(y_arr).any():  # every comparison would send it left
+        raise ValueError("target values must not be NaN")
     size = y_arr.size
     steps = int(math.ceil(math.log2(1.0 / tol))) + 2
     margin = 10.0 * SERIES_TOL  # the screen certifies a guard only this far from y

@@ -41,11 +41,6 @@ class StepFn1D:
         return cls(x0=x0, left=0.0, at=d, right=1.0)
 
     @classmethod
-    def indicator_from(cls, x0: float) -> "StepFn1D":
-        """Indicator of [x0, +inf): 1 at and above x0."""
-        return cls(x0=x0, left=0.0, at=1.0, right=1.0)
-
-    @classmethod
     def indicator_upto(cls, x0: float) -> "StepFn1D":
         """Indicator of (-inf, x0]: 1 at and below x0.
 
@@ -71,7 +66,7 @@ class StepFn2D:
     @classmethod
     def upper_right(cls, x0: float, y0: float) -> "StepFn2D":
         """1 on the closed quadrant [x0, 1] x [y0, 1], 0 elsewhere."""
-        return cls(StepFn1D.indicator_from(x0), StepFn1D.indicator_from(y0))
+        return cls(StepFn1D.jump(x0, 1.0), StepFn1D.jump(y0, 1.0))
 
     @classmethod
     def lower_left(cls, x0: float, y0: float) -> "StepFn2D":

@@ -222,6 +222,15 @@ def test_index_requires_positive_epsilon():
         index_to_target(win, Target.point(0.0), 0.0, default_checkpoints(200))
 
 
+def test_default_checkpoints_need_two_to_reach_the_window():
+    """The grid runs from n_max / 8 up to n_max, so it needs at least two
+    checkpoints: one would stop at n_max / 8, and none is empty."""
+    assert default_checkpoints(1000, 2).tolist() == [125, 1000]
+    for count in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            default_checkpoints(1000, count)
+
+
 def test_index_checkpoint_must_fit_window():
     win = cos_product_window(100)
     with pytest.raises(ValueError):
@@ -573,6 +582,13 @@ def test_target_validation():
         Target.interval_union([(0.0, 0.5), (0.4, 0.8)])
     with pytest.raises(ValueError):
         Target.interval_union([(0.5, 0.2)])
+    # NaN values and ends are rejected, infinite ends keep their meaning
+    with pytest.raises(ValueError, match="NaN"):
+        Target.point(float("nan"))
+    for iv in [(0.2, float("nan")), (float("nan"), 0.5)]:
+        with pytest.raises(ValueError, match="NaN"):
+            Target.interval_union([iv])
+    assert Target.interval_union([(0.2, float("inf"))]).intervals == ((0.2, float("inf")),)
     t = Target.interval_union([(0.0, 0.2), (0.3, 0.5)])
     dil = t.dilated(0.04)
     assert len(dil) == 2

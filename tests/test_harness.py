@@ -614,24 +614,31 @@ def full_window_witnesses(spec):
         arm = range(fam.first_index(p, q, m), spec.window + 1, q)
         # arm m: grid offset (n - 1) p/q (Lagrange) or n p/q (Shepard) is m/q mod 1
         assert all((p * (n - lagrange)) % q == m for n in arm)
-        limit = (spec.d if lagrange else 1.0) if m == 0 else fam.profile(spec.s).value(m / q)
+        limit = (spec.d if lagrange else 1.0) if m == 0 else fam.profile(spec.s, m / q)
         tail = float(values[arm[-1] - 1])
         reports.append(WitnessReport(limit, tail, abs(tail - limit), len(arm) / spec.window))
     return reports
 
 
-@pytest.mark.parametrize("operator, point, d, s", [
-    ("lagrange1d", THIRD, 1.0, 2.0), ("lagrange1d", PointSpec.rational(2, 5), 0.5, 2.0),
-    ("shepard1d", THIRD, 1.0, 1.0), ("shepard1d", THIRD, 1.0, 2.0),
-    ("shepard1d", PointSpec.rational(1, 4), 1.0, 1.0),
-    ("shepard1d", PointSpec.rational(1, 4), 1.0, 2.0),
+@pytest.mark.parametrize("operator, point, d, s, limits", [
+    ("lagrange1d", THIRD, 1.0, 2.0, [1.0, 0.6910760347115987, 0.30892396528875304]),
+    ("lagrange1d", PointSpec.rational(2, 5), 0.5, 2.0,
+     [0.5, 0.8310078278598693, 0.615908065515799, 0.3840919344845871, 0.16899217214036957]),
+    ("shepard1d", THIRD, 1.0, 1.0, [1.0, 0.5, 0.5]),
+    ("shepard1d", THIRD, 1.0, 2.0, [1.0, 0.7671733877433137, 0.23282661225668644]),
+    ("shepard1d", PointSpec.rational(1, 4), 1.0, 1.0, [1.0, 0.5, 0.5, 0.5]),
+    ("shepard1d", PointSpec.rational(1, 4), 1.0, 2.0,
+     [1.0, 0.8712268727107461, 0.5, 0.12877312728925397]),
 ], ids=["lagrange-1/3", "lagrange-2/5-d0.5", "shepard-1/3-s1", "shepard-1/3-s2",
         "shepard-1/4-s1", "shepard-1/4-s2"])
-def test_witness_evaluates_only_its_tail_index(monkeypatch, operator, point, d, s):
+def test_witness_evaluates_only_its_tail_index(monkeypatch, operator, point, d, s, limits):
     """Every arm's witness equals the one read off the full window, from one
-    generator call that evaluates one index, the arm's last."""
+    generator call that evaluates one index, the arm's last.  The arm limits
+    are the recorded ones, so the reference does not only repeat the
+    profile call the witness makes."""
     spec = ExperimentSpec(operator=operator, spec_x=point, d=d, s=s, window=2000)
     want = full_window_witnesses(spec)
+    assert [report.limit for report in want] == limits
     module, name = (lg, "jump_sequence") if operator == "lagrange1d" else (sh, "step_sequence")
     calls = []
     generator = getattr(module, name)
@@ -757,7 +764,7 @@ def test_scan_constant_step_zero_error():
     assert max(r["sup_error"] for r in rows) <= 0.02
 
 
-def test_scan_rejects_regions_near_jump():
+def test_scan_rejects_regions_near_jump(monkeypatch):
     spec = ExperimentSpec(operator="lagrange1d", spec_x=THIRD, d=1.0, window=10)
     with pytest.raises(ValueError):
         uniform_convergence_scan(spec, [(0.0, 1.0)], [100])
@@ -770,6 +777,18 @@ def test_scan_rejects_regions_near_jump():
     with pytest.raises(ValueError, match="within 0.1"):
         uniform_convergence_scan(spec3, [(0.599997, 1.0, 0.501, 0.502)], [])
     assert uniform_convergence_scan(spec3, [(0.600003, 1.0, 0.501, 0.502)], []) == []
+    # a region must have two ends per dimension, checked before any evaluation:
+    # a 4-tuple on a 1-d spec would be measured by its y extent and scan across
+    # the jump at 0.5, and a 2-tuple on a 2-d spec would scan the x factor alone
+    def no_eval(*args, **kwargs):
+        raise AssertionError("the operator was evaluated")
+
+    monkeypatch.setattr(lg, "lagrange_eval_1d", no_eval)
+    monkeypatch.setattr(sh, "shepard_eval_1d", no_eval)
+    with pytest.raises(ValueError, match="must have 2 ends, not 4"):
+        uniform_convergence_scan(spec, [(0.3, 0.7, 0.2, 1.0)], [50, 100])
+    with pytest.raises(ValueError, match="must have 4 ends, not 2"):
+        uniform_convergence_scan(spec2, [(0.7, 1.0)], [50, 100])
 
 
 def test_scan_shepard_2d_decreases():

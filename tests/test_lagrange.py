@@ -221,7 +221,7 @@ def test_no_false_node_hits_at_large_n():
     spec = PointSpec.rational(1, 50)
     theta0 = math.pi * spec.value
     x0 = math.cos(theta0)
-    step = StepFn1D.indicator_from(x0)
+    step = StepFn1D.jump(x0, 1.0)
     want = eval_jump_decomposed(spec, 1.0, 999_000)
     assert want == pytest.approx(0.014190206, abs=1e-9)
     assert lagrange_eval_1d(step, 999_000, x0) == pytest.approx(want, abs=1e-9)

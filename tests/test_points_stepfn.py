@@ -56,8 +56,6 @@ def test_require_interior():
 def test_step_orientations():
     jump = StepFn1D.jump(0.3, 0.8)
     assert (jump(0.0), jump(0.3), jump(0.5)) == (0.0, 0.8, 1.0)
-    ge = StepFn1D.indicator_from(0.3)
-    assert (ge(0.2), ge(0.3), ge(0.4)) == (0.0, 1.0, 1.0)
     le = StepFn1D.indicator_upto(0.3)
     assert (le(0.2), le(0.3), le(0.4)) == (1.0, 1.0, 0.0)
 

@@ -307,6 +307,10 @@ def test_invert_monotone_clamps():
     assert invert_monotone(prof, 2.0) == pytest.approx(0.0, abs=1e-9)
     assert invert_monotone(prof, -1.0) == pytest.approx(1.0, abs=1e-9)
     assert prof(invert_monotone(prof, 0.37)) == pytest.approx(0.37, abs=1e-9)
+    # a NaN target fails every bisection comparison, so it is rejected
+    for y in (math.nan, [0.37, math.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            invert_monotone(prof, y)
 
 
 def test_preimage_1d_examples():
@@ -315,6 +319,12 @@ def test_preimage_1d_examples():
     assert preimage_measure_1d(prof, [(0.5, 1.0)]) == pytest.approx(0.5, abs=2e-10)
     ident = Profile1D.identity()
     assert preimage_measure_1d(ident, [(0.2, 0.5)]) == pytest.approx(0.3, abs=2e-10)
+    # infinite ends clamp; NaN ends are rejected
+    assert preimage_measure_1d(prof, [(0.5, math.inf)]) == pytest.approx(0.5, abs=2e-10)
+    assert preimage_measure_1d(prof, [(-math.inf, 0.5)]) == pytest.approx(0.5, abs=2e-10)
+    for iv in [(0.2, math.nan), (math.nan, 0.5)]:
+        with pytest.raises(ValueError, match="NaN"):
+            preimage_measure_1d(prof, [iv])
 
 
 def test_preimage_1d_grid_oracle():
@@ -359,6 +369,10 @@ def test_preimage_2d_identity_area():
     want = (1.0 + math.log(2.0)) / 2.0
     assert preimage_measure_2d(prof, [(0.0, 0.5)]) == pytest.approx(want, abs=1e-6)
     assert preimage_measure_2d(prof, [(0.0, 1.0)]) == pytest.approx(1.0, abs=1e-9)
+    assert preimage_measure_2d(prof, [(0.0, math.inf)]) == pytest.approx(1.0, abs=1e-9)
+    for iv in [(0.2, math.nan), (math.nan, 0.5)]:
+        with pytest.raises(ValueError, match="NaN"):
+            preimage_measure_2d(prof, [iv])
 
 
 def test_preimage_2d_slicing_consistency():
